@@ -115,8 +115,8 @@ def cohomology_ring_of_descriptor(
     _require_valid(d)
     n = d.n
     base = base_cohomology(d.base, R)
-    if all(isinstance(h, Sphere) for h in d.base.handles):
-        assert not base.products, "sphere cores must have a zero product table"
+    if base.products and all(isinstance(h, Sphere) for h in d.base.handles):
+        raise RuntimeError("sphere cores must have a zero product table")
 
     basis = [
         BasisElement(e.id, e.degree, ("inclusion",), e.sphere_representable)
@@ -144,7 +144,8 @@ def cohomology_ring_of_descriptor(
 
     ring = PresentedGradedRing(R, n, basis, products)
     homology = homology_of_descriptor(d, R)
-    assert homology.free_ranks == ring.free_ranks(), "rank bookkeeping out of sync"
+    if homology.free_ranks != ring.free_ranks():
+        raise RuntimeError("rank bookkeeping out of sync")
     return RingPresentationReport(homology, ring, tuple(per_record))
 
 

@@ -292,7 +292,8 @@ def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
 
     divisors = tuple(M[i][i] for i in range(min(m, n)) if M[i][i])
     for a, b in zip(divisors, divisors[1:]):
-        assert b % a == 0, "divisibility chain violated"
+        if b % a:
+            raise RuntimeError("divisibility chain violated")
     Z = CoefficientRing.integers()
     return SmithDecomposition(
         ExactMatrix(Z, U, m), ExactMatrix(Z, M, n), ExactMatrix(Z, V, n), divisors
@@ -486,8 +487,8 @@ def sparse_column_reduction(rows, cols: int) -> ColumnReduction:
         rank += 1
 
     kernel_idx = sorted(active)
-    for j in kernel_idx:
-        assert not acol[j], "active column left nonzero after reduction"
+    if any(acol[j] for j in kernel_idx):
+        raise RuntimeError("active column left nonzero after reduction")
     kernel_cols = [vcol[j] for j in kernel_idx]
     kernel_dual_rows = [vinv[j] for j in kernel_idx]
     for v in kernel_cols:

@@ -138,10 +138,15 @@ class PresentedGradedRing:
     """Graded-commutative ring with unit, free basis and structure constants.
 
     ``products`` maps ordered id pairs to coordinate vectors (id -> scalar);
-    absent pairs multiply to zero.  Construction validates graded
-    commutativity, degree additivity and associativity exhaustively — basis
-    sizes in this package stay small, so the O(basis³) check is cheap
-    insurance against sign mistakes.
+    absent pairs multiply to zero.  Construction validates degree
+    additivity, graded commutativity and associativity exhaustively, but
+    visits only the pairs and triples where the two sides can differ.  A
+    pair with neither order in the table is 0 = ±0, so commutativity is
+    checked on each key against its flipped partner.  (ab)c is zero unless
+    (a,b) is a key and a(bc) is zero unless (b,c) is one, so associativity
+    is checked on (a,b,c) and (c,a,b) for each key (a,b) and each basis
+    element c whose degree keeps the triple within the top degree: the
+    cost is O(|products|·basis) instead of O(basis³).
     """
 
     def __init__(self, ring, top_degree, basis, products, *, check=True):
@@ -188,20 +193,6 @@ class PresentedGradedRing:
     def product(self, ida: str, idb: str) -> dict:
         return dict(self.products.get((ida, idb), {}))
 
-    def multiply(self, va: dict, vb: dict) -> dict:
-        """Multiply two coordinate vectors (over positive-degree basis)."""
-        out: dict = {}
-        zero = self.ring.zero()
-        for ia, ca in va.items():
-            if ca == zero:
-                continue
-            for ib, cb in vb.items():
-                if cb == zero:
-                    continue
-                for ic, cc in self.products.get((ia, ib), {}).items():
-                    out[ic] = out.get(ic, zero) + ca * cb * cc
-        return {k: self.ring.convert(v) for k, v in out.items() if v != zero}
-
     # -- validation --------------------------------------------------------
 
     def _check(self):
@@ -218,29 +209,39 @@ class PresentedGradedRing:
                     raise ValueError(f"product {ia}·{ib} hits unknown id {ic}")
                 if c.degree != total:
                     raise ValueError(f"product {ia}·{ib} violates degree additivity")
-        for a in self.basis:
-            for b in self.basis:
-                ab = self.products.get((a.id, b.id), {})
-                ba = self.products.get((b.id, a.id), {})
-                sign = -1 if (a.degree % 2 and b.degree % 2) else 1
-                flipped = {k: self.ring.convert(sign * v) for k, v in ba.items()}
-                if ab != flipped:
-                    raise ValueError(
-                        f"graded commutativity fails on ({a.id},{b.id})"
-                    )
-        for a in self.basis:
-            va = {a.id: self.ring.one()}
-            for b in self.basis:
-                vb = {b.id: self.ring.one()}
-                ab = self.multiply(va, vb)
-                for c in self.basis:
-                    vc = {c.id: self.ring.one()}
-                    left = self.multiply(ab, vc)
-                    right = self.multiply(va, self.multiply(vb, vc))
-                    if left != right:
-                        raise ValueError(
-                            f"associativity fails on ({a.id},{b.id},{c.id})"
-                        )
+        ring, table, by_id = self.ring, self.products, self.by_id
+        for (ia, ib), ab in table.items():
+            ba = table.get((ib, ia), {})
+            sign = -1 if (by_id[ia].degree % 2 and by_id[ib].degree % 2) else 1
+            if ab != {k: ring.convert(sign * v) for k, v in ba.items()}:
+                raise ValueError(f"graded commutativity fails on ({ia},{ib})")
+
+        zero = ring.zero()
+
+        def expand(terms):
+            # Σ coef·vec over (coef, vec) terms, reduced, zeros dropped
+            out: dict = {}
+            for coef, vec in terms:
+                for ic, c in vec.items():
+                    out[ic] = out.get(ic, zero) + coef * c
+            return {ic: c for ic, v in out.items() if (c := ring.convert(v)) != zero}
+
+        def times_right(vec, iz):  # (Σ vec[k]·k)·z
+            return expand((coef, table.get((k, iz), {})) for k, coef in vec.items())
+
+        def times_left(ix, vec):  # x·(Σ vec[k]·k)
+            return expand((coef, table.get((ix, k), {})) for k, coef in vec.items())
+
+        for (ia, ib), ab in table.items():
+            room = self.top_degree - by_id[ia].degree - by_id[ib].degree
+            for c in self.basis:
+                if c.degree > room:
+                    continue  # both sides of either triple lie above the top
+                ic = c.id
+                if times_right(ab, ic) != times_left(ia, table.get((ib, ic), {})):
+                    raise ValueError(f"associativity fails on ({ia},{ib},{ic})")
+                if times_right(table.get((ic, ia), {}), ib) != times_left(ic, ab):
+                    raise ValueError(f"associativity fails on ({ic},{ia},{ib})")
 
     def __repr__(self):
         return (

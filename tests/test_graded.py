@@ -5,6 +5,9 @@ their products, connected sums and wedges; each is small enough to check
 by hand.
 """
 
+import random
+from collections import Counter
+
 import pytest
 
 from reeb_bubble.coefficients import CoefficientRing, RingMismatchError
@@ -445,6 +448,127 @@ def test_check_rejects_product_above_top():
     basis = (BasisElement("x", 2), BasisElement("t", 4))
     with pytest.raises(ValueError, match="top degree"):
         PresentedGradedRing(Z, 3, basis, {("x", "x"): {"t": 1}})
+
+
+def test_check_rejects_product_stored_only_in_reversed_order():
+    basis = (BasisElement("x", 2), BasisElement("y", 2), BasisElement("t", 4))
+    with pytest.raises(ValueError, match="commutativity"):
+        PresentedGradedRing(Z, 4, basis, {("y", "x"): {"t": 1}})
+
+
+def test_check_rejects_nonassociativity_through_absent_pair():
+    # a·b is absent, so (a·b)·b = 0, but a·(b·b) = a·t = u
+    basis = (
+        BasisElement("a", 2),
+        BasisElement("b", 2),
+        BasisElement("t", 4),
+        BasisElement("u", 6),
+    )
+    products = {
+        ("b", "b"): {"t": 1},
+        ("a", "t"): {"u": 1},
+        ("t", "a"): {"u": 1},
+    }
+    with pytest.raises(ValueError, match="associativity"):
+        PresentedGradedRing(Z, 6, basis, products)
+
+
+def test_check_accepts_products_that_cancel_mod_p():
+    # (a·b)·c = x·c + y·c = 2t, which is 0 over Z/2, as is a·(b·c)
+    basis = (
+        BasisElement("a", 1),
+        BasisElement("b", 1),
+        BasisElement("c", 1),
+        BasisElement("x", 2),
+        BasisElement("y", 2),
+        BasisElement("t", 3),
+    )
+    products = {
+        ("a", "b"): {"x": 1, "y": 1},
+        ("b", "a"): {"x": 1, "y": 1},
+        ("x", "c"): {"t": 1},
+        ("c", "x"): {"t": 1},
+        ("y", "c"): {"t": 1},
+        ("c", "y"): {"t": 1},
+    }
+    PresentedGradedRing(Z2, 3, basis, products)
+
+
+def _reference_failure(ring, basis, products):
+    """Brute-force verdict over all basis pairs and triples.
+
+    Returns None, "commutativity" or "associativity", whichever fails
+    first when commutativity is checked before associativity.
+    """
+    deg = {e.id: e.degree for e in basis}
+    zero = ring.zero()
+
+    def mul(u, v):
+        out = {}
+        for i, x in u.items():
+            for j, y in v.items():
+                for k, z in products.get((i, j), {}).items():
+                    out[k] = ring.convert(out.get(k, zero) + x * y * z)
+        return {k: c for k, c in out.items() if c != zero}
+
+    unit = {i: {i: ring.one()} for i in deg}
+    for a in deg:
+        for b in deg:
+            sign = -1 if deg[a] % 2 and deg[b] % 2 else 1
+            ba = mul(unit[b], unit[a])
+            if mul(unit[a], unit[b]) != {k: ring.convert(sign * c) for k, c in ba.items()}:
+                return "commutativity"
+    for a in deg:
+        for b in deg:
+            for c in deg:
+                left = mul(mul(unit[a], unit[b]), unit[c])
+                if left != mul(unit[a], mul(unit[b], unit[c])):
+                    return "associativity"
+    return None
+
+
+def _random_table(rng):
+    """A degree-additive table, graded-commutative before one optional edit."""
+    top = rng.randint(3, 6)
+    n = rng.randint(3, 7)
+    basis = [BasisElement(f"e{i}", rng.randint(1, top - 1)) for i in range(n)]
+    products = {}
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            targets = [e.id for e in basis if e.degree == a.degree + b.degree]
+            odd_square = a is b and a.degree % 2
+            if not targets or rng.random() < 0.4 or (odd_square and rng.random() < 0.8):
+                continue
+            hit = rng.sample(targets, rng.randint(1, len(targets)))
+            vec = {t: rng.randint(-2, 2) for t in hit}
+            sign = -1 if a.degree % 2 and b.degree % 2 else 1
+            products[(a.id, b.id)] = vec
+            products[(b.id, a.id)] = {t: sign * v for t, v in vec.items()}
+    if products and rng.random() < 0.3:
+        key = rng.choice(sorted(products))
+        if rng.random() < 0.5:
+            del products[key]
+        else:
+            t = rng.choice(sorted(products[key]))
+            products[key] = {**products[key], t: products[key][t] + 1}
+    return top, basis, products
+
+
+def test_check_agrees_with_brute_force_on_random_tables():
+    rng = random.Random(0)
+    seen = Counter()
+    for _ in range(400):
+        ring = rng.choice((Z, Z2))
+        top, basis, products = _random_table(rng)
+        want = _reference_failure(ring, basis, products)
+        if want is None:
+            PresentedGradedRing(ring, top, basis, products)
+        else:
+            with pytest.raises(ValueError, match=want):
+                PresentedGradedRing(ring, top, basis, products)
+        seen[want] += 1
+    # every verdict is exercised, not only acceptance
+    assert min(seen[None], seen["commutativity"], seen["associativity"]) >= 10
 
 
 def test_rename_basis_preserves_structure():
