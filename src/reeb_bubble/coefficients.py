@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -389,10 +390,12 @@ def sparse_column_reduction(rows, cols: int) -> ColumnReduction:
     """Compute a :class:`ColumnReduction` of an integer matrix.
 
     ``rows`` holds the matrix row-major; each row may be a dense list or a
-    sparse ``{col: value}`` dict.  Pivots are chosen smallest-magnitude
-    first with a fill-in tiebreak, and rows are cleared by nearest-quotient
-    division, so entries stay close to the gcd scale of the input instead
-    of growing with Bezout coefficients.
+    sparse ``{col: value}`` dict.  The pivot row is the shortest live row,
+    taken from a lazy min-heap of row lengths that is pushed again whenever
+    a row's support changes (Markowitz-style ordering); in that row the
+    pivot column has the smallest |value|, then the shortest column.  Rows
+    are cleared by nearest-quotient division, so entries stay close to the
+    gcd scale of the input instead of growing with Bezout coefficients.
     """
     acol: list[dict[int, int]] = [dict() for _ in range(cols)]
     orig_cols: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
@@ -409,6 +412,11 @@ def sparse_column_reduction(rows, cols: int) -> ColumnReduction:
         for i in col:
             rowsupp.setdefault(i, set()).add(j)
 
+    # (row length, row) candidates; an entry is stale once its row is
+    # retired or its length has changed, and is skipped when popped
+    heap = [(len(js), i) for i, js in rowsupp.items()]
+    heapify(heap)
+
     def col_op(dst: int, src: int, q: int):
         # column dst -= q * column src, with the inverse row update
         d = acol[dst]
@@ -416,11 +424,15 @@ def sparse_column_reduction(rows, cols: int) -> ColumnReduction:
             nv = d.get(i, 0) - q * v
             if nv:
                 if i not in d:
-                    rowsupp[i].add(dst)
+                    supp = rowsupp[i]
+                    supp.add(dst)
+                    heappush(heap, (len(supp), i))
                 d[i] = nv
             elif i in d:
                 del d[i]
-                rowsupp[i].discard(dst)
+                supp = rowsupp[i]
+                supp.discard(dst)
+                heappush(heap, (len(supp), i))
         vd = vcol[dst]
         for t, v in vcol[src].items():
             nv = vd.get(t, 0) - q * v
@@ -443,22 +455,12 @@ def sparse_column_reduction(rows, cols: int) -> ColumnReduction:
 
     active = set(range(cols))
     rank = 0
-    while True:
-        best = None
-        for i, js in rowsupp.items():
-            for j in js:
-                v = abs(acol[j][i])
-                fill = (len(acol[j]) - 1) * (len(js) - 1)
-                key = (v, fill)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-                    if key == (1, 0):
-                        break
-            if best and best[0] == (1, 0):
-                break
-        if best is None:
-            break
-        _, pr, pc = best
+    while heap:
+        length, pr = heappop(heap)
+        supp = rowsupp.get(pr)
+        if not length or supp is None or len(supp) != length:
+            continue
+        pc = min(supp, key=lambda j: (abs(acol[j][pr]), len(acol[j]), j))
         while True:
             if acol[pc][pr] < 0:
                 negate_col(pc)
@@ -483,6 +485,7 @@ def sparse_column_reduction(rows, cols: int) -> ColumnReduction:
             supp = rowsupp.get(i)
             if supp is not None:
                 supp.discard(pc)
+                heappush(heap, (len(supp), i))
         active.discard(pc)
         rank += 1
 
@@ -639,7 +642,7 @@ def field_reduce(A: ExactMatrix) -> FieldReduction:
         for i in range(m):
             if i != r and M[i][c] != 0:
                 f = M[i][c]
-                M[i] = [ring.convert(a - f * b) for a, b in zip(M[i], M[r])]
+                M[i] = [ring.convert(a - f * b) if b else a for a, b in zip(M[i], M[r])]
         pivots.append(c)
         r += 1
         if r == m:

@@ -227,13 +227,13 @@ class ChainComplexZ:
     boundaries is checked to vanish exactly.
     """
 
-    __slots__ = ("bases", "boundaries", "_divisors", "_splittings")
+    __slots__ = ("bases", "boundaries", "_divisors", "_solvers")
 
     def __init__(self, bases, boundaries, *, check=True):
         self.bases = [list(b) for b in bases]
         self.boundaries = [[list(row) for row in m] for m in boundaries]
         self._divisors = {}
-        self._splittings = {}
+        self._solvers = {}
         if len(self.boundaries) != len(self.bases):
             raise ValueError("need one boundary matrix per degree")
         for k, m in enumerate(self.boundaries):
@@ -965,17 +965,25 @@ def _sparse_dot(a: dict, b: dict) -> int:
     return sum(v * b.get(j, 0) for j, v in a.items())
 
 
-def _cycle_splitting(cx: ChainComplexZ, k: int):
-    red = cx._splittings.get(k)
-    if red is None:
-        red = sparse_column_reduction(cx.boundaries[k] if k > 0 else [], cx.dim_at(k))
-        cx._splittings[k] = red
-    return red
-
-
 def _integral_solver(cx: ChainComplexZ, k: int, expected_rank: int) -> _DegreeSolver:
+    """The degree-k integral solver of ``cx``, built once and cached on it.
+
+    The rank is checked against ``expected_rank`` on every call, cached or
+    not, so a caller with the wrong homology still gets an error.
+    """
+    solver = cx._solvers.get(k)
+    if solver is None:
+        solver = cx._solvers[k] = _build_integral_solver(cx, k)
+    if solver.rank != expected_rank:
+        raise RuntimeError(
+            f"degree {k}: found {solver.rank} cohomology classes, rank {expected_rank} expected"
+        )
+    return solver
+
+
+def _build_integral_solver(cx: ChainComplexZ, k: int) -> _DegreeSolver:
     nk = cx.dim_at(k)
-    red = _cycle_splitting(cx, k)
+    red = sparse_column_reduction(cx.boundaries[k] if k > 0 else [], nk)
     z = len(red.kernel_cols)
     # dual rows of the splitting, indexed by chain coordinate
     by_cell: dict[int, dict[int, int]] = {}
@@ -999,10 +1007,6 @@ def _integral_solver(cx: ChainComplexZ, k: int, expected_rank: int) -> _DegreeSo
                     acc[i] = acc.get(i, 0) + v * w
             mt_rows.append({i: x for i, x in acc.items() if x})
     kappa = sparse_column_reduction(mt_rows, z).kernel_cols
-    if len(kappa) != expected_rank:
-        raise RuntimeError(
-            f"degree {k}: found {len(kappa)} cohomology classes, rank {expected_rank} expected"
-        )
     reps = []
     for ka in kappa:
         vec = [0] * nk
@@ -1108,7 +1112,10 @@ def cup_ring_of_complex(
     Over the integers the complex must have torsion-free cohomology through
     the requested top degree.  Over a field, a torsion-free complex reuses
     the integral computation (coefficient reduction is a ring isomorphism
-    there); otherwise kernels are recomputed over the field directly.
+    there); otherwise kernels are recomputed over the field directly.  The
+    integral solver of each degree is built once per chain complex and
+    shared by Z, Q and the torsion-free Z/p rings; products are still
+    evaluated per ring.
     """
     cx = chain_complex_of(K)
     dim = cx.max_degree

@@ -100,6 +100,22 @@ def test_verify_json_report(tmp_path):
     assert doc["rings"][0]["homology_match"] is True
 
 
+def test_verify_reports_oracle_failure_as_mismatch(tmp_path, capsys, monkeypatch):
+    def failing(K, R, top_degree=None):
+        raise RuntimeError("cocycle coordinate failed to be integral")
+
+    monkeypatch.setattr("reeb_bubble.oracle.cup_ring_of_complex", failing)
+    path = write(tmp_path, "d.json", COEFF2)
+    out = tmp_path / "rep.json"
+    assert main(["verify", "-d", path, "--json", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["ok"] is False
+    witness = "tier-2 oracle: cocycle coordinate failed to be integral"
+    assert witness in doc["rings"][0]["witnesses"]
+    assert main(["verify", "-d", path]) == 1
+    assert "tier-2 oracle: cocycle coordinate failed" in capsys.readouterr().out
+
+
 def test_verify_forced_tier_unsupported(tmp_path, capsys):
     path = write(tmp_path, "d.json", MULTI_TARGET)
     assert main(["verify", "-d", path, "--tier", "2"]) == 1

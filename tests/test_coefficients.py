@@ -14,6 +14,7 @@ from reeb_bubble.coefficients import (
     integer_kernel_basis,
     smith_normal_form,
     solve_in_span,
+    sparse_column_reduction,
 )
 
 Z = CoefficientRing.integers()
@@ -179,6 +180,51 @@ def test_integer_kernel_is_saturated_and_annihilates(seed):
             for i, v in enumerate(vec):
                 rebuilt[i] += w * v
         assert rebuilt == combo
+
+
+def _check_column_reduction(rows, n, sparse_input):
+    given = [{j: v for j, v in enumerate(r) if v} for r in rows] if sparse_input else rows
+    red = sparse_column_reduction(given, n)
+    rank = field_reduce(ExactMatrix(Q, rows, n)).rank
+    assert red.rank == rank
+    assert len(red.kernel_cols) == len(red.kernel_dual_rows) == n - rank
+    for col in red.kernel_cols:
+        for row in rows:
+            assert sum(row[j] * v for j, v in col.items()) == 0
+    # integral duals with dual·kernel = identity: an integral vector of the
+    # kernel has integral coordinates, so the basis is saturated
+    for i, dual in enumerate(red.kernel_dual_rows):
+        for j, col in enumerate(red.kernel_cols):
+            assert sum(v * col.get(t, 0) for t, v in dual.items()) == (i == j)
+
+
+def test_sparse_column_reduction_on_non_unit_sparse_matrices():
+    rng = random.Random(3100)
+    for trial in range(50):
+        m, n = rng.randint(20, 40), rng.randint(20, 40)
+        density = rng.uniform(0.1, 0.3)
+        rows = [
+            [rng.choice((-1, 1)) * rng.randint(1, 5) if rng.random() < density else 0
+             for _ in range(n)]
+            for _ in range(m)
+        ]
+        for i in rng.sample(range(m), rng.randint(0, 3)):
+            rows[i] = [0] * n
+        for j in rng.sample(range(n), rng.randint(0, 3)):
+            for row in rows:
+                row[j] = 0
+        _check_column_reduction(rows, n, sparse_input=trial % 2 == 0)
+
+
+def test_sparse_column_reduction_on_small_non_unit_matrices():
+    # small matrices with large entries switch the pivot column inside a
+    # row, so rows of the abandoned column must be queued again
+    rng = random.Random(3200)
+    values = (0, 0, 0, 1, -1, 2, -2, 3, -3, 5, 7)
+    for trial in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+        _check_column_reduction(rows, n, sparse_input=trial % 2 == 0)
 
 
 def test_solve_in_span_positive_and_negative():

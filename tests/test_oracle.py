@@ -278,6 +278,22 @@ def test_corrupted_formulas_produce_witnesses(monkeypatch):
     assert any("degree 1" in w and "expected rank 2" in w for w in v.witnesses)
 
 
+def test_oracle_self_check_failure_becomes_witness(monkeypatch):
+    d = desc(3, [Sphere(1)], [record(RecordKind.M, SphereSpec(1, {"nu1": 2}))])
+
+    def failing(K, R, top_degree=None):
+        raise RuntimeError("degree 1: dual basis check failed")
+
+    monkeypatch.setattr("reeb_bubble.oracle.cup_ring_of_complex", failing)
+    rep = verify_descriptor(d, [Z, Z2])
+    assert rep.tier == 2
+    assert not rep.ok
+    for v in rep.verdicts:
+        assert v.homology_match
+        assert v.ring_match is False
+        assert v.witnesses == ("tier-2 oracle: degree 1: dual basis check failed",)
+
+
 def test_report_serialization_shape():
     d = desc(3, [Sphere(1)], [record(RecordKind.M, SphereSpec(1, {"nu1": 1}))])
     rep = verify_descriptor(d, [Z, Q])

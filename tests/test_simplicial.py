@@ -20,6 +20,7 @@ from reeb_bubble.graded import (
 )
 from reeb_bubble.simplicial import (
     ChainComplexZ,
+    _integral_solver,
     SimplicialComplex,
     SimplicialMap,
     chain_complex_of,
@@ -495,6 +496,38 @@ def test_cup_ring_disconnected_rejected():
     two = _disjoint_union(sphere_complex(1), sphere_complex(1))[0]
     with pytest.raises(ValueError, match="connected"):
         cup_ring_of_complex(two, Z)
+
+
+def _all_pairings(ring):
+    top = ring.top_degree
+    return {
+        (p, q): pairing_invariants(ring, p, q)
+        for p in range(1, top)
+        for q in range(1, top - p + 1)
+    }
+
+
+def test_shared_integral_solver_leaves_field_rings_unchanged():
+    def three_torus():
+        return product_complex(torus(), sphere_complex(1))
+
+    # each field ring alone on a fresh complex builds its own solvers
+    cold = {R: _all_pairings(cup_ring_of_complex(three_torus(), R)) for R in (Q, Z2, Z3)}
+    K = three_torus()
+    cup_ring_of_complex(K, Z)
+    assert chain_complex_of(K)._solvers
+    warm = {R: _all_pairings(cup_ring_of_complex(K, R)) for R in (Q, Z2, Z3)}
+    assert warm == cold
+    assert cold[Q][(1, 1)].map_rank == 3
+
+
+def test_cached_integral_solver_still_checks_rank():
+    cx = chain_complex_of(torus())
+    solver = _integral_solver(cx, 1, 2)
+    assert _integral_solver(cx, 1, 2) is solver
+    with pytest.raises(RuntimeError, match="rank 3 expected"):
+        _integral_solver(cx, 1, 3)
+    assert not chain_complex_of(torus())._solvers
 
 
 def test_induced_rank_examples():
