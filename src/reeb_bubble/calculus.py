@@ -55,13 +55,26 @@ def homology_of_descriptor(d: ReebDescriptor, R: CoefficientRing) -> GradedModul
     plus one class at degree n - l for every sphere of positive dimension l.
     Dimension-0 bouquet components merge into the new top class and add
     nothing of their own.  Everything stays free because the base family is
-    torsion-free and the surgery only adds free summands.
+    torsion-free and the surgery only adds free summands.  The descriptor
+    is validated and the base ring is built once per call.
     """
     _require_valid(d)
+    return _homology(d, base_cohomology(d.base, R), R)
+
+
+def _homology(
+    d: ReebDescriptor, base: PresentedGradedRing, R: CoefficientRing
+) -> GradedModule:
+    """Homology of a valid descriptor from its already built base ring.
+
+    Only the degrees of ``base``'s basis are read.  The base is
+    torsion-free, so they are the same over every ring and a base ring
+    built over any ring serves every ``R``.
+    """
     n = d.n
     ranks = [0] * (n + 1)
     ranks[0] = 1
-    for e in base_cohomology(d.base, R).basis:
+    for e in base.basis:
         ranks[e.degree] += 1
     for rec in d.records:
         ranks[n] += 1
@@ -110,11 +123,19 @@ def cohomology_ring_of_descriptor(
     when the degrees match and zero otherwise; top classes annihilate all
     positive degrees.  t<r> is normalized so the stored-order constant is
     exactly the descriptor coefficient, with the sign on the reversed order
-    supplied by graded commutativity.
+    supplied by graded commutativity.  The descriptor is validated and the
+    base ring is built once per call; the homology ranks are read from that
+    same base ring.
     """
     _require_valid(d)
+    return _ring_presentation(d, R, base_cohomology(d.base, R))
+
+
+def _ring_presentation(
+    d: ReebDescriptor, R: CoefficientRing, base: PresentedGradedRing
+) -> RingPresentationReport:
+    """The presentation of a valid descriptor over its base ring over ``R``."""
     n = d.n
-    base = base_cohomology(d.base, R)
     if base.products and all(isinstance(h, Sphere) for h in d.base.handles):
         raise RuntimeError("sphere cores must have a zero product table")
 
@@ -143,7 +164,7 @@ def cohomology_ring_of_descriptor(
         per_record.append(RecordClasses(r, rec.kind, tuple(bubbled), top_id))
 
     ring = PresentedGradedRing(R, n, basis, products)
-    homology = homology_of_descriptor(d, R)
+    homology = _homology(d, base, R)
     if homology.free_ranks != ring.free_ranks():
         raise RuntimeError("rank bookkeeping out of sync")
     return RingPresentationReport(homology, ring, tuple(per_record))

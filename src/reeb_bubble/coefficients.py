@@ -301,18 +301,20 @@ def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
     )
 
 
-def integer_elementary_divisors(rows: list[list[int]], cols: int | None = None) -> tuple[int, ...]:
+def integer_elementary_divisors(rows, cols: int | None = None) -> tuple[int, ...]:
     """Elementary divisors of an integer matrix, without transforms.
 
     Fast path for the big sparse boundary matrices: a unit-pivot sweep on
     a dict-of-dicts representation first (each such pivot contributes a
     divisor 1, which cannot disturb the chain), then the dense routine on
-    whatever small residue is left.
+    whatever small residue is left.  Each row of ``rows`` may be a dense
+    list or a sparse ``{col: value}`` dict; the input is not modified.
     """
     sparse: dict[int, dict[int, int]] = {}
     col_index: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
-        entries = {j: v for j, v in enumerate(row) if v}
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        entries = {j: v for j, v in items if v}
         if entries:
             sparse[i] = entries
             for j in entries:
@@ -504,8 +506,8 @@ def sparse_column_reduction(rows, cols: int) -> ColumnReduction:
     return ColumnReduction(cols, rank, kernel_cols, kernel_dual_rows)
 
 
-def integer_kernel_basis(rows: list[list[int]], cols: int) -> list[list[int]]:
-    """Basis of the kernel lattice of an integer matrix.
+def integer_kernel_basis(rows, cols: int) -> list[list[int]]:
+    """Basis of the kernel lattice of an integer matrix (dense or dict rows).
 
     Dense view of the kernel columns of :func:`sparse_column_reduction`;
     the basis is automatically saturated because the transform there is

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .calculus import cohomology_ring_of_descriptor, homology_of_descriptor
+from .calculus import _homology, _ring_presentation
 from .coefficients import CoefficientRing
 from .descriptor import (
     ReebDescriptor,
@@ -31,6 +31,7 @@ from .descriptor import (
 from .graded import (
     ConnSum,
     GradedModule,
+    PresentedGradedRing,
     Product,
     Sphere,
     compare_invariants,
@@ -85,11 +86,15 @@ def assemble_chain_complex(d: ReebDescriptor) -> ChainComplexZ:
     the result is the homology of the glued space by Mayer-Vietoris.
     """
     _require_valid(d)
+    return _assemble(d, base_cohomology(d.base, CoefficientRing.integers()))
+
+
+def _assemble(d: ReebDescriptor, base: PresentedGradedRing) -> ChainComplexZ:
+    """The tier-1 complex of a valid descriptor over its built base ring."""
     n = d.n
     labels: list[list] = [[] for _ in range(n + 1)]
     diff: dict = {}
     labels[0].append(("w", 0))
-    base = base_cohomology(d.base, CoefficientRing.integers())
     for e in base.basis:
         labels[e.degree].append(("w", e.id))
     for r, rec in enumerate(d.records, start=1):
@@ -116,11 +121,11 @@ def assemble_chain_complex(d: ReebDescriptor) -> ChainComplexZ:
     boundaries: list = [[]]
     for k in range(1, n + 1):
         index = {lab: i for i, lab in enumerate(labels[k - 1])}
-        m = [[0] * len(labels[k]) for _ in labels[k - 1]]
+        rows = [{} for _ in labels[k - 1]]
         for col, lab in enumerate(labels[k]):
             for low, c in diff.get(lab, {}).items():
-                m[index[low]][col] = c
-        boundaries.append(m)
+                rows[index[low]][col] = c
+        boundaries.append(rows)
     return ChainComplexZ(labels, boundaries)
 
 
@@ -473,23 +478,30 @@ def verify_descriptor(
     mismatch.  A failed self-check inside the measured cup ring (a
     ``RuntimeError``) is recorded as a ``tier-2 oracle`` witness on that
     ring, not raised.
+
+    The descriptor is validated once and its integral base ring built once
+    per call; that ring serves tier-1 assembly, every ring's expected
+    homology and the Euler check.  The base ring over each other ring is
+    built once, for its formula presentation.
     """
-    _require_valid(d)
-    n = d.n
-    reason = tier2_obstruction(d)
     if tier == "auto":
-        use_tier2 = reason is None
+        use_tier2 = tier2_obstruction(d) is None
     elif tier in (2, "2"):
-        if reason is not None:
-            raise TierError(f"{reason}; use tier 1")
         use_tier2 = True
     elif tier in (1, "1"):
         use_tier2 = False
     else:
         raise ValueError(f"unknown tier {tier!r}")
-
-    cx = assemble_chain_complex(d)
-    K = simplicial_model(d) if use_tier2 else None
+    if use_tier2:
+        # validates d, and raises TierError when d has no simplicial model
+        K = simplicial_model(d)
+    else:
+        _require_valid(d)
+        K = None
+    n = d.n
+    Z = CoefficientRing.integers()
+    base_z = base_cohomology(d.base, Z)
+    cx = _assemble(d, base_z)
 
     euler_match = None
     euler_witness = None
@@ -497,7 +509,7 @@ def verify_descriptor(
     for R in rings:
         start = time.perf_counter()
         witnesses = []
-        expected = homology_of_descriptor(d, R)
+        expected = _homology(d, base_z, R)
         tier1 = homology_of_chain_complex(cx, R)
         witnesses += _module_witnesses("tier-1 homology", expected, tier1)
         ring_match = None
@@ -507,7 +519,8 @@ def verify_descriptor(
         # read before the ring witnesses: an oracle message may say "homology"
         homology_match = not any("homology" in w for w in witnesses)
         if K is not None:
-            formula_ring = cohomology_ring_of_descriptor(d, R).ring
+            base = base_z if R == Z else base_cohomology(d.base, R)
+            formula_ring = _ring_presentation(d, R, base).ring
             try:
                 measured = cup_ring_of_complex(K, R, top_degree=n)
             except RuntimeError as exc:
@@ -531,7 +544,7 @@ def verify_descriptor(
         )
 
     if K is not None:
-        betti = homology_of_descriptor(d, CoefficientRing.rationals()).free_ranks
+        betti = _homology(d, base_z, CoefficientRing.rationals()).free_ranks
         formula_euler = sum((-1) ** i * b for i, b in enumerate(betti))
         measured_euler = euler_characteristic(K)
         euler_match = formula_euler == measured_euler

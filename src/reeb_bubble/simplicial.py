@@ -20,7 +20,6 @@ from .coefficients import (
     field_reduce,
     integer_elementary_divisors,
     integer_kernel_basis,
-    smith_normal_form,
     solve_in_span,
     sparse_column_reduction,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "degree_map",
     "WedgeMap",
     "sphere_to_wedge_map",
-    "induced_homology_rank",
     "cup_ring_of_complex",
 ]
 
@@ -220,44 +218,53 @@ def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
 
 
 class ChainComplexZ:
-    """Integer chain complex: ordered bases and boundary matrices.
+    """Integer chain complex: ordered bases and row-sparse boundary matrices.
 
-    ``boundaries[k]`` maps degree-k chains into degree k-1: rows are indexed
-    by bases[k-1], columns by bases[k].  Composition of consecutive
-    boundaries is checked to vanish exactly.
+    ``boundaries[k]`` maps degree-k chains into degree k-1.  It is a list
+    of rows indexed by ``bases[k-1]``; each row is a ``{column: value}``
+    dict over the columns ``range(len(bases[k]))``, holding no zero
+    entries.  The constructor takes dense rows or dict rows and stores
+    dicts, so no consumer ever reads a dense matrix.  Composition of
+    consecutive boundaries is checked to vanish exactly.
     """
 
     __slots__ = ("bases", "boundaries", "_divisors", "_solvers")
 
     def __init__(self, bases, boundaries, *, check=True):
         self.bases = [list(b) for b in bases]
-        self.boundaries = [[list(row) for row in m] for m in boundaries]
         self._divisors = {}
         self._solvers = {}
-        if len(self.boundaries) != len(self.bases):
+        if len(boundaries) != len(self.bases):
             raise ValueError("need one boundary matrix per degree")
-        for k, m in enumerate(self.boundaries):
+        self.boundaries = []
+        for k, m in enumerate(boundaries):
             want_rows = len(self.bases[k - 1]) if k > 0 else 0
             if len(m) != want_rows:
                 raise ValueError(f"boundary {k} has {len(m)} rows, want {want_rows}")
+            cols = len(self.bases[k])
+            rows = []
             for row in m:
-                if len(row) != len(self.bases[k]):
-                    raise ValueError(f"boundary {k} has a row of wrong length")
+                items = row.items() if isinstance(row, dict) else enumerate(row)
+                entries = {j: v for j, v in items if v}
+                if entries and (min(entries) < 0 or max(entries) >= cols):
+                    raise ValueError(
+                        f"boundary {k} has a column index outside range({cols})"
+                    )
+                rows.append(entries)
+            self.boundaries.append(rows)
         if check:
             self._check_dd()
 
     def _check_dd(self):
         for k in range(1, len(self.boundaries) - 1):
-            a, b = self.boundaries[k], self.boundaries[k + 1]
-            if not a or not b or not b[0]:
-                continue
-            cols_b = len(b[0])
-            for j in range(cols_b):
-                col = [b[i][j] for i in range(len(b))]
-                for r in range(len(a)):
-                    total = sum(a[r][i] * col[i] for i in range(len(col)) if col[i])
-                    if total != 0:
-                        raise ValueError(f"boundary squared nonzero at degree {k + 1}")
+            b = self.boundaries[k + 1]
+            for row in self.boundaries[k]:
+                acc: dict[int, int] = {}
+                for t, v in row.items():
+                    for j, w in b[t].items():
+                        acc[j] = acc.get(j, 0) + v * w
+                if any(acc.values()):
+                    raise ValueError(f"boundary squared nonzero at degree {k + 1}")
 
     @property
     def max_degree(self) -> int:
@@ -286,11 +293,11 @@ def chain_complex_of(K: SimplicialComplex) -> ChainComplexZ:
     boundaries = [[]]
     for k in range(1, top + 1):
         index = K.index_of(k - 1)
-        rows = [[0] * len(bases[k]) for _ in bases[k - 1]]
+        rows = [{} for _ in bases[k - 1]]
         for j, s in enumerate(bases[k]):
+            # the faces of a simplex are distinct, so each entry is set once
             for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                rows[index[face]][j] += -1 if i % 2 else 1
+                rows[index[s[:i] + s[i + 1 :]]][j] = -1 if i % 2 else 1
         boundaries.append(rows)
     cx = ChainComplexZ(bases, boundaries, check=False)
     K._chain = cx
@@ -849,52 +856,12 @@ def _verified(data: WedgeMap) -> WedgeMap:
 
 
 # ---------------------------------------------------------------------------
-# induced maps on homology
+# cup products
 # ---------------------------------------------------------------------------
 
 
-def induced_homology_rank(f: SimplicialMap, k: int, R: CoefficientRing) -> int:
-    """Rank of the induced map H_k(domain) -> H_k(codomain) over a field."""
-    if not R.is_field:
-        raise ValueError("rank bookkeeping runs over a field")
-    dom_cx = chain_complex_of(f.domain)
-    cod_cx = chain_complex_of(f.codomain)
-    if k > dom_cx.max_degree or dom_cx.dim_at(k) == 0:
-        return 0
-    cycles = _field_kernel(R, dom_cx.boundaries[k], dom_cx.dim_at(k))
-    if not cycles:
-        return 0
-    basis_dom = dom_cx.bases[k]
-    index_cod = (
-        {s: i for i, s in enumerate(cod_cx.bases[k])} if k <= cod_cx.max_degree else {}
-    )
-    cod_dim = cod_cx.dim_at(k) if k <= cod_cx.max_degree else 0
-    mapped = []
-    for vec in cycles:
-        chain = {basis_dom[i]: c for i, c in enumerate(vec) if c}
-        image = f.chain_image({s: int(c) if R.kind != "Q" else c for s, c in chain.items()})
-        out = [R.zero()] * cod_dim
-        for s, c in image.items():
-            out[index_cod[s]] = R.convert(c)
-        mapped.append(out)
-    boundaries = []
-    if k + 1 <= cod_cx.max_degree and cod_cx.dim_at(k + 1):
-        m = cod_cx.boundaries[k + 1]
-        for j in range(cod_cx.dim_at(k + 1)):
-            boundaries.append([R.convert(m[i][j]) for i in range(cod_dim)])
-    base_rank = _field_rank(R, boundaries, cod_dim)
-    total_rank = _field_rank(R, boundaries + mapped, cod_dim)
-    return total_rank - base_rank
-
-
-def _field_rank(R: CoefficientRing, rows, cols: int) -> int:
-    rows = [r for r in rows if any(c != R.zero() for c in r)]
-    if not rows or cols == 0:
-        return 0
-    return field_reduce(ExactMatrix(R, [[R.convert(c) for c in r] for r in rows], cols)).rank
-
-
 def _field_kernel(R: CoefficientRing, rows, cols: int):
+    """Kernel basis over a field of a matrix given by ``{col: value}`` rows."""
     if cols == 0:
         return []
     if not rows:
@@ -904,13 +871,11 @@ def _field_kernel(R: CoefficientRing, rows, cols: int):
             v[i] = R.one()
             basis.append(v)
         return basis
-    mat = ExactMatrix(R, [[R.convert(c) for c in r] for r in rows], cols)
-    return [list(v) for v in field_reduce(mat).kernel]
-
-
-# ---------------------------------------------------------------------------
-# cup products
-# ---------------------------------------------------------------------------
+    dense = [[0] * cols for _ in rows]
+    for vec, row in zip(dense, rows):
+        for j, v in row.items():
+            vec[j] = v
+    return [list(v) for v in field_reduce(ExactMatrix(R, dense, cols)).kernel]
 
 
 class _DegreeSolver:
@@ -997,9 +962,8 @@ def _build_integral_solver(cx: ChainComplexZ, k: int) -> _DegreeSolver:
         nxt = cx.boundaries[k + 1]
         dcols: list[dict[int, int]] = [dict() for _ in range(cx.dim_at(k + 1))]
         for t, row in enumerate(nxt):
-            for c, v in enumerate(row):
-                if v:
-                    dcols[c][t] = v
+            for c, v in row.items():
+                dcols[c][t] = v
         for dc in dcols:
             acc: dict[int, int] = {}
             for t, v in dc.items():
@@ -1075,12 +1039,12 @@ def _solve_square(ring, rows, vec):
 
 def _field_solver(cx: ChainComplexZ, k: int, R: CoefficientRing, expected_rank: int):
     nk = cx.dim_at(k)
-    if k + 1 <= cx.max_degree and cx.dim_at(k + 1):
-        delta_rows = [
-            [cx.boundaries[k + 1][i][j] for i in range(nk)] for j in range(cx.dim_at(k + 1))
-        ]
-    else:
-        delta_rows = []
+    # the coboundary: its rows are the columns of the next boundary
+    delta_rows = [{} for _ in range(cx.dim_at(k + 1))]
+    if delta_rows:
+        for i, row in enumerate(cx.boundaries[k + 1]):
+            for j, v in row.items():
+                delta_rows[j][i] = v
     cocycles = _field_kernel(R, delta_rows, nk)
     cycles = _field_kernel(R, cx.boundaries[k] if k > 0 else [], nk)
     if not cocycles or not cycles:

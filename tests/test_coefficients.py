@@ -100,6 +100,7 @@ def test_sparse_divisors_agree_with_dense(seed):
     ]
     dense = smith_normal_form(ExactMatrix(Z, rows, n)).divisors
     assert integer_elementary_divisors(rows, n) == dense
+    assert integer_elementary_divisors(_dict_rows(rows), n) == dense
 
 
 def test_field_reduce_identity_over_q():
@@ -182,9 +183,21 @@ def test_integer_kernel_is_saturated_and_annihilates(seed):
         assert rebuilt == combo
 
 
-def _check_column_reduction(rows, n, sparse_input):
-    given = [{j: v for j, v in enumerate(r) if v} for r in rows] if sparse_input else rows
-    red = sparse_column_reduction(given, n)
+def _dict_rows(rows):
+    return [{j: v for j, v in enumerate(r) if v} for r in rows]
+
+
+def _check_column_reduction(rows, n):
+    # dense rows and dict rows of the same matrix give the same reduction,
+    # and neither input is modified
+    sparse = _dict_rows(rows)
+    before = ([list(r) for r in rows], [dict(r) for r in sparse])
+    red = sparse_column_reduction(rows, n)
+    from_dicts = sparse_column_reduction(sparse, n)
+    assert (from_dicts.rank, from_dicts.kernel_cols, from_dicts.kernel_dual_rows) == (
+        red.rank, red.kernel_cols, red.kernel_dual_rows
+    )
+    assert (rows, sparse) == before
     rank = field_reduce(ExactMatrix(Q, rows, n)).rank
     assert red.rank == rank
     assert len(red.kernel_cols) == len(red.kernel_dual_rows) == n - rank
@@ -200,7 +213,7 @@ def _check_column_reduction(rows, n, sparse_input):
 
 def test_sparse_column_reduction_on_non_unit_sparse_matrices():
     rng = random.Random(3100)
-    for trial in range(50):
+    for _ in range(50):
         m, n = rng.randint(20, 40), rng.randint(20, 40)
         density = rng.uniform(0.1, 0.3)
         rows = [
@@ -213,7 +226,7 @@ def test_sparse_column_reduction_on_non_unit_sparse_matrices():
         for j in rng.sample(range(n), rng.randint(0, 3)):
             for row in rows:
                 row[j] = 0
-        _check_column_reduction(rows, n, sparse_input=trial % 2 == 0)
+        _check_column_reduction(rows, n)
 
 
 def test_sparse_column_reduction_on_small_non_unit_matrices():
@@ -221,10 +234,15 @@ def test_sparse_column_reduction_on_small_non_unit_matrices():
     # row, so rows of the abandoned column must be queued again
     rng = random.Random(3200)
     values = (0, 0, 0, 1, -1, 2, -2, 3, -3, 5, 7)
-    for trial in range(300):
+    for _ in range(300):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
-        _check_column_reduction(rows, n, sparse_input=trial % 2 == 0)
+        _check_column_reduction(rows, n)
+        sparse = _dict_rows(rows)
+        divisors = smith_normal_form(ExactMatrix(Z, rows, n)).divisors
+        assert integer_elementary_divisors(rows, n) == divisors
+        assert integer_elementary_divisors(sparse, n) == divisors
+        assert sparse == _dict_rows(rows)
 
 
 def test_solve_in_span_positive_and_negative():

@@ -9,6 +9,9 @@ import random
 
 import pytest
 
+from reeb_bubble import calculus as calculus_module
+from reeb_bubble import descriptor as descriptor_module
+from reeb_bubble import oracle as oracle_module
 from reeb_bubble.calculus import homology_of_descriptor
 from reeb_bubble.coefficients import CoefficientRing
 from reeb_bubble.descriptor import (
@@ -109,10 +112,10 @@ def test_assembled_boundaries_compose_to_zero():
             a, b = cx.boundaries[k - 1], cx.boundaries[k]
             if not a or not b:
                 continue
-            cols = len(b[0])
+            cols = cx.dim_at(k)
             for i in range(len(a)):
                 for j in range(cols):
-                    s = sum(a[i][t] * b[t][j] for t in range(len(b)))
+                    s = sum(a[i].get(t, 0) * b[t].get(j, 0) for t in range(len(b)))
                     assert s == 0
 
 
@@ -260,17 +263,52 @@ def test_verify_forced_tier1_skips_simplicial():
     assert rep.euler_match is None
 
 
+@pytest.mark.parametrize("rings", [[Z], RINGS], ids=["Z", "four-rings"])
+def test_verify_builds_each_base_ring_once(monkeypatch, rings):
+    # every ring asks the formula side for its expected homology and its
+    # presentation, and the Euler check asks once more: none of these
+    # queries may build the base ring or validate the descriptor again
+    d = desc(
+        3,
+        [Sphere(1), Sphere(1)],
+        [
+            record(RecordKind.M, SphereSpec(1, {"nu1": 2})),
+            record(RecordKind.M, SphereSpec(1, {"nu2": -1})),
+        ],
+    )
+    calls = {"base_cohomology": 0, "validate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    base = counted("base_cohomology", descriptor_module.base_cohomology)
+    for mod in (descriptor_module, calculus_module, oracle_module):
+        monkeypatch.setattr(mod, "base_cohomology", base)
+    monkeypatch.setattr(
+        descriptor_module, "validate", counted("validate", descriptor_module.validate)
+    )
+    rep = verify_descriptor(d, rings)
+    assert rep.tier == 2 and rep.ok
+    # one base ring inside the validation, then one per coefficient ring
+    assert calls["base_cohomology"] <= 1 + len(rings)
+    assert calls["validate"] == 1
+
+
 def test_corrupted_formulas_produce_witnesses(monkeypatch):
     d = desc(3, [Sphere(1)], [record(RecordKind.M, SphereSpec(1, {"nu1": 2}))])
-    real = homology_of_descriptor
+    real = oracle_module._homology
 
-    def corrupted(dd, R):
-        mod = real(dd, R)
+    def corrupted(dd, base, R):
+        mod = real(dd, base, R)
         ranks = list(mod.free_ranks)
         ranks[1] += 1
         return GradedModule(R, tuple(ranks), mod.torsion)
 
-    monkeypatch.setattr("reeb_bubble.oracle.homology_of_descriptor", corrupted)
+    monkeypatch.setattr(oracle_module, "_homology", corrupted)
     rep = verify_descriptor(d, [Z], tier=1)
     assert not rep.ok
     v = rep.verdicts[0]
