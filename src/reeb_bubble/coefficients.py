@@ -662,27 +662,3 @@ def field_reduce(A: ExactMatrix) -> FieldReduction:
         kernel.append(tuple(vec))
     return FieldReduction(rank, tuple(pivots), ExactMatrix(ring, M, n), tuple(kernel))
 
-
-# ---------------------------------------------------------------------------
-# Cokernel decomposition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CokernelSummary:
-    """R^rows / column-span of A, as free rank plus torsion divisors."""
-
-    free_rank: int
-    torsion: tuple[int, ...]
-
-
-def cokernel_decomposition(A: ExactMatrix) -> CokernelSummary:
-    """Decompose coker(A) = R^rows / im(A) over the matrix's own ring."""
-    if A.ring.is_field:
-        rank = field_reduce(A).rank if A.rows and A.cols else 0
-        return CokernelSummary(A.rows - rank, ())
-    if A.rows == 0 or A.cols == 0:
-        return CokernelSummary(A.rows, ())
-    divisors = integer_elementary_divisors(A.to_rows(), A.cols)
-    torsion = tuple(d for d in divisors if d > 1)
-    return CokernelSummary(A.rows - len(divisors), torsion)

@@ -206,10 +206,32 @@ def base_cohomology(base: BaseSpec, R: CoefficientRing) -> PresentedGradedRing:
     return rename_basis(ring, {old: f"nu{j + 1}" for j, old in enumerate(marked)})
 
 
+def _sphere_class_degrees(e: ManifoldExpr) -> list[int]:
+    # the order in which tensor_ring and connsum_ring list representable classes
+    if isinstance(e, Sphere):
+        return [e.k]
+    degrees = _sphere_class_degrees(e.left) + _sphere_class_degrees(e.right)
+    if isinstance(e, ConnSum):
+        # top classes merge into the fundamental class, which no sphere represents
+        top = dimension(e)
+        return [k for k in degrees if k < top]
+    return degrees
+
+
 def base_sphere_classes(d: ReebDescriptor) -> list[tuple[str, int]]:
-    """The coefficient-targetable classes of the base, as (id, degree)."""
-    ring = base_cohomology(d.base, CoefficientRing.integers())
-    return [(e.id, e.degree) for e in ring.basis if e.sphere_representable]
+    """The coefficient-targetable classes of the base, as (id, degree).
+
+    Read off the handle expressions, in the order ``base_cohomology``
+    names them nu1, nu2, ...: a sphere gives its one class, a product its
+    left factor's classes then its right's, a connected sum both factors'
+    classes below the top degree, and the wedge concatenates its
+    summands.  No ring is built.
+    """
+    degrees = []
+    for h in d.base.handles:
+        validate_expr(h)
+        degrees += _sphere_class_degrees(h)
+    return [(f"nu{j + 1}", k) for j, k in enumerate(degrees)]
 
 
 # ---------------------------------------------------------------------------

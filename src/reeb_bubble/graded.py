@@ -36,8 +36,6 @@ __all__ = [
     "connsum_ring",
     "cps_cohomology",
     "gcps_cohomology",
-    "dual_basis_functional",
-    "DualFunctional",
     "PairingInvariants",
     "pairing_invariants",
     "compare_invariants",
@@ -520,30 +518,8 @@ def gcps_cohomology(summands, R: CoefficientRing) -> PresentedGradedRing:
 
 
 # ---------------------------------------------------------------------------
-# Duals, invariants, comparison
+# Invariants, comparison
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DualFunctional:
-    """Coordinate functional of a distinguished free basis element."""
-
-    basis_id: str
-    degree: int
-
-    def apply(self, coords: dict):
-        return coords.get(self.basis_id, 0)
-
-
-def dual_basis_functional(M: GradedModule, a: BasisElement) -> DualFunctional:
-    """The functional a* with a*(a) = 1 and a* = 0 on the other basis classes."""
-    if M.torsion_at(a.degree):
-        raise ValueError(
-            f"degree {a.degree} carries torsion; no distinguished complement for {a.id}"
-        )
-    if M.rank(a.degree) < 1:
-        raise ValueError(f"degree {a.degree} has no free part")
-    return DualFunctional(a.id, a.degree)
 
 
 @dataclass(frozen=True)
@@ -565,36 +541,57 @@ class PairingInvariants:
     form_divisors: tuple[int, ...] | None = None
 
 
-def _invariants_of_matrix(ring: CoefficientRing, rows: list[list], cols: int):
-    if not rows or cols == 0:
+def _invariants_of_matrix(ring: CoefficientRing, rows: list[dict], cols: int):
+    """Rank, and over Z the elementary divisors, of ``{column: value}`` rows.
+
+    ``rows`` holds only nonzero rows.  Over a field just the block of used
+    columns is reduced: dropping zero rows and columns changes neither the
+    rank nor the nonzero elementary divisors.
+    """
+    if not rows:
         return 0, (() if ring.kind == "Z" else None)
     if ring.kind == "Z":
         divisors = integer_elementary_divisors(rows, cols)
         return len(divisors), divisors
-    red = field_reduce(ExactMatrix(ring, rows, cols))
-    return red.rank, None
+    used = {j: k for k, j in enumerate(sorted({j for row in rows for j in row}))}
+    zero = ring.zero()
+    block = []
+    for row in rows:
+        vec = [zero] * len(used)
+        for j, v in row.items():
+            vec[used[j]] = v
+        block.append(vec)
+    return field_reduce(ExactMatrix(ring, block, len(used))).rank, None
 
 
 def pairing_invariants(A: PresentedGradedRing, p: int, q: int) -> PairingInvariants:
+    """Invariants of the multiplication H^p x H^q -> H^{p+q} of ``A``.
+
+    Both matrices are read off the product table as ``{column: value}``
+    rows; the table holds no zero entries, so only the rows that occur are
+    built and no dense matrix is allocated.  The map has one row per
+    target class and one column per basis pair; the form has one row per
+    (H^q class, target class) pair and one column per H^p class.
+    """
     if p < 1 or q < 1 or p + q > A.top_degree:
         raise ValueError(f"degree pair ({p},{q}) out of range for top {A.top_degree}")
     P = A.degree_basis(p)
     Q = A.degree_basis(q)
     T = A.degree_basis(p + q)
     tindex = {e.id: i for i, e in enumerate(T)}
-    zero = A.ring.zero()
+    nq, nt = len(Q), len(T)
 
-    map_rows = [[zero] * (len(P) * len(Q)) for _ in T]
-    form_rows = [[zero] * len(P) for _ in range(len(Q) * len(T))]
+    map_rows: dict[int, dict] = {}
+    form_rows: dict[int, dict] = {}
     for i, a in enumerate(P):
         for j, b in enumerate(Q):
             for ic, c in A.products.get((a.id, b.id), {}).items():
                 t = tindex[ic]
-                map_rows[t][i * len(Q) + j] = c
-                form_rows[j * len(T) + t][i] = c
+                map_rows.setdefault(t, {})[i * nq + j] = c
+                form_rows.setdefault(j * nt + t, {})[i] = c
 
-    map_rank, map_div = _invariants_of_matrix(A.ring, map_rows, len(P) * len(Q))
-    form_rank, form_div = _invariants_of_matrix(A.ring, form_rows, len(P))
+    map_rank, map_div = _invariants_of_matrix(A.ring, list(map_rows.values()), len(P) * nq)
+    form_rank, form_div = _invariants_of_matrix(A.ring, list(form_rows.values()), len(P))
     return PairingInvariants(
         p, q, A.ring.label, map_rank, form_rank, map_div, form_div
     )

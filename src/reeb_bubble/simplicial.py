@@ -228,12 +228,13 @@ class ChainComplexZ:
     consecutive boundaries is checked to vanish exactly.
     """
 
-    __slots__ = ("bases", "boundaries", "_divisors", "_solvers")
+    __slots__ = ("bases", "boundaries", "_divisors", "_solvers", "_products")
 
     def __init__(self, bases, boundaries, *, check=True):
         self.bases = [list(b) for b in bases]
         self._divisors = {}
         self._solvers = {}
+        self._products = {}
         if len(boundaries) != len(self.bases):
             raise ValueError("need one boundary matrix per degree")
         self.boundaries = []
@@ -1068,18 +1069,58 @@ def _field_solver(cx: ChainComplexZ, k: int, R: CoefficientRing, expected_rank: 
     return _FieldSolver(R, reps, duals, gram_t)
 
 
+def _cup_products(K: SimplicialComplex, cx: ChainComplexZ, top: int, hom, solver_for):
+    """Basis ids and Alexander-Whitney product table through degree ``top``.
+
+    ``solver_for(k, rank)`` gives the degree-k solver; coordinates that
+    are zero are left out.  The (front face, back face) index pairs of
+    each degree pair are computed once and shared by all its basis pairs.
+    """
+    solvers = {}
+    basis = []
+    for k in range(1, top + 1):
+        rank = hom.rank(k)
+        if rank == 0:
+            continue
+        solvers[k] = solver_for(k, rank)
+        basis += [BasisElement(f"c{k}.{i + 1}", k, ("base",), False) for i in range(rank)]
+
+    faces = {}
+    products = {}
+    for p, sp in solvers.items():
+        for ia, rep_a in enumerate(sp.reps):
+            for q, sq in solvers.items():
+                st = solvers.get(p + q)
+                if st is None:
+                    continue
+                pairs = faces.get((p, q))
+                if pairs is None:
+                    idx_p, idx_q = K.index_of(p), K.index_of(q)
+                    pairs = faces[(p, q)] = [
+                        (idx_p[s[: p + 1]], idx_q[s[p:]]) for s in cx.bases[p + q]
+                    ]
+                for ib, rep_b in enumerate(sq.reps):
+                    coords = st.coordinates([rep_a[i] * rep_b[j] for i, j in pairs])
+                    entry = {f"c{p + q}.{i + 1}": c for i, c in enumerate(coords) if c}
+                    if entry:
+                        products[(f"c{p}.{ia + 1}", f"c{q}.{ib + 1}")] = entry
+    return basis, products
+
+
 def cup_ring_of_complex(
     K: SimplicialComplex, R: CoefficientRing, top_degree: int | None = None
 ) -> PresentedGradedRing:
     """Cohomology ring with Alexander-Whitney products in a chosen basis.
 
     Over the integers the complex must have torsion-free cohomology through
-    the requested top degree.  Over a field, a torsion-free complex reuses
-    the integral computation (coefficient reduction is a ring isomorphism
-    there); otherwise kernels are recomputed over the field directly.  The
-    integral solver of each degree is built once per chain complex and
-    shared by Z, Q and the torsion-free Z/p rings; products are still
-    evaluated per ring.
+    the requested top degree.  The integral product table is evaluated
+    once per chain complex and top degree and cached on the chain complex,
+    next to the integral solvers it uses.  Over Q, and over Z/p when the
+    complex is torsion-free through the top degree, the ring is that table
+    with its coordinates reduced into the field (coefficient reduction is
+    a ring isomorphism there); otherwise kernels and products are
+    recomputed over the field directly.  Every ring is still checked in
+    full by ``PresentedGradedRing``.
     """
     cx = chain_complex_of(K)
     dim = cx.max_degree
@@ -1089,69 +1130,30 @@ def cup_ring_of_complex(
     homz = homology_of_chain_complex(cx, CoefficientRing.integers())
     if homz.rank(0) != 1:
         raise ValueError("cup rings require a connected complex")
-
-    def torsion_free_through(j: int) -> bool:
-        return all(not homz.torsion_at(i) for i in range(min(j, dim) + 1))
+    reach = min(top, dim)
 
     if R.kind == "Z":
         # H^k torsion is the torsion of H_{k-1}
-        for k in range(1, min(top, dim) + 1):
+        for k in range(1, reach + 1):
             if homz.torsion_at(k - 1):
                 raise ValueError(
                     f"integral cohomology in degree {k} has torsion; use field coefficients"
                 )
-        hom = homz
-        solver_for = lambda k, rank: _integral_solver(cx, k, rank)
-        convert = lambda x: x
-    elif R.kind == "Q" or torsion_free_through(min(top, dim)):
-        # the integral free part carries the whole ring after tensoring
-        hom = homz
-        solver_for = lambda k, rank: _integral_solver(cx, k, rank)
-        convert = R.convert
+    if R.kind in ("Z", "Q") or all(not homz.torsion_at(i) for i in range(reach + 1)):
+        # the integral free part carries the whole ring after tensoring;
+        # the constructor reduces the integer coordinates into R, dropping zeros
+        table = cx._products.get(reach)
+        if table is None:
+            table = cx._products[reach] = _cup_products(
+                K, cx, reach, homz, lambda k, rank: _integral_solver(cx, k, rank)
+            )
     else:
-        hom = homology_of_chain_complex(cx, R)
-        solver_for = lambda k, rank: _field_solver(cx, k, R, rank)
-        convert = R.convert
-
-    solvers = {}
-    basis = []
-    ids = {}
-    for k in range(1, min(top, dim) + 1):
-        rank = hom.rank(k)
-        if rank == 0:
-            continue
-        solvers[k] = solver_for(k, rank)
-        for i in range(rank):
-            ident = f"c{k}.{i + 1}"
-            ids[(k, i)] = ident
-            basis.append(BasisElement(ident, k, ("base",), False))
-
-    products = {}
-    zero = R.zero()
-    for a in basis:
-        p = a.degree
-        sa = solvers[p]
-        for b in basis:
-            q = b.degree
-            total = p + q
-            if total > top or total > dim or total not in solvers:
-                continue
-            rep_a = sa.reps[int(a.id.split(".")[1]) - 1]
-            rep_b = solvers[q].reps[int(b.id.split(".")[1]) - 1]
-            target_basis = cx.bases[total]
-            idx_p = K.index_of(p)
-            idx_q = K.index_of(q)
-            w = []
-            for s in target_basis:
-                front = s[: p + 1]
-                back = s[p:]
-                w.append(rep_a[idx_p[front]] * rep_b[idx_q[back]])
-            coords = solvers[total].coordinates(w)
-            entry = {}
-            for i, c in enumerate(coords):
-                c = convert(c)
-                if c != zero:
-                    entry[ids[(total, i)]] = c
-            if entry:
-                products[(a.id, b.id)] = entry
+        table = _cup_products(
+            K,
+            cx,
+            reach,
+            homology_of_chain_complex(cx, R),
+            lambda k, rank: _field_solver(cx, k, R, rank),
+        )
+    basis, products = table
     return PresentedGradedRing(R, top, basis, products)

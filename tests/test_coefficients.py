@@ -5,10 +5,8 @@ import pytest
 
 from reeb_bubble.coefficients import (
     CoefficientRing,
-    CokernelSummary,
     ExactMatrix,
     RingMismatchError,
-    cokernel_decomposition,
     field_reduce,
     integer_elementary_divisors,
     integer_kernel_basis,
@@ -136,23 +134,6 @@ def test_field_reduce_kernel_annihilates():
         for vec in red.kernel:
             for row in A.data:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
-
-
-def test_cokernel_zero_map():
-    assert cokernel_decomposition(ExactMatrix.zero(Z, 2, 3)) == CokernelSummary(2, ())
-
-
-def test_cokernel_z_mod_2():
-    assert cokernel_decomposition(ExactMatrix(Z, [[2]])) == CokernelSummary(0, (2,))
-
-
-def test_cokernel_unit_over_q():
-    assert cokernel_decomposition(ExactMatrix(Q, [[2]])) == CokernelSummary(0, ())
-
-
-def test_cokernel_collapses_torsion_chain():
-    # coker(diag(2,3)) is cyclic of order 6, so the canonical chain is (6,)
-    assert cokernel_decomposition(ExactMatrix(Z, [[2, 0], [0, 3]])) == CokernelSummary(0, (6,))
 
 
 @pytest.mark.parametrize("seed", range(15))

@@ -1,7 +1,11 @@
 """Descriptor validation, base classes, connected sums and the wire format."""
 
+import random
+
 import pytest
 
+from reeb_bubble import descriptor as descriptor_module
+from reeb_bubble import graded as graded_module
 from reeb_bubble.descriptor import (
     BaseSpec,
     BubblingRecord,
@@ -17,7 +21,7 @@ from reeb_bubble.descriptor import (
     validate,
 )
 from reeb_bubble.coefficients import CoefficientRing
-from reeb_bubble.graded import ConnSum, Product, Sphere
+from reeb_bubble.graded import ConnSum, Product, Sphere, dimension
 
 Z = CoefficientRing.integers()
 
@@ -134,6 +138,67 @@ def test_base_classes_product_core():
 
 def test_base_classes_empty():
     assert base_sphere_classes(simple(5)) == []
+
+
+def test_base_classes_connsum_drops_top_classes():
+    # S^2 # S^2 has no middle classes; (S^1 x S^2) # (S^1 x S^2) keeps four
+    assert base_sphere_classes(simple(3, handles=[ConnSum(Sphere(2), Sphere(2))])) == []
+    s1s2 = Product(Sphere(1), Sphere(2))
+    d = simple(4, handles=[ConnSum(s1s2, s1s2), Sphere(3)])
+    assert base_sphere_classes(d) == [("nu1", 1), ("nu2", 2), ("nu3", 1), ("nu4", 2), ("nu5", 3)]
+
+
+def _random_expr(rng, dim, depth):
+    """A random Sphere/Product/ConnSum expression of dimension ``dim``."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return Sphere(dim)
+    if roll < 0.65 and dim >= 2:
+        k = rng.randint(1, dim - 1)
+        return Product(_random_expr(rng, k, depth - 1), _random_expr(rng, dim - k, depth - 1))
+    return ConnSum(_random_expr(rng, dim, depth - 1), _random_expr(rng, dim, depth - 1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_base_classes_match_the_base_ring_order(seed):
+    rng = random.Random(4100 + seed)
+    for _ in range(60):
+        handles = [
+            _random_expr(rng, rng.randint(1, 4), rng.randint(0, 3))
+            for _ in range(rng.randint(0, 3))
+        ]
+        d = simple(max([dimension(h) for h in handles], default=1) + 1, handles)
+        ring = base_cohomology(d.base, Z)
+        expected = [(e.id, e.degree) for e in ring.basis if e.sphere_representable]
+        assert base_sphere_classes(d) == expected
+
+
+def test_base_classes_reject_invalid_handles():
+    with pytest.raises(ValueError, match="share a dimension"):
+        base_sphere_classes(simple(4, handles=[ConnSum(Sphere(1), Sphere(2))]))
+    with pytest.raises(ValueError, match=">= 1"):
+        base_sphere_classes(simple(4, handles=[Product(Sphere(0), Sphere(2))]))
+
+
+def test_validate_builds_no_ring(monkeypatch):
+    calls = []
+    real = graded_module.gcps_cohomology
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graded_module, "gcps_cohomology", counted)
+    monkeypatch.setattr(descriptor_module, "gcps_cohomology", counted)
+    s1s2 = Product(Sphere(1), Sphere(2))
+    handles = [ConnSum(s1s2, s1s2), Sphere(2)]
+    good = BubblingRecord(RecordKind.M, (SphereSpec(2, {"nu2": 3, "nu5": -1}),))
+    assert validate(simple(4, handles, [good])) == []
+    wrong = BubblingRecord(RecordKind.M, (SphereSpec(2, {"nu1": 1, "nu6": 1}),))
+    violations = validate(simple(4, handles, [wrong]))
+    assert any("target nu1 has degree 1" in v for v in violations)
+    assert any("unknown coefficient target nu6" in v for v in violations)
+    assert calls == []
 
 
 def test_base_cohomology_names_match():

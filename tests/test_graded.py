@@ -10,11 +10,20 @@ from collections import Counter
 
 import pytest
 
-from reeb_bubble.coefficients import CoefficientRing, RingMismatchError
+from reeb_bubble.calculus import cohomology_ring_of_descriptor
+from reeb_bubble.catalog import random_descriptors
+from reeb_bubble.coefficients import (
+    CoefficientRing,
+    ExactMatrix,
+    RingMismatchError,
+    field_reduce,
+    smith_normal_form,
+)
 from reeb_bubble.graded import (
     BasisElement,
     ConnSum,
     GradedModule,
+    PairingInvariants,
     PresentedGradedRing,
     Product,
     Sphere,
@@ -22,7 +31,6 @@ from reeb_bubble.graded import (
     connsum_ring,
     cps_cohomology,
     dimension,
-    dual_basis_functional,
     gcps_cohomology,
     pairing_invariants,
     rename_basis,
@@ -261,26 +269,6 @@ def test_gcps_leaf_order_is_stable():
 
 
 # ---------------------------------------------------------------------------
-# duals
-# ---------------------------------------------------------------------------
-
-
-def test_dual_basis_functional():
-    A = cps_cohomology(TORUS, Z)
-    x, y = A.degree_basis(1)
-    f = dual_basis_functional(A.module(), x)
-    assert f.apply({x.id: 5, y.id: 7}) == 5
-    assert f.apply({y.id: 7}) == 0
-
-
-def test_dual_basis_functional_torsion_rejected():
-    m = GradedModule(Z, (1, 2), ((), (2,)))
-    a = BasisElement("a", 1)
-    with pytest.raises(ValueError):
-        dual_basis_functional(m, a)
-
-
-# ---------------------------------------------------------------------------
 # pairing invariants
 # ---------------------------------------------------------------------------
 
@@ -346,6 +334,73 @@ def test_doubled_product_over_fields():
     inv2 = pairing_invariants(ring_with(2, Z2), 1, 2)
     assert inv2.map_rank == 0
     assert compare_invariants(ring_with(1, Z3), ring_with(4, Z3)).is_consistent
+
+
+def _dense_pairing_reference(A, p, q):
+    """Pairing invariants from zero-filled dense matrices and full reductions."""
+    P, Q_, T = A.degree_basis(p), A.degree_basis(q), A.degree_basis(p + q)
+    tindex = {e.id: i for i, e in enumerate(T)}
+    zero = A.ring.zero()
+    map_rows = [[zero] * (len(P) * len(Q_)) for _ in T]
+    form_rows = [[zero] * len(P) for _ in range(len(Q_) * len(T))]
+    for i, a in enumerate(P):
+        for j, b in enumerate(Q_):
+            for ic, c in A.products.get((a.id, b.id), {}).items():
+                t = tindex[ic]
+                map_rows[t][i * len(Q_) + j] = c
+                form_rows[j * len(T) + t][i] = c
+
+    def invariants(rows, cols):
+        if not rows or cols == 0:
+            return 0, (() if A.ring.kind == "Z" else None)
+        if A.ring.kind == "Z":
+            divisors = smith_normal_form(ExactMatrix(A.ring, rows, cols)).divisors
+            return len(divisors), divisors
+        return field_reduce(ExactMatrix(A.ring, rows, cols)).rank, None
+
+    map_rank, map_div = invariants(map_rows, len(P) * len(Q_))
+    form_rank, form_div = invariants(form_rows, len(P))
+    return PairingInvariants(p, q, A.ring.label, map_rank, form_rank, map_div, form_div)
+
+
+def _cells(A):
+    return [(p, q) for p in range(1, A.top_degree) for q in range(1, A.top_degree - p + 1)]
+
+
+def _rings_under_test(R):
+    for d in random_descriptors(5, 60):
+        yield cohomology_ring_of_descriptor(d, R).ring
+    for expr in (TORUS, GENUS2, S2XS2, Product(GENUS2, Sphere(1))):
+        yield cps_cohomology(expr, R)
+    yield tensor_ring(cps_cohomology(GENUS2, R), cps_cohomology(Product(Sphere(1), Sphere(2)), R))
+    yield connsum_ring(cps_cohomology(S2XS2, R), cps_cohomology(Product(TORUS, TORUS), R))
+    yield connsum_ring(
+        cps_cohomology(Product(TORUS, Sphere(1)), R), cps_cohomology(Product(Sphere(1), Sphere(2)), R)
+    )
+    yield gcps_cohomology([Sphere(1), Sphere(3), TORUS], R)
+
+
+@pytest.mark.parametrize("R", [Z, Q, Z2, Z3], ids=["Z", "Q", "Z2", "Z3"])
+def test_sparse_pairing_matches_dense_reference(R):
+    nonunit = 0
+    for A in _rings_under_test(R):
+        for p, q in _cells(A):
+            inv = pairing_invariants(A, p, q)
+            assert inv == _dense_pairing_reference(A, p, q), (A, p, q)
+            nonunit += any(x > 1 for x in inv.map_divisors or ())
+    if R is Z:
+        assert nonunit  # the residue after the unit sweep was exercised
+
+
+@pytest.mark.parametrize("R", [Z, Q, Z2], ids=["Z", "Q", "Z2"])
+def test_pairing_cells_without_products(R):
+    # (1,1) of S^1 v S^2 has a target class but no products; (1,1) of
+    # S^1 v S^3 has no target class at all
+    for A in (gcps_cohomology([Sphere(1), Sphere(2)], R), gcps_cohomology([Sphere(1), Sphere(3)], R)):
+        inv = pairing_invariants(A, 1, 1)
+        assert inv == _dense_pairing_reference(A, 1, 1)
+        assert (inv.map_rank, inv.form_rank) == (0, 0)
+        assert inv.map_divisors == inv.form_divisors == (() if R is Z else None)
 
 
 # ---------------------------------------------------------------------------

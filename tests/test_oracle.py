@@ -12,6 +12,7 @@ import pytest
 from reeb_bubble import calculus as calculus_module
 from reeb_bubble import descriptor as descriptor_module
 from reeb_bubble import oracle as oracle_module
+from reeb_bubble import simplicial as simplicial_module
 from reeb_bubble.calculus import homology_of_descriptor
 from reeb_bubble.coefficients import CoefficientRing
 from reeb_bubble.descriptor import (
@@ -263,12 +264,8 @@ def test_verify_forced_tier1_skips_simplicial():
     assert rep.euler_match is None
 
 
-@pytest.mark.parametrize("rings", [[Z], RINGS], ids=["Z", "four-rings"])
-def test_verify_builds_each_base_ring_once(monkeypatch, rings):
-    # every ring asks the formula side for its expected homology and its
-    # presentation, and the Euler check asks once more: none of these
-    # queries may build the base ring or validate the descriptor again
-    d = desc(
+def _torsion_free_model_descriptor():
+    return desc(
         3,
         [Sphere(1), Sphere(1)],
         [
@@ -276,6 +273,14 @@ def test_verify_builds_each_base_ring_once(monkeypatch, rings):
             record(RecordKind.M, SphereSpec(1, {"nu2": -1})),
         ],
     )
+
+
+@pytest.mark.parametrize("rings", [[Z], RINGS], ids=["Z", "four-rings"])
+def test_verify_builds_each_base_ring_once(monkeypatch, rings):
+    # every ring asks the formula side for its expected homology and its
+    # presentation, and the Euler check asks once more: none of these
+    # queries may build the base ring or validate the descriptor again
+    d = _torsion_free_model_descriptor()
     calls = {"base_cohomology": 0, "validate": 0}
 
     def counted(name, fn):
@@ -293,9 +298,41 @@ def test_verify_builds_each_base_ring_once(monkeypatch, rings):
     )
     rep = verify_descriptor(d, rings)
     assert rep.tier == 2 and rep.ok
-    # one base ring inside the validation, then one per coefficient ring
-    assert calls["base_cohomology"] <= 1 + len(rings)
+    # validation builds no ring: one base ring per coefficient ring
+    assert calls["base_cohomology"] <= len(rings)
     assert calls["validate"] == 1
+
+
+def test_four_rings_evaluate_the_product_table_once(monkeypatch):
+    d = _torsion_free_model_descriptor()
+    assert homology_of_complex(simplicial_model(d), Z).is_free
+    calls = []
+    real = simplicial_module._DegreeSolver.coordinates
+
+    def counted(self, vec):
+        calls.append(len(vec))
+        return real(self, vec)
+
+    monkeypatch.setattr(simplicial_module._DegreeSolver, "coordinates", counted)
+    assert verify_descriptor(d, [Z]).ok
+    alone = len(calls)
+    calls.clear()
+    rep = verify_descriptor(d, RINGS)
+    assert rep.tier == 2 and rep.ok
+    assert alone and len(calls) == alone
+
+
+@pytest.mark.parametrize("R", [Q, Z2, Z3], ids=["Q", "Z2", "Z3"])
+def test_derived_rings_equal_rings_computed_alone(R):
+    d = _torsion_free_model_descriptor()
+    K = simplicial_model(d)
+    over_z = cup_ring_of_complex(K, Z, top_degree=3)
+    derived = cup_ring_of_complex(K, R, top_degree=3)
+    alone = cup_ring_of_complex(simplicial_model(d), R, top_degree=3)
+    assert derived.basis == alone.basis
+    assert derived.products == alone.products
+    assert over_z.products.keys() >= derived.products.keys()
+    assert derived.products
 
 
 def test_corrupted_formulas_produce_witnesses(monkeypatch):

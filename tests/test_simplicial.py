@@ -11,6 +11,7 @@ import pytest
 from reeb_bubble.coefficients import CoefficientRing
 from reeb_bubble.graded import (
     ConnSum,
+    PresentedGradedRing,
     Product,
     Sphere,
     compare_invariants,
@@ -20,6 +21,7 @@ from reeb_bubble.graded import (
 )
 from reeb_bubble.simplicial import (
     ChainComplexZ,
+    _cup_products,
     _field_solver,
     _integral_solver,
     SimplicialComplex,
@@ -594,3 +596,34 @@ def test_cached_integral_solver_still_checks_rank():
     with pytest.raises(RuntimeError, match="rank 3 expected"):
         _integral_solver(cx, 1, 3)
     assert not chain_complex_of(torus())._solvers
+
+
+def test_derived_field_rings_match_the_field_solver():
+    # Q and torsion-free Z/p rings are the integral table reduced into the
+    # field; the direct field computation picks other representatives, so
+    # the two are compared through their invariants
+    K = torus()
+    cx = chain_complex_of(K)
+    for R in (Q, Z2, Z3):
+        derived = cup_ring_of_complex(K, R)
+        hom = homology_of_complex(K, R)
+        basis, products = _cup_products(
+            K, cx, 2, hom, lambda k, rank: _field_solver(cx, k, R, rank)
+        )
+        direct = PresentedGradedRing(R, 2, basis, products)
+        assert _all_pairings(derived) == _all_pairings(direct)
+        assert _all_pairings(derived)[(1, 1)].map_rank == 1
+
+
+def test_integral_product_table_cached_per_top_degree():
+    def three_torus():
+        return product_complex(torus(), sphere_complex(1))
+
+    K = three_torus()
+    low = cup_ring_of_complex(K, Z, top_degree=2)
+    full = cup_ring_of_complex(K, Z)
+    assert set(chain_complex_of(K)._products) == {2, 3}
+    assert cup_ring_of_complex(K, Q).products == cup_ring_of_complex(three_torus(), Q).products
+    assert low.products == cup_ring_of_complex(three_torus(), Z, top_degree=2).products
+    assert full.products == cup_ring_of_complex(three_torus(), Z).products
+    assert len(low.products) < len(full.products)
