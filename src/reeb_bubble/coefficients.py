@@ -1,10 +1,11 @@
 """Exact linear algebra over the supported coefficient rings.
 
-Everything in this package bottoms out in integer matrix normal forms:
-homology needs Smith decompositions, cohomology coordinates need saturated
-kernel lattices, and field coefficients need exact row reduction.  This
-module is the only place scalar arithmetic happens; nothing here (or
-anywhere else in the package) touches floating point.
+Everything in this package bottoms out in one integer elimination,
+:func:`sparse_column_reduction`: homology reads its elementary divisors,
+cohomology coordinates read its saturated kernel lattice, and no routine
+builds unimodular transforms of its own.  Field coefficients need exact
+row reduction.  This module is the only place scalar arithmetic happens;
+nothing here (or anywhere else in the package) touches floating point.
 
 Scalars are plain ``int`` for Z and Z/p (canonical residues 0..p-1) and
 ``fractions.Fraction`` for Q.
@@ -114,39 +115,8 @@ class ExactMatrix:
         self.cols = cols
         self.data = data
 
-    @staticmethod
-    def identity(ring: CoefficientRing, n: int) -> "ExactMatrix":
-        one, zero = ring.one(), ring.zero()
-        return ExactMatrix(
-            ring, [[one if i == j else zero for j in range(n)] for i in range(n)], n
-        )
-
-    @staticmethod
-    def zero(ring: CoefficientRing, rows: int, cols: int) -> "ExactMatrix":
-        z = ring.zero()
-        return ExactMatrix(ring, [[z] * cols for _ in range(rows)], cols)
-
-    def entry(self, i: int, j: int):
-        return self.data[i][j]
-
     def to_rows(self) -> list[list]:
         return [list(row) for row in self.data]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.ring,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.rows,
-        )
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ring != other.ring:
-            raise RingMismatchError("mixed rings in matrix product")
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = other.transpose().data
-        out = [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.data]
-        return ExactMatrix(self.ring, out, other.cols)
 
     def __eq__(self, other):
         return (
@@ -164,211 +134,8 @@ class ExactMatrix:
         return f"ExactMatrix({self.ring.label}, {self.rows}x{self.cols})"
 
 
-# ---------------------------------------------------------------------------
-# Smith normal form over Z
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U @ A @ V == D with U, V unimodular and D diagonal.
-
-    ``divisors`` lists the nonzero diagonal entries; consecutive entries
-    divide each other.
-    """
-
-    U: ExactMatrix
-    D: ExactMatrix
-    V: ExactMatrix
-    divisors: tuple[int, ...]
-
-
-def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
-    """Smith normal form with unimodular transforms, over Z only.
-
-    Pivots are chosen with minimal absolute value; elimination runs the
-    classical gcd descent, with the usual row-absorption step to restore
-    the divisibility chain.  Dense and quadratic-ish: meant for the modest
-    matrices this package produces, not for bulk sparse work (see
-    :func:`integer_elementary_divisors` for that).
-    """
-    if A.ring.kind != "Z":
-        raise RingMismatchError("Smith normal form is defined here over Z only")
-    m, n = A.rows, A.cols
-    M = A.to_rows()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(a, b):
-        M[a], M[b] = M[b], M[a]
-        U[a], U[b] = U[b], U[a]
-
-    def swap_cols(a, b):
-        for row in M:
-            row[a], row[b] = row[b], row[a]
-        for row in V:
-            row[a], row[b] = row[b], row[a]
-
-    def add_row(dst, src, q):
-        # row dst -= q * row src
-        Md, Ms = M[dst], M[src]
-        for j in range(n):
-            Md[j] -= q * Ms[j]
-        Ud, Us = U[dst], U[src]
-        for j in range(m):
-            Ud[j] -= q * Us[j]
-
-    def add_col(dst, src, q):
-        for row in M:
-            row[dst] -= q * row[src]
-        for row in V:
-            row[dst] -= q * row[src]
-
-    def find_pivot(t):
-        best = None
-        where = None
-        for i in range(t, m):
-            row = M[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    where = (i, j)
-                    if best == 1:
-                        return where
-        return where
-
-    t = 0
-    while t < min(m, n):
-        where = find_pivot(t)
-        if where is None:
-            break
-        swap_rows(t, where[0])
-        swap_cols(t, where[1])
-        # gcd descent: clear row and column t, restarting whenever a
-        # remainder strictly smaller than the pivot shows up.
-        while True:
-            restart = False
-            for i in range(t + 1, m):
-                if M[i][t]:
-                    q = M[i][t] // M[t][t]
-                    add_row(i, t, q)
-                    if M[i][t]:
-                        swap_rows(i, t)
-                        restart = True
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                if M[t][j]:
-                    q = M[t][j] // M[t][t]
-                    add_col(j, t, q)
-                    if M[t][j]:
-                        swap_cols(j, t)
-                        restart = True
-            if restart:
-                continue
-            break
-        # restore the divisibility chain if a lower-right entry escapes it
-        d = M[t][t]
-        culprit = None
-        for i in range(t + 1, m):
-            row = M[i]
-            for j in range(t + 1, n):
-                if row[j] % d:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
-        if culprit is not None:
-            add_row(t, culprit, -1)  # row t += row culprit
-            continue
-        t += 1
-
-    for i in range(min(m, n)):
-        if M[i][i] < 0:
-            for j in range(n):
-                M[i][j] = -M[i][j]
-            for j in range(m):
-                U[i][j] = -U[i][j]
-
-    divisors = tuple(M[i][i] for i in range(min(m, n)) if M[i][i])
-    for a, b in zip(divisors, divisors[1:]):
-        if b % a:
-            raise RuntimeError("divisibility chain violated")
-    Z = CoefficientRing.integers()
-    return SmithDecomposition(
-        ExactMatrix(Z, U, m), ExactMatrix(Z, M, n), ExactMatrix(Z, V, n), divisors
-    )
-
-
-def integer_elementary_divisors(rows, cols: int | None = None) -> tuple[int, ...]:
-    """Elementary divisors of an integer matrix, without transforms.
-
-    Fast path for the big sparse boundary matrices: a unit-pivot sweep on
-    a dict-of-dicts representation first (each such pivot contributes a
-    divisor 1, which cannot disturb the chain), then the dense routine on
-    whatever small residue is left.  Each row of ``rows`` may be a dense
-    list or a sparse ``{col: value}`` dict; the input is not modified.
-    """
-    sparse: dict[int, dict[int, int]] = {}
-    col_index: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        entries = {j: v for j, v in items if v}
-        if entries:
-            sparse[i] = entries
-            for j in entries:
-                col_index.setdefault(j, set()).add(i)
-
-    ones = 0
-    while True:
-        unit = None
-        for i, row in sparse.items():
-            for j, v in row.items():
-                if v in (1, -1):
-                    unit = (i, j, v)
-                    break
-            if unit:
-                break
-        if unit is None:
-            break
-        i, j, v = unit
-        pivot_row = sparse.pop(i)
-        for jj in pivot_row:
-            col_index[jj].discard(i)
-        for r in list(col_index.get(j, ())):
-            factor = sparse[r][j] * v  # pivot is +-1; this clears column j
-            target = sparse[r]
-            for jj, pv in pivot_row.items():
-                val = target.get(jj, 0) - factor * pv
-                if val:
-                    target[jj] = val
-                    col_index.setdefault(jj, set()).add(r)
-                else:
-                    if jj in target:
-                        del target[jj]
-                        col_index[jj].discard(r)
-            if not target:
-                del sparse[r]
-        col_index.pop(j, None)
-        ones += 1
-
-    if not sparse:
-        return (1,) * ones
-    live_rows = sorted(sparse)
-    live_cols = sorted({j for row in sparse.values() for j in row})
-    pos = {j: k for k, j in enumerate(live_cols)}
-    dense = [[0] * len(live_cols) for _ in live_rows]
-    for k, i in enumerate(live_rows):
-        for j, v in sparse[i].items():
-            dense[k][pos[j]] = v
-    Z = CoefficientRing.integers()
-    rest = smith_normal_form(ExactMatrix(Z, dense, len(live_cols))).divisors
-    return (1,) * ones + rest
-
-
 class ColumnReduction:
-    """Kernel splitting of an integer matrix by unimodular column operations.
+    """Kernel splitting and elementary divisors of an integer matrix.
 
     Column operations drive the matrix to a form whose surviving nonzero
     columns have full column rank while the rest vanish.  The transform
@@ -377,15 +144,18 @@ class ColumnReduction:
     coordinate of a vector along each basis element (composing a kernel
     column with its dual row gives the identity, and dual rows kill the
     complement).  ``kernel_cols[i]`` pairs with ``kernel_dual_rows[i]``.
+    ``divisors`` lists the ``rank`` nonzero elementary divisors in chain
+    order, each dividing the next.
     """
 
-    __slots__ = ("cols", "rank", "kernel_cols", "kernel_dual_rows")
+    __slots__ = ("cols", "rank", "kernel_cols", "kernel_dual_rows", "divisors")
 
-    def __init__(self, cols, rank, kernel_cols, kernel_dual_rows):
+    def __init__(self, cols, rank, kernel_cols, kernel_dual_rows, divisors):
         self.cols = cols
         self.rank = rank
         self.kernel_cols = kernel_cols
         self.kernel_dual_rows = kernel_dual_rows
+        self.divisors = divisors
 
 
 def sparse_column_reduction(rows, cols: int) -> ColumnReduction:
@@ -398,6 +168,11 @@ def sparse_column_reduction(rows, cols: int) -> ColumnReduction:
     pivot column has the smallest |value|, then the shortest column.  Rows
     are cleared by nearest-quotient division, so entries stay close to the
     gcd scale of the input instead of growing with Bezout coefficients.
+
+    This is the package's only integer elimination: the elementary
+    divisors are read off the retired pivots (see :func:`_pivot_divisors`),
+    so homology, the cocycle solvers and the fundamental cycle all share
+    one reduction per boundary matrix.
     """
     acol: list[dict[int, int]] = [dict() for _ in range(cols)]
     orig_cols: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
@@ -456,7 +231,7 @@ def sparse_column_reduction(rows, cols: int) -> ColumnReduction:
         vinv[j] = {t: -v for t, v in vinv[j].items()}
 
     active = set(range(cols))
-    rank = 0
+    pivots: list[tuple[int, int]] = []  # (row, column) in retirement order
     while heap:
         length, pr = heappop(heap)
         supp = rowsupp.get(pr)
@@ -489,7 +264,7 @@ def sparse_column_reduction(rows, cols: int) -> ColumnReduction:
                 supp.discard(pc)
                 heappush(heap, (len(supp), i))
         active.discard(pc)
-        rank += 1
+        pivots.append((pr, pc))
 
     kernel_idx = sorted(active)
     if any(acol[j] for j in kernel_idx):
@@ -503,22 +278,141 @@ def sparse_column_reduction(rows, cols: int) -> ColumnReduction:
                 acc[i] = acc.get(i, 0) + x * a
         if any(acc.values()):
             raise RuntimeError("column reduction produced a non-kernel vector")
-    return ColumnReduction(cols, rank, kernel_cols, kernel_dual_rows)
+    return ColumnReduction(
+        cols, len(pivots), kernel_cols, kernel_dual_rows, _pivot_divisors(acol, pivots)
+    )
 
 
-def integer_kernel_basis(rows, cols: int) -> list[list[int]]:
-    """Basis of the kernel lattice of an integer matrix (dense or dict rows).
+def integer_elementary_divisors(rows, cols: int) -> tuple[int, ...]:
+    """Elementary divisors of an integer matrix (dense or dict rows)."""
+    return sparse_column_reduction(rows, cols).divisors
 
-    Dense view of the kernel columns of :func:`sparse_column_reduction`;
-    the basis is automatically saturated because the transform there is
-    unimodular.
+
+# ---------------------------------------------------------------------------
+# Elementary divisors from the retired pivots
+# ---------------------------------------------------------------------------
+
+
+def _pivot_divisors(acol, pivots) -> tuple[int, ...]:
+    """Elementary divisors of the retired columns of a column reduction.
+
+    A retired column is never touched again, and row ``pr`` is zero in every
+    column retired after ``pc``; so the pivot rows form a lower-triangular
+    block with the positive pivots on its diagonal.  Walking the pivots in
+    order, a unit pivot first clears its row in the non-unit columns kept so
+    far (a column operation with the unit column, which is zero in every
+    earlier pivot row: no diagonal changes and no split-off row is
+    refilled) and then splits off as a divisor 1.  The kept columns'
+    pivot block has determinant D, the product of their pivots, so their
+    row lattice in Z^s contains D·Z^s and :func:`smith_normal_form` finishes
+    modulo D.
     """
-    basis = []
-    for col in sparse_column_reduction(rows, cols).kernel_cols:
-        vec = [0] * cols
-        for j, v in col.items():
-            vec[j] = v
-        basis.append(vec)
+    ones = 0
+    kept: list[dict[int, int]] = []  # non-unit columns, as cleared so far
+    modulus = 1
+    for pr, pc in pivots:
+        col = acol[pc]
+        a = col[pr]
+        if a != 1:
+            kept.append(dict(col))
+            modulus *= a
+            continue
+        for k in kept:
+            x = k.get(pr)
+            if x:
+                for i, v in col.items():
+                    nv = k.get(i, 0) - x * v
+                    if nv:
+                        k[i] = nv
+                    else:
+                        del k[i]
+        ones += 1
+    if not kept:
+        return (1,) * ones
+    residue: dict[int, dict[int, int]] = {}
+    for t, k in enumerate(kept):
+        for i, v in k.items():
+            v %= modulus
+            if v:
+                residue.setdefault(i, {})[t] = v
+    return (1,) * ones + smith_normal_form(list(residue.values()), len(kept), modulus)
+
+
+def smith_normal_form(rows, cols: int, modulus: int) -> tuple[int, ...]:
+    """Elementary divisors of the lattice ``span(rows) + modulus·Z^cols``.
+
+    The residue step of :func:`_pivot_divisors`.  Transform-free: a reduced
+    row Hermite basis and the reduced Hermite basis of its transpose are
+    taken in turn, all modulo ``modulus``, until the basis is diagonal
+    (Kannan & Bachem 1979, with the modular arithmetic of Hafner &
+    McCurley 1991); gcd/lcm swaps then restore the divisibility chain.
+    Every entry stays below ``modulus``.  Returns ``cols`` divisors in
+    chain order, each dividing ``modulus``; rows may be dense lists or
+    ``{col: value}`` dicts.
+    """
+    basis = _hermite_mod(rows, cols, modulus)
+    while any(len(h) > 1 for h in basis):
+        transposed: list[dict[int, int]] = [{} for _ in range(cols)]
+        for t, h in enumerate(basis):
+            for j, v in h.items():
+                transposed[j][t] = v
+        basis = _hermite_mod(transposed, cols, modulus)
+    diag = [h[t] for t, h in enumerate(basis)]
+    for i in range(cols):
+        for j in range(i + 1, cols):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return tuple(diag)
+
+
+def _hermite_mod(rows, cols: int, modulus: int) -> list[dict[int, int]]:
+    """Reduced row Hermite basis of ``span(rows) + modulus·Z^cols``.
+
+    Row ``t`` of the result has its first entry, a divisor of ``modulus``,
+    in column ``t``; every entry above a diagonal entry is reduced modulo
+    it (without that reduction the alternation in
+    :func:`smith_normal_form` can cycle, e.g. on ``[[1, 1], [0, 1]]``).
+    Rows are queued by their leading column; row ``t`` starts as
+    ``modulus·e_t`` and absorbs its queue by extended-gcd row operations,
+    so entries right of the diagonal may be reduced modulo ``modulus``.
+    """
+    queues: list[list[dict[int, int]]] = [[] for _ in range(cols)]
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        r = {j: v % modulus for j, v in items if v % modulus}
+        if r:
+            queues[min(r)].append(r)
+    basis: list[dict[int, int]] = []
+    for t in range(cols):
+        h = {t: modulus}
+        for g in queues[t]:
+            a, b = h[t], g[t]
+            d, x, y = _xgcd(a, b)
+            fa, fb = a // d, b // d
+            new_h, new_g = {t: d}, {}
+            for j in h.keys() | g.keys():
+                if j == t:
+                    continue
+                u, w = h.get(j, 0), g.get(j, 0)
+                nh, ng = (x * u + y * w) % modulus, (fa * w - fb * u) % modulus
+                if nh:
+                    new_h[j] = nh
+                if ng:
+                    new_g[j] = ng
+            h = new_h
+            if new_g:
+                queues[min(new_g)].append(new_g)
+        d = h[t]
+        for u in basis:
+            q = u.get(t, 0) // d
+            if q:
+                for j, v in h.items():
+                    nv = (u.get(j, 0) - q * v) % modulus
+                    if nv:
+                        u[j] = nv
+                    else:
+                        u.pop(j, None)
+        basis.append(h)
     return basis
 
 
@@ -540,67 +434,29 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def solve_in_span(columns: list[list[int]], target: list[int]) -> list[int] | None:
     """Integer coordinates of ``target`` in the lattice spanned by ``columns``.
 
-    Returns None when the target is outside the lattice.
+    Returns None when the target is outside the lattice.  Reads the
+    saturated kernel of ``[columns | -target]`` from
+    :func:`sparse_column_reduction`: the target lies in the lattice exactly
+    when the kernel vectors' last coordinates have gcd 1, and the extended
+    gcd combination of those vectors carries the coordinates.
     """
-    if not columns:
-        return [] if not any(target) else None
-    nrows = len(columns[0])
-    ncols = len(columns)
-    acol = [{i: v for i, v in enumerate(col) if v} for col in columns]
-    wcol: list[dict[int, int]] = [{j: 1} for j in range(ncols)]
-
-    def combine(c1, c2, a, b):
-        g, x, y = _xgcd(a, b)
-        p, q = -(b // g), a // g
-        for store in (acol, wcol):
-            col1, col2 = store[c1], store[c2]
-            keys = set(col1) | set(col2)
-            new1, new2 = {}, {}
-            for k in keys:
-                u, w = col1.get(k, 0), col2.get(k, 0)
-                n1, n2 = x * u + y * w, p * u + q * w
-                if n1:
-                    new1[k] = n1
-                if n2:
-                    new2[k] = n2
-            store[c1], store[c2] = new1, new2
-
-    active = list(range(ncols))
-    pivots: list[tuple[int, int]] = []  # (row, column) in elimination order
-    for r in range(nrows):
-        carriers = [c for c in active if r in acol[c]]
-        if not carriers:
-            continue
-        lead = carriers[0]
-        for c in carriers[1:]:
-            combine(lead, c, acol[lead].get(r, 0), acol[c][r])
-        active.remove(lead)
-        pivots.append((r, lead))
-
-    residue = {i: v for i, v in enumerate(target) if v}
-    y = [0] * ncols
-    for r, c in pivots:
-        if r not in residue:
-            continue
-        d = acol[c][r]
-        if residue[r] % d:
-            return None
-        q = residue[r] // d
-        y[c] = q
-        for i, v in acol[c].items():
-            nv = residue.get(i, 0) - q * v
-            if nv:
-                residue[i] = nv
-            elif i in residue:
-                del residue[i]
-    if residue:
-        return None
-    coords = [0] * ncols
-    for c in range(ncols):
-        if y[c]:
-            for j, w in wcol[c].items():
-                coords[j] += y[c] * w
-    return coords
+    n = len(columns)
+    rows: list[dict[int, int]] = [{} for _ in target]
+    for j, col in enumerate(columns + [[-v for v in target]]):
+        for i, v in enumerate(col):
+            if v:
+                rows[i][j] = v
+    g, coords = 0, [0] * n
+    for vec in sparse_column_reduction(rows, n + 1).kernel_cols:
+        s = vec.get(n)
+        if s:
+            # running combination: x * (coords, g) + y * vec
+            g, x, y = _xgcd(g, s)
+            coords = [x * c for c in coords]
+            for j, v in vec.items():
+                if j < n:
+                    coords[j] += y * v
+    return coords if g == 1 else None
 
 
 # ---------------------------------------------------------------------------

@@ -541,19 +541,20 @@ class PairingInvariants:
     form_divisors: tuple[int, ...] | None = None
 
 
-def _invariants_of_matrix(ring: CoefficientRing, rows: list[dict], cols: int):
+def _invariants_of_matrix(ring: CoefficientRing, rows: list[dict]):
     """Rank, and over Z the elementary divisors, of ``{column: value}`` rows.
 
-    ``rows`` holds only nonzero rows.  Over a field just the block of used
-    columns is reduced: dropping zero rows and columns changes neither the
-    rank nor the nonzero elementary divisors.
+    ``rows`` holds only nonzero rows.  Just the block of used columns is
+    reduced: dropping zero rows and columns changes neither the rank nor
+    the nonzero elementary divisors.
     """
     if not rows:
         return 0, (() if ring.kind == "Z" else None)
-    if ring.kind == "Z":
-        divisors = integer_elementary_divisors(rows, cols)
-        return len(divisors), divisors
     used = {j: k for k, j in enumerate(sorted({j for row in rows for j in row}))}
+    if ring.kind == "Z":
+        block = [{used[j]: v for j, v in row.items()} for row in rows]
+        divisors = integer_elementary_divisors(block, len(used))
+        return len(divisors), divisors
     zero = ring.zero()
     block = []
     for row in rows:
@@ -590,8 +591,8 @@ def pairing_invariants(A: PresentedGradedRing, p: int, q: int) -> PairingInvaria
                 map_rows.setdefault(t, {})[i * nq + j] = c
                 form_rows.setdefault(j * nt + t, {})[i] = c
 
-    map_rank, map_div = _invariants_of_matrix(A.ring, list(map_rows.values()), len(P) * nq)
-    form_rank, form_div = _invariants_of_matrix(A.ring, list(form_rows.values()), len(P))
+    map_rank, map_div = _invariants_of_matrix(A.ring, list(map_rows.values()))
+    form_rank, form_div = _invariants_of_matrix(A.ring, list(form_rows.values()))
     return PairingInvariants(
         p, q, A.ring.label, map_rank, form_rank, map_div, form_div
     )

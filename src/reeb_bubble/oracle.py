@@ -4,7 +4,7 @@ Two verification paths, both built from a descriptor without consulting the
 bookkeeping formulas.  Tier 1 assembles an integer chain complex: a
 zero-differential complex for the base wedge and for each record's attached
 manifold, joined by iterated algebraic mapping cones over the attaching
-data, with homology read off Smith normal forms.  Tier 2 builds an honest
+data, with homology read off elementary divisors.  Tier 2 builds an honest
 simplicial complex by gluing genuine product-of-sphere pieces onto the base
 wedge through mapping cylinders of measured-degree sphere maps, so homology
 AND cup products can be computed simplicially and compared against the
@@ -451,17 +451,16 @@ class VerificationReport:
 
 def _module_witnesses(kind, expected, got):
     out = []
-    top = max(expected.max_degree, got.max_degree)
-    a, b = expected.padded(top), got.padded(top)
-    for k in range(top + 1):
-        if a.rank(k) != b.rank(k):
+    # rank and torsion_at read 0 and () past a module's top degree
+    for k in range(max(expected.max_degree, got.max_degree) + 1):
+        if expected.rank(k) != got.rank(k):
             out.append(
-                f"{kind} degree {k}: expected rank {a.rank(k)}, got {b.rank(k)}"
+                f"{kind} degree {k}: expected rank {expected.rank(k)}, got {got.rank(k)}"
             )
-        if a.torsion_at(k) != b.torsion_at(k):
+        if expected.torsion_at(k) != got.torsion_at(k):
             out.append(
-                f"{kind} degree {k}: expected torsion {a.torsion_at(k)}, "
-                f"got {b.torsion_at(k)}"
+                f"{kind} degree {k}: expected torsion {expected.torsion_at(k)}, "
+                f"got {got.torsion_at(k)}"
             )
     return out
 

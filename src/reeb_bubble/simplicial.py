@@ -16,10 +16,9 @@ from itertools import combinations
 
 from .coefficients import (
     CoefficientRing,
+    ColumnReduction,
     ExactMatrix,
     field_reduce,
-    integer_elementary_divisors,
-    integer_kernel_basis,
     solve_in_span,
     sparse_column_reduction,
 )
@@ -226,13 +225,17 @@ class ChainComplexZ:
     entries.  The constructor takes dense rows or dict rows and stores
     dicts, so no consumer ever reads a dense matrix.  Composition of
     consecutive boundaries is checked to vanish exactly.
+
+    Each boundary is eliminated at most once: :meth:`reduction` caches its
+    column reduction, and homology (through its elementary divisors), the
+    integral cocycle solvers and :func:`top_cycle` all read that one.
     """
 
-    __slots__ = ("bases", "boundaries", "_divisors", "_solvers", "_products")
+    __slots__ = ("bases", "boundaries", "_reductions", "_solvers", "_products")
 
     def __init__(self, bases, boundaries, *, check=True):
         self.bases = [list(b) for b in bases]
-        self._divisors = {}
+        self._reductions = {}
         self._solvers = {}
         self._products = {}
         if len(boundaries) != len(self.bases):
@@ -274,16 +277,24 @@ class ChainComplexZ:
     def dim_at(self, k: int) -> int:
         return len(self.bases[k]) if 0 <= k <= self.max_degree else 0
 
+    def reduction(self, k: int) -> ColumnReduction:
+        """Column reduction of the k-th boundary matrix, computed once.
+
+        Degree 0 reduces the zero map out of degree 0, whose kernel is the
+        whole chain group.
+        """
+        red = self._reductions.get(k)
+        if red is None:
+            red = self._reductions[k] = sparse_column_reduction(
+                self.boundaries[k], self.dim_at(k)
+            )
+        return red
+
     def boundary_divisors(self, k: int) -> tuple[int, ...]:
-        """Elementary divisors of the k-th boundary matrix, cached."""
-        if k not in self._divisors:
-            if k <= 0 or k > self.max_degree or not self.dim_at(k) or not self.dim_at(k - 1):
-                self._divisors[k] = ()
-            else:
-                self._divisors[k] = integer_elementary_divisors(
-                    self.boundaries[k], self.dim_at(k)
-                )
-        return self._divisors[k]
+        """Elementary divisors of the k-th boundary matrix."""
+        if k <= 0 or k > self.max_degree or not self.dim_at(k) or not self.dim_at(k - 1):
+            return ()
+        return self.reduction(k).divisors
 
 
 def chain_complex_of(K: SimplicialComplex) -> ChainComplexZ:
@@ -313,14 +324,14 @@ def _rank_over(ring: CoefficientRing, divisors: tuple[int, ...]) -> int:
 
 def homology_of_chain_complex(cx: ChainComplexZ, R: CoefficientRing) -> GradedModule:
     top = cx.max_degree
+    divisors = [cx.boundary_divisors(k) for k in range(top + 1)] + [()]
     ranks = []
     torsion = []
     for k in range(top + 1):
-        rk = _rank_over(R, cx.boundary_divisors(k))
-        rk1 = _rank_over(R, cx.boundary_divisors(k + 1)) if k < top else 0
+        rk, rk1 = _rank_over(R, divisors[k]), _rank_over(R, divisors[k + 1])
         ranks.append(cx.dim_at(k) - rk - rk1)
-        if R.kind == "Z" and k < top:
-            torsion.append(tuple(d for d in cx.boundary_divisors(k + 1) if d > 1))
+        if R.kind == "Z":
+            torsion.append(tuple(d for d in divisors[k + 1] if d > 1))
         else:
             torsion.append(())
     return GradedModule(R, tuple(ranks), tuple(torsion))
@@ -649,15 +660,13 @@ def top_cycle(K: SimplicialComplex) -> dict:
     """
     cx = chain_complex_of(K)
     k = cx.max_degree
-    kernel = integer_kernel_basis(cx.boundaries[k], cx.dim_at(k))
+    kernel = cx.reduction(k).kernel_cols
     if len(kernel) != 1:
         raise ValueError(f"top homology rank {len(kernel)}, expected 1")
     vec = kernel[0]
-    lead = next(c for c in vec if c)
-    if lead < 0:
-        vec = [-c for c in vec]
+    sign = -1 if vec[min(vec)] < 0 else 1
     basis = cx.bases[k]
-    return {basis[i]: c for i, c in enumerate(vec) if c}
+    return {basis[i]: sign * c for i, c in sorted(vec.items())}
 
 
 def measured_degree(f: SimplicialMap) -> int:
@@ -949,7 +958,7 @@ def _integral_solver(cx: ChainComplexZ, k: int, expected_rank: int) -> _DegreeSo
 
 def _build_integral_solver(cx: ChainComplexZ, k: int) -> _DegreeSolver:
     nk = cx.dim_at(k)
-    red = sparse_column_reduction(cx.boundaries[k] if k > 0 else [], nk)
+    red = cx.reduction(k)
     z = len(red.kernel_cols)
     # dual rows of the splitting, indexed by chain coordinate
     by_cell: dict[int, dict[int, int]] = {}

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from divisor_reference import determinantal_divisors, modular_lattice_divisors
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reeb_bubble.coefficients import (
     CoefficientRing,
@@ -9,7 +12,6 @@ from reeb_bubble.coefficients import (
     RingMismatchError,
     field_reduce,
     integer_elementary_divisors,
-    integer_kernel_basis,
     smith_normal_form,
     solve_in_span,
     sparse_column_reduction,
@@ -18,74 +20,55 @@ from reeb_bubble.coefficients import (
 Z = CoefficientRing.integers()
 Q = CoefficientRing.rationals()
 F2 = CoefficientRing.prime_field(2)
-
-
-def det(rows):
-    """Exact determinant via fraction-free-ish Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    sign = 1
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= m[i][i]
-    return out
+PRIMES = (2, 3, 5, 7, 11)
 
 
 def test_snf_zero_matrix():
-    res = smith_normal_form(ExactMatrix(Z, [[0]]))
-    assert res.D.to_rows() == [[0]]
-    assert res.divisors == ()
+    assert integer_elementary_divisors([[0]], 1) == ()
+    assert determinantal_divisors([[0]], 1) == ()
+    # the residue step of a zero block is the modulus lattice itself
+    assert smith_normal_form([[0]], 1, 6) == (6,)
 
 
 def test_snf_identity():
-    res = smith_normal_form(ExactMatrix.identity(Z, 3))
-    assert res.divisors == (1, 1, 1)
+    identity = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    assert integer_elementary_divisors(identity, 3) == (1, 1, 1)
+    assert smith_normal_form(identity, 3, 12) == (1, 1, 1)
 
 
 def test_snf_worked_2x2():
     # gcd of entries is 2 and |det| = 20, so the chain must be (2, 10)
-    A = ExactMatrix(Z, [[2, 4], [-2, 6]])
-    res = smith_normal_form(A)
-    assert res.divisors == (2, 10)
-    assert res.U @ A @ res.V == res.D
+    rows = [[2, 4], [-2, 6]]
+    assert integer_elementary_divisors(rows, 2) == (2, 10)
+    assert determinantal_divisors(rows, 2) == (2, 10)
+    # the lattice contains 20·Z^2, so the residue step modulo 20 agrees
+    assert smith_normal_form(rows, 2, 20) == (2, 10)
 
 
 def test_snf_empty_shapes():
-    res = smith_normal_form(ExactMatrix(Z, [], cols=3))
-    assert res.divisors == ()
-    assert res.D.rows == 0 and res.D.cols == 3
-    res = smith_normal_form(ExactMatrix(Z, [[], []], cols=0))
-    assert res.divisors == ()
+    assert integer_elementary_divisors([], 3) == ()
+    assert integer_elementary_divisors([[], []], 0) == ()
+    assert smith_normal_form([], 3, 4) == (4, 4, 4)
+    assert smith_normal_form([], 0, 4) == ()
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_snf_round_trip_property(seed):
     rng = random.Random(seed)
     m, n = rng.randint(1, 8), rng.randint(1, 8)
-    A = ExactMatrix(Z, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], n)
-    res = smith_normal_form(A)
-    assert res.U @ A @ res.V == res.D
-    assert abs(det(res.U.to_rows())) == 1
-    assert abs(det(res.V.to_rows())) == 1
-    for i in range(res.D.rows):
-        for j in range(res.D.cols):
-            if i != j:
-                assert res.D.entry(i, j) == 0
-    for a, b in zip(res.divisors, res.divisors[1:]):
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    divisors = integer_elementary_divisors(rows, n)
+    assert divisors == determinantal_divisors(rows, n)
+    for a, b in zip(divisors, divisors[1:]):
         assert a > 0 and b % a == 0
     # rank over Q equals the count of nonzero divisors
-    AQ = ExactMatrix(Q, A.to_rows(), n)
-    assert field_reduce(AQ).rank == len(res.divisors)
+    assert field_reduce(ExactMatrix(Q, rows, n)).rank == len(divisors)
+    # a nonsingular square matrix's lattice contains |det|·Z^n
+    if m == n and len(divisors) == n:
+        det = 1
+        for d in divisors:
+            det *= d
+        assert smith_normal_form(rows, n, det) == divisors
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -96,13 +79,57 @@ def test_sparse_divisors_agree_with_dense(seed):
         [rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(n)]
         for _ in range(m)
     ]
-    dense = smith_normal_form(ExactMatrix(Z, rows, n)).divisors
-    assert integer_elementary_divisors(rows, n) == dense
-    assert integer_elementary_divisors(_dict_rows(rows), n) == dense
+    reference = determinantal_divisors(rows, n)
+    assert integer_elementary_divisors(rows, n) == reference
+    assert integer_elementary_divisors(_dict_rows(rows), n) == reference
+
+
+_ENTRIES = st.integers(-12, 12) | st.sampled_from((0, 0, 1, -1))
+
+
+@st.composite
+def _small_matrices(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=m, max_size=m))
+    return rows, n
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_small_matrices())
+def test_divisors_match_determinantal_reference(matrix):
+    rows, n = matrix
+    divisors = integer_elementary_divisors(rows, n)
+    assert integer_elementary_divisors(_dict_rows(rows), n) == divisors
+    assert divisors == determinantal_divisors(rows, n)
+
+
+def test_residue_step_terminates_on_unreduced_hermite_cycles():
+    # [[1, 1], [0, 1]] is its own unreduced Hermite form and its transpose's:
+    # an alternation without the reduction above the diagonal never ends
+    for modulus in (1, 2, 3, 12):
+        assert smith_normal_form([[1, 1], [0, 1]], 2, modulus) == (1, 1)
+        assert smith_normal_form([[1, 0], [1, 1]], 2, modulus) == (1, 1)
+    values = (0, 1, 2, 3, 4, 6)
+    for a in values[1:]:
+        for b in values:
+            for c in values[1:]:
+                for modulus in (a * c, 2 * a * c, 12):
+                    for rows in ([[a, b], [0, c]], [[a, 0], [b, c]]):
+                        assert smith_normal_form(rows, 2, modulus) == (
+                            modular_lattice_divisors(rows, 2, modulus)
+                        ), (rows, modulus)
+    rng = random.Random(3300)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        modulus = rng.choice((4, 6, 8, 12, 30, 36))
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        assert smith_normal_form(rows, n, modulus) == modular_lattice_divisors(
+            rows, n, modulus
+        ), (rows, modulus)
 
 
 def test_field_reduce_identity_over_q():
-    red = field_reduce(ExactMatrix.identity(Q, 2))
+    red = field_reduce(ExactMatrix(Q, [[1, 0], [0, 1]]))
     assert red.rank == 2
     assert red.kernel == ()
 
@@ -141,7 +168,9 @@ def test_integer_kernel_is_saturated_and_annihilates(seed):
     rng = random.Random(2000 + seed)
     m, n = rng.randint(1, 6), rng.randint(2, 7)
     rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-    basis = integer_kernel_basis(rows, n)
+    basis = []
+    for col in sparse_column_reduction(rows, n).kernel_cols:
+        basis.append([col.get(j, 0) for j in range(n)])
     for vec in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
@@ -175,12 +204,20 @@ def _check_column_reduction(rows, n):
     before = ([list(r) for r in rows], [dict(r) for r in sparse])
     red = sparse_column_reduction(rows, n)
     from_dicts = sparse_column_reduction(sparse, n)
-    assert (from_dicts.rank, from_dicts.kernel_cols, from_dicts.kernel_dual_rows) == (
-        red.rank, red.kernel_cols, red.kernel_dual_rows
-    )
+    assert (
+        from_dicts.rank, from_dicts.kernel_cols, from_dicts.kernel_dual_rows, from_dicts.divisors
+    ) == (red.rank, red.kernel_cols, red.kernel_dual_rows, red.divisors)
     assert (rows, sparse) == before
     rank = field_reduce(ExactMatrix(Q, rows, n)).rank
     assert red.rank == rank
+    # the divisors form a chain, one per pivot, and each prime field sees
+    # exactly the divisors it does not divide
+    assert len(red.divisors) == rank
+    for a, b in zip(red.divisors, red.divisors[1:]):
+        assert a > 0 and b % a == 0
+    for p in PRIMES:
+        rank_p = field_reduce(ExactMatrix(CoefficientRing.prime_field(p), rows, n)).rank
+        assert rank_p == sum(1 for d in red.divisors if d % p), p
     assert len(red.kernel_cols) == len(red.kernel_dual_rows) == n - rank
     for col in red.kernel_cols:
         for row in rows:
@@ -220,7 +257,7 @@ def test_sparse_column_reduction_on_small_non_unit_matrices():
         rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
         _check_column_reduction(rows, n)
         sparse = _dict_rows(rows)
-        divisors = smith_normal_form(ExactMatrix(Z, rows, n)).divisors
+        divisors = determinantal_divisors(rows, n)
         assert integer_elementary_divisors(rows, n) == divisors
         assert integer_elementary_divisors(sparse, n) == divisors
         assert sparse == _dict_rows(rows)
@@ -238,6 +275,23 @@ def test_solve_in_span_mixed_lattice():
     cols = [[2, 1, 0], [0, 3, 1]]
     target = [2 * 5 + 0 * -2, 1 * 5 + 3 * -2, 0 * 5 + 1 * -2]
     assert solve_in_span(cols, target) == [5, -2]
+
+
+def test_solve_in_span_dependent_columns():
+    # 2 and 3 span Z only through a Bezout combination of both columns
+    for cols, target, inside in (
+        ([[2], [3]], [1], True),
+        ([[2], [4]], [1], False),
+        ([[2], [4]], [6], True),
+        ([[2, 2], [3, 3], [0, 5]], [1, 6], True),
+        ([[2, 0], [4, 0]], [2, 1], False),
+    ):
+        coords = solve_in_span(cols, target)
+        assert (coords is not None) == inside, (cols, target)
+        if inside:
+            assert [
+                sum(c * col[i] for c, col in zip(coords, cols)) for i in range(len(target))
+            ] == target
 
 
 def test_ring_labels_and_conversion():

@@ -6,11 +6,14 @@ and one test deliberately corrupts the engine to prove mismatches surface.
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from reeb_bubble import calculus as calculus_module
+from reeb_bubble import coefficients as coefficients_module
 from reeb_bubble import descriptor as descriptor_module
+from reeb_bubble import graded as graded_module
 from reeb_bubble import oracle as oracle_module
 from reeb_bubble import simplicial as simplicial_module
 from reeb_bubble.calculus import homology_of_descriptor
@@ -301,6 +304,44 @@ def test_verify_builds_each_base_ring_once(monkeypatch, rings):
     # validation builds no ring: one base ring per coefficient ring
     assert calls["base_cohomology"] <= len(rings)
     assert calls["validate"] == 1
+
+
+def test_four_rings_eliminate_each_boundary_once(monkeypatch):
+    # homology, the cocycle solvers and the fundamental cycles all read the
+    # one cached reduction of each boundary matrix
+    complexes = []
+    init = simplicial_module.ChainComplexZ.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        complexes.append(self)
+
+    monkeypatch.setattr(simplicial_module.ChainComplexZ, "__init__", recording_init)
+    inputs = []  # holding the inputs keeps their ids unique
+    depth = [0]
+
+    def counted(fn):
+        def wrapper(rows, *args, **kwargs):
+            if not depth[0]:
+                inputs.append(rows)
+            depth[0] += 1
+            try:
+                return fn(rows, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for mod in (coefficients_module, simplicial_module, graded_module):
+        for name in ("sparse_column_reduction", "integer_elementary_divisors"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    rep = verify_descriptor(_torsion_free_model_descriptor(), RINGS)
+    assert rep.tier == 2 and rep.ok
+    seen = Counter(id(rows) for rows in inputs)
+    boundaries = [m for cx in complexes for m in cx.boundaries[1:] if m]
+    assert boundaries and any(seen[id(m)] for m in boundaries)
+    assert all(seen[id(m)] <= 1 for m in boundaries)
 
 
 def test_four_rings_evaluate_the_product_table_once(monkeypatch):

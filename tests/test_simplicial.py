@@ -265,6 +265,23 @@ def test_top_cycle():
         top_cycle(wedge_complex([sphere_complex(2), sphere_complex(2)]))
 
 
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_top_cycle_is_a_signed_cycle(l):
+    # the first top simplex in basis order carries +1, in basis order,
+    # whatever sign the kernel vector of the boundary reduction has
+    for K in (sphere_complex(l), degree_map(l, 2).domain, torus()):
+        z = top_cycle(K)
+        basis = chain_complex_of(K).bases[K.dim]
+        assert list(z) == [s for s in basis if s in z]
+        assert next(iter(z.values())) == 1
+        boundary = {}
+        for s, c in z.items():
+            for i in range(len(s)):
+                face = s[:i] + s[i + 1 :]
+                boundary[face] = boundary.get(face, 0) + (-1) ** i * c
+        assert not any(boundary.values())
+
+
 # ---------------------------------------------------------------------------
 # degree maps
 # ---------------------------------------------------------------------------
