@@ -37,7 +37,6 @@ __all__ = [
     "homology_of_descriptor",
     "cohomology_ring_of_descriptor",
     "realize_plan",
-    "realize_plan_general",
     "manifold_inference",
     "truncate_ring",
 ]
@@ -331,26 +330,6 @@ def realize_plan(
         records.append(BubblingRecord(kind, tuple(spheres)))
 
     d = ReebDescriptor(BaseSpec(n, tuple(handles)), tuple(records))
-    _require_valid(d, "planned descriptor")
-    return d
-
-
-def realize_plan_general(
-    n: int, handles, spheres, *, top_rank: int = 1
-) -> ReebDescriptor:
-    """Single-record planner over an arbitrary core base.
-
-    ``spheres`` is a list of (dimension, coefficient map) pairs; coefficient
-    maps key on the nu-names of the base's sphere classes.  Only a single
-    record is supported, so the requested top rank must be 1.
-    """
-    if top_rank != 1:
-        raise ValueError(f"top rank must be 1 for a single record, got {top_rank}")
-    specs = tuple(SphereSpec(dim, coeffs) for dim, coeffs in spheres)
-    d = ReebDescriptor(
-        BaseSpec(n, tuple(handles)),
-        (BubblingRecord(RecordKind.M, specs),),
-    )
     _require_valid(d, "planned descriptor")
     return d
 

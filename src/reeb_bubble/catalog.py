@@ -244,10 +244,6 @@ def _build_entries():
 ENTRIES: tuple[CatalogEntry, ...] = _build_entries()
 
 
-def catalog_names() -> tuple[str, ...]:
-    return tuple(e.name for e in ENTRIES)
-
-
 def catalog_entry(name: str) -> CatalogEntry:
     for e in ENTRIES:
         if e.name == name:

@@ -30,9 +30,6 @@ from .descriptor import (
 from .graded import pairing_invariants
 from .oracle import TierError, format_report, verify_descriptor
 
-CATALOG_RINGS = ("Z", "Q", "Zp:2", "Zp:3")
-
-
 class _UsageError(Exception):
     pass
 
@@ -46,8 +43,6 @@ def _ring_from_token(token: str) -> CoefficientRing:
         return CoefficientRing.integers()
     if token == "Q":
         return CoefficientRing.rationals()
-    if token.startswith("Zp:"):
-        return CoefficientRing.prime_field(int(token.split(":", 1)[1]))
     raise _UsageError(f"unknown ring {token!r}; choose from Z, Q, Zp")
 
 
@@ -293,7 +288,12 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    rings = [_ring_from_token(t) for t in CATALOG_RINGS]
+    rings = [
+        CoefficientRing.integers(),
+        CoefficientRing.rationals(),
+        CoefficientRing.prime_field(2),
+        CoefficientRing.prime_field(3),
+    ]
     jobs = [(e.name, e.descriptor, "auto") for e in ENTRIES]
     for i, plan in enumerate(random_plans(args.seed, 6), start=1):
         jobs.append((f"plan-{i}", plan_descriptor(plan), 1))

@@ -431,34 +431,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def solve_in_span(columns: list[list[int]], target: list[int]) -> list[int] | None:
-    """Integer coordinates of ``target`` in the lattice spanned by ``columns``.
-
-    Returns None when the target is outside the lattice.  Reads the
-    saturated kernel of ``[columns | -target]`` from
-    :func:`sparse_column_reduction`: the target lies in the lattice exactly
-    when the kernel vectors' last coordinates have gcd 1, and the extended
-    gcd combination of those vectors carries the coordinates.
-    """
-    n = len(columns)
-    rows: list[dict[int, int]] = [{} for _ in target]
-    for j, col in enumerate(columns + [[-v for v in target]]):
-        for i, v in enumerate(col):
-            if v:
-                rows[i][j] = v
-    g, coords = 0, [0] * n
-    for vec in sparse_column_reduction(rows, n + 1).kernel_cols:
-        s = vec.get(n)
-        if s:
-            # running combination: x * (coords, g) + y * vec
-            g, x, y = _xgcd(g, s)
-            coords = [x * c for c in coords]
-            for j, v in vec.items():
-                if j < n:
-                    coords[j] += y * v
-    return coords if g == 1 else None
-
-
 # ---------------------------------------------------------------------------
 # Field reduction
 # ---------------------------------------------------------------------------

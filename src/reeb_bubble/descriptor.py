@@ -36,7 +36,6 @@ __all__ = [
     "validate",
     "base_sphere_classes",
     "base_cohomology",
-    "connected_sum_descriptors",
     "parse_descriptor",
     "serialize_descriptor",
 ]
@@ -232,38 +231,6 @@ def base_sphere_classes(d: ReebDescriptor) -> list[tuple[str, int]]:
         validate_expr(h)
         degrees += _sphere_class_degrees(h)
     return [(f"nu{j + 1}", k) for j, k in enumerate(degrees)]
-
-
-# ---------------------------------------------------------------------------
-# connected sums
-# ---------------------------------------------------------------------------
-
-
-def connected_sum_descriptors(d1: ReebDescriptor, d2: ReebDescriptor) -> ReebDescriptor:
-    """Join two descriptors: handles concatenate, schedules concatenate.
-
-    The second descriptor's coefficient ids shift past the first base's
-    sphere classes.
-    """
-    if d1.n != d2.n:
-        raise ValueError(f"cannot sum descriptors with n={d1.n} and n={d2.n}")
-    _require_valid(d1, "left descriptor")
-    _require_valid(d2, "right descriptor")
-    shift = len(base_sphere_classes(d1))
-
-    def shifted(rec: BubblingRecord) -> BubblingRecord:
-        spheres = tuple(
-            SphereSpec(
-                s.dim,
-                tuple((f"nu{_nu_index(k) + shift}", v) for k, v in s.coefficients),
-            )
-            for s in rec.spheres
-        )
-        return BubblingRecord(rec.kind, spheres)
-
-    base = BaseSpec(d1.n, d1.base.handles + d2.base.handles)
-    records = d1.records + tuple(shifted(r) for r in d2.records)
-    return ReebDescriptor(base, records)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ __all__ = [
     "compare_invariants",
     "Verdict",
     "rename_basis",
-    "rescale_basis_element",
 ]
 
 
@@ -99,17 +98,6 @@ class GradedModule:
         extra = max_degree - self.max_degree
         return GradedModule(
             self.ring, self.free_ranks + (0,) * extra, self.torsion + ((),) * extra
-        )
-
-    def direct_sum(self, other: "GradedModule") -> "GradedModule":
-        if self.ring != other.ring:
-            raise RingMismatchError("direct sum over mixed rings")
-        top = max(self.max_degree, other.max_degree)
-        a, b = self.padded(top), other.padded(top)
-        return GradedModule(
-            self.ring,
-            tuple(x + y for x, y in zip(a.free_ranks, b.free_ranks)),
-            tuple(x + y for x, y in zip(a.torsion, b.torsion)),
         )
 
 
@@ -184,9 +172,6 @@ class PresentedGradedRing:
                 raise ValueError("basis above top degree")
             ranks[e.degree] += 1
         return tuple(ranks)
-
-    def module(self) -> GradedModule:
-        return GradedModule(self.ring, self.free_ranks())
 
     def product(self, ida: str, idb: str) -> dict:
         return dict(self.products.get((ida, idb), {}))
@@ -273,30 +258,6 @@ def rename_basis(A: PresentedGradedRing, mapping: dict[str, str]) -> PresentedGr
         for (ia, ib), vec in A.products.items()
     }
     return PresentedGradedRing(A.ring, A.top_degree, basis, products, check=False)
-
-
-def rescale_basis_element(A: PresentedGradedRing, ident: str, unit) -> PresentedGradedRing:
-    """Replace basis element e by unit·e (unit invertible; ±1 over Z)."""
-    ring = A.ring
-    unit = ring.convert(unit)
-    if ring.kind == "Z":
-        if unit not in (1, -1):
-            raise ValueError("units of Z are ±1")
-        inv = unit
-    else:
-        inv = ring.invert(unit)
-    products = {}
-    for (ia, ib), vec in A.products.items():
-        scale = ring.one()
-        if ia == ident:
-            scale *= unit
-        if ib == ident:
-            scale *= unit
-        products[(ia, ib)] = {
-            ic: c * scale * (inv if ic == ident else ring.one())
-            for ic, c in vec.items()
-        }
-    return PresentedGradedRing(A.ring, A.top_degree, A.basis, products, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .coefficients import (
     ColumnReduction,
     ExactMatrix,
     field_reduce,
-    solve_in_span,
     sparse_column_reduction,
 )
 from .graded import BasisElement, GradedModule, PresentedGradedRing
@@ -37,19 +36,13 @@ __all__ = [
     "polygon_complex",
     "product_complex",
     "wedge_complexes",
-    "wedge_complex",
     "connected_sum_with_maps",
-    "connected_sum_complex",
-    "cone_complex",
     "suspension_complex",
-    "suspend_map",
     "mapping_cylinder",
     "glue_along",
     "top_cycle",
     "measured_degree",
     "degree_map",
-    "WedgeMap",
-    "sphere_to_wedge_map",
     "cup_ring_of_complex",
 ]
 
@@ -153,13 +146,6 @@ class SimplicialComplex:
     def counts(self) -> tuple[int, ...]:
         return tuple(len(self.simplices_of_dim(k)) for k in range(self.dim + 1))
 
-    def dump(self) -> str:
-        lines = []
-        for k in range(self.dim + 1):
-            for s in self.simplices_of_dim(k):
-                lines.append(" ".join(str(v) for v in s))
-        return "\n".join(lines) + "\n"
-
     def __repr__(self):
         return f"SimplicialComplex(dim={self.dim}, counts={self.counts()})"
 
@@ -178,9 +164,6 @@ class SimplicialMap:
             image = set(self.vertex_map[v] for v in s)
             if not self.codomain.has(image):
                 raise ValueError(f"image of {s} spans no simplex")
-
-    def image_simplex(self, s) -> tuple:
-        return self.codomain.sort_simplex(set(self.vertex_map[v] for v in s))
 
     def chain_image(self, chain: dict) -> dict:
         """Push a chain forward; degenerate simplices die, reorderings sign."""
@@ -435,21 +418,6 @@ def wedge_complexes(complexes, basepoints=None):
     return W, maps
 
 
-def wedge_complex(complexes) -> SimplicialComplex:
-    return wedge_complexes(complexes)[0]
-
-
-def cone_complex(K: SimplicialComplex, apex=("cone",)):
-    """Cone with the apex last in the vertex order."""
-    if apex in K.rank:
-        raise ValueError("apex label already used")
-    vertices = K.vertices + (apex,)
-    simplices = set(K.simplices) | {(apex,)}
-    for s in K.simplices:
-        simplices.add(s + (apex,))
-    return SimplicialComplex(vertices, simplices, check=False)
-
-
 def suspension_complex(K: SimplicialComplex, poles=(("pole", 0), ("pole", 1))):
     a, b = poles
     if a in K.rank or b in K.rank or a == b:
@@ -460,27 +428,6 @@ def suspension_complex(K: SimplicialComplex, poles=(("pole", 0), ("pole", 1))):
         simplices.add(s + (a,))
         simplices.add(s + (b,))
     return SimplicialComplex(vertices, simplices, check=False)
-
-
-def suspend_map(f: SimplicialMap, tag) -> SimplicialMap:
-    """Suspend a map, poles to poles; ``tag`` keeps pole labels distinct."""
-    pa, pb = ("pole", tag, 0), ("pole", tag, 1)
-    dom = suspension_complex(f.domain, (pa, pb))
-    cod = suspension_complex(f.codomain, (pa, pb))
-    vmap = dict(f.vertex_map)
-    vmap[pa] = pa
-    vmap[pb] = pb
-    return SimplicialMap(dom, cod, vmap)
-
-
-def suspend_chain(chain: dict, poles=(("pole", 0), ("pole", 1))) -> dict:
-    """Fundamental cycle of the suspension from a cycle: z*a - z*b."""
-    a, b = poles
-    out = {}
-    for s, c in chain.items():
-        out[s + (a,)] = c
-        out[s + (b,)] = -c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +504,6 @@ def _pick_facet(K: SimplicialComplex, dim: int, avoid: set, must=None) -> tuple:
             return s
     where = " through the join vertex" if must is not None else ""
     raise ValueError(f"no dimension-{dim} facet{where} clear of the avoid set")
-
-
-def connected_sum_complex(K, L, dim) -> SimplicialComplex:
-    return connected_sum_with_maps(K, L, dim)[0]
 
 
 def mapping_cylinder(f: SimplicialMap):
@@ -693,10 +636,6 @@ def _winding_pattern(d: int, j: int) -> int:
     return 0
 
 
-def _reflection(K: SimplicialComplex, m: int) -> SimplicialMap:
-    return SimplicialMap(K, K, {i: (-i) % m for i in range(m)})
-
-
 def degree_map(l: int, d: int, anchor_preimages: int = 1) -> SimplicialMap:
     """A simplicial self-map model of the degree-d map on the l-sphere.
 
@@ -757,112 +696,6 @@ def _prefold_reflection(dom: SimplicialComplex, m: int, l: int) -> SimplicialMap
     for v in dom.vertices:
         vmap[v] = (-v) % m if isinstance(v, int) else v
     return SimplicialMap(dom, dom, vmap)
-
-
-@dataclass(frozen=True)
-class WedgeMap:
-    """A sphere mapped onto a bouquet with prescribed multiplicities.
-
-    ``achieved`` always equals the requested degree vector: the class
-    identity f(fundamental) = sum d_i * (i-th sphere cycle) is re-derived
-    from the chains on construction and the build fails if it does not
-    hold.
-    """
-
-    domain: SimplicialComplex
-    codomain: SimplicialComplex
-    map: SimplicialMap
-    domain_cycle: dict
-    sphere_cycles: tuple
-    achieved: tuple
-
-
-def sphere_to_wedge_map(l: int, degrees) -> WedgeMap:
-    """Map an l-sphere to a bouquet of l-spheres with given degrees.
-
-    For one target sphere the codomain is the minimal sphere; for several
-    circles it is a genuine wedge of triangles; for several higher spheres
-    it is an iterated suspension of that wedge (the same homotopy type,
-    with per-summand fundamental cycles carried along).
-    """
-    degrees = tuple(int(d) for d in degrees)
-    if l < 1 or not degrees:
-        raise ValueError("need l >= 1 and at least one target")
-    if len(degrees) == 1:
-        f = degree_map(l, degrees[0])
-        data = WedgeMap(
-            f.domain,
-            f.codomain,
-            f,
-            top_cycle(f.domain),
-            (top_cycle(f.codomain),),
-            degrees,
-        )
-        return _verified(data)
-
-    lengths = [3 * max(abs(d), 1) for d in degrees]
-    total = sum(lengths)
-    poly = polygon_complex(total)
-    spheres = [sphere_complex(1) for _ in degrees]
-    W, incs = wedge_complexes(spheres)
-    vmap = {}
-    offset = 0
-    for i, (d, length) in enumerate(zip(degrees, lengths)):
-        for j in range(length):
-            vmap[offset + j] = incs[i][_winding_pattern(d, j)]
-        offset += length
-    f = SimplicialMap(poly, W, vmap)
-    domain_cycle = top_cycle(poly)
-    sphere_cycles = []
-    for i, S in enumerate(spheres):
-        z = top_cycle(S)
-        pushed = {}
-        for s, c in z.items():
-            t = W.sort_simplex(incs[i][v] for v in s)
-            pushed[t] = c
-        sphere_cycles.append(pushed)
-
-    for step in range(l - 1):
-        f = suspend_map(f, ("wedge", step))
-        poles = (("pole", ("wedge", step), 0), ("pole", ("wedge", step), 1))
-        domain_cycle = suspend_chain(domain_cycle, poles)
-        sphere_cycles = [suspend_chain(z, poles) for z in sphere_cycles]
-    data = WedgeMap(
-        f.domain, f.codomain, f, domain_cycle, tuple(sphere_cycles), degrees
-    )
-    return _verified(data)
-
-
-def _verified(data: WedgeMap) -> WedgeMap:
-    image = data.map.chain_image(data.domain_cycle)
-    k = len(next(iter(data.sphere_cycles[0]))) - 1
-    basis = data.codomain.simplices_of_dim(k)
-    index = {s: i for i, s in enumerate(basis)}
-
-    def vectorize(chain):
-        vec = [0] * len(basis)
-        for s, c in chain.items():
-            vec[index[s]] = c
-        return vec
-
-    columns = [vectorize(z) for z in data.sphere_cycles]
-    target = vectorize(image)
-    coords = solve_in_span(columns, target)
-    if coords is not None and tuple(coords) == data.achieved:
-        return data
-    if coords is not None and tuple(-c for c in coords) == data.achieved:
-        flipped = {s: -c for s, c in data.domain_cycle.items()}
-        return WedgeMap(
-            data.domain,
-            data.codomain,
-            data.map,
-            flipped,
-            data.sphere_cycles,
-            data.achieved,
-        )
-    raise RuntimeError(
-        f"wedge map verification failed: wanted {data.achieved}, got {coords}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -928,10 +761,6 @@ class _DegreeSolver:
                 raise RuntimeError("cocycle coordinate failed to be integral")
             coords.append(int(total))
         return coords
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _sparse_dot(a: dict, b: dict) -> int:

@@ -13,7 +13,6 @@ from reeb_bubble.calculus import (
     homology_of_descriptor,
     manifold_inference,
     realize_plan,
-    realize_plan_general,
     truncate_ring,
 )
 from reeb_bubble.coefficients import CoefficientRing
@@ -23,7 +22,6 @@ from reeb_bubble.descriptor import (
     RecordKind,
     ReebDescriptor,
     SphereSpec,
-    serialize_descriptor,
 )
 from reeb_bubble.graded import (
     ConnSum,
@@ -398,7 +396,7 @@ def test_plan_round_trip_seeded():
 
 
 def test_plan_general_torus_base():
-    d = realize_plan_general(4, [Product(Sphere(1), Sphere(1))], [(2, {})])
+    d = desc(4, [Product(Sphere(1), Sphere(1))], [record(RecordKind.M, SphereSpec(2, {}))])
     ring = cohomology_ring_of_descriptor(d, Z).ring
     beta = "b1.1"
     for e in ring.basis:
@@ -407,27 +405,13 @@ def test_plan_general_torus_base():
     assert any(e.degree == 2 and not e.sphere_representable for e in ring.basis)
 
 
-def test_plan_general_matches_simple_planner():
-    via_general = realize_plan_general(3, [Sphere(1)], [(1, {"nu1": 2})])
-    assert serialize_descriptor(via_general) == serialize_descriptor(REMARK_FAMILY)
-
-
 def test_plan_general_connsum_base():
     base = [ConnSum(Product(Sphere(1), Sphere(1)), Product(Sphere(1), Sphere(1)))]
-    d = realize_plan_general(4, base, [(1, {"nu1": 1})])
+    d = desc(4, base, [record(RecordKind.M, SphereSpec(1, {"nu1": 1}))])
     ring = cohomology_ring_of_descriptor(d, Z).ring
     assert ring.product("nu1", "b1.1") == {"t1": 1}
     for other in ("nu2", "nu3", "nu4"):
         assert ring.product(other, "b1.1") == {}
-
-
-def test_plan_general_rejections():
-    with pytest.raises(ValueError, match="top rank must be 1"):
-        realize_plan_general(3, [Sphere(1)], [], top_rank=2)
-    with pytest.raises(ValueError, match="not a nu"):
-        realize_plan_general(4, [Product(Sphere(1), Sphere(1))], [(2, {"e3": 1})])
-    with pytest.raises(ValueError, match="unknown coefficient target"):
-        realize_plan_general(4, [Product(Sphere(1), Sphere(1))], [(2, {"nu9": 1})])
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +451,9 @@ def test_inference_gating():
         3, [Sphere(1)], [record(RecordKind.NORMAL_S, SphereSpec(1, {"nu1": 2}))]
     )
     assert manifold_inference(normal_s, 6, Z).qualifies
-    torus_base = realize_plan_general(4, [Product(Sphere(1), Sphere(1))], [(2, {})])
+    torus_base = desc(
+        4, [Product(Sphere(1), Sphere(1))], [record(RecordKind.M, SphereSpec(2, {}))]
+    )
     assert not manifold_inference(torus_base, 9, Z).qualifies
 
 

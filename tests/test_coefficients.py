@@ -13,7 +13,6 @@ from reeb_bubble.coefficients import (
     field_reduce,
     integer_elementary_divisors,
     smith_normal_form,
-    solve_in_span,
     sparse_column_reduction,
 )
 
@@ -168,29 +167,20 @@ def test_integer_kernel_is_saturated_and_annihilates(seed):
     rng = random.Random(2000 + seed)
     m, n = rng.randint(1, 6), rng.randint(2, 7)
     rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+    red = sparse_column_reduction(rows, n)
     basis = []
-    for col in sparse_column_reduction(rows, n).kernel_cols:
+    for col in red.kernel_cols:
         basis.append([col.get(j, 0) for j in range(n)])
     for vec in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
     # dimension matches the rational kernel (a saturated lattice basis)
-    red = field_reduce(ExactMatrix(Q, rows, n))
-    assert len(basis) == n - red.rank
-    if basis:
-        # membership test: integer combinations come back with exact coordinates
-        combo = [0] * n
-        weights = [rng.randint(-3, 3) for _ in basis]
-        for w, vec in zip(weights, basis):
-            for i, v in enumerate(vec):
-                combo[i] += w * v
-        coords = solve_in_span(basis, combo)
-        assert coords is not None
-        rebuilt = [0] * n
-        for w, vec in zip(coords, basis):
-            for i, v in enumerate(vec):
-                rebuilt[i] += w * v
-        assert rebuilt == combo
+    assert len(basis) == n - field_reduce(ExactMatrix(Q, rows, n)).rank
+    # integral duals with dual·kernel = identity: an integral kernel vector
+    # has integral coordinates along the basis
+    for i, dual in enumerate(red.kernel_dual_rows):
+        for j, vec in enumerate(basis):
+            assert sum(v * vec[t] for t, v in dual.items()) == (i == j)
 
 
 def _dict_rows(rows):
@@ -261,37 +251,6 @@ def test_sparse_column_reduction_on_small_non_unit_matrices():
         assert integer_elementary_divisors(rows, n) == divisors
         assert integer_elementary_divisors(sparse, n) == divisors
         assert sparse == _dict_rows(rows)
-
-
-def test_solve_in_span_positive_and_negative():
-    cols = [[2, 0], [0, 3]]
-    assert solve_in_span(cols, [4, 3]) == [2, 1]
-    assert solve_in_span(cols, [1, 0]) is None
-    assert solve_in_span([], [0, 0]) == []
-    assert solve_in_span([], [1, 0]) is None
-
-
-def test_solve_in_span_mixed_lattice():
-    cols = [[2, 1, 0], [0, 3, 1]]
-    target = [2 * 5 + 0 * -2, 1 * 5 + 3 * -2, 0 * 5 + 1 * -2]
-    assert solve_in_span(cols, target) == [5, -2]
-
-
-def test_solve_in_span_dependent_columns():
-    # 2 and 3 span Z only through a Bezout combination of both columns
-    for cols, target, inside in (
-        ([[2], [3]], [1], True),
-        ([[2], [4]], [1], False),
-        ([[2], [4]], [6], True),
-        ([[2, 2], [3, 3], [0, 5]], [1, 6], True),
-        ([[2, 0], [4, 0]], [2, 1], False),
-    ):
-        coords = solve_in_span(cols, target)
-        assert (coords is not None) == inside, (cols, target)
-        if inside:
-            assert [
-                sum(c * col[i] for c, col in zip(coords, cols)) for i in range(len(target))
-            ] == target
 
 
 def test_ring_labels_and_conversion():

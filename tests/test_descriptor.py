@@ -1,4 +1,4 @@
-"""Descriptor validation, base classes, connected sums and the wire format."""
+"""Descriptor validation, base classes and the wire format."""
 
 import random
 
@@ -15,7 +15,6 @@ from reeb_bubble.descriptor import (
     SphereSpec,
     base_cohomology,
     base_sphere_classes,
-    connected_sum_descriptors,
     parse_descriptor,
     serialize_descriptor,
     validate,
@@ -206,57 +205,6 @@ def test_base_cohomology_names_match():
     marked = [e.id for e in ring.basis if e.sphere_representable]
     assert marked == ["nu1", "nu2", "nu3"]
     assert ring.free_ranks() == (1, 2, 1, 1)
-
-
-# ---------------------------------------------------------------------------
-# connected sums
-# ---------------------------------------------------------------------------
-
-
-def test_connected_sum_concatenates_circle_bases():
-    d1 = simple(2, handles=[Sphere(1)])
-    d2 = simple(2, handles=[Sphere(1)])
-    s = connected_sum_descriptors(d1, d2)
-    assert s.base.handles == (Sphere(1), Sphere(1))
-    assert s.records == ()
-
-
-def test_connected_sum_with_empty_is_identity():
-    d = simple(
-        3,
-        handles=[Sphere(1)],
-        records=[BubblingRecord(RecordKind.S, (SphereSpec(1, (("nu1", 3),)),))],
-    )
-    assert connected_sum_descriptors(d, simple(3)) == d
-
-
-def test_connected_sum_shifts_coefficient_ids():
-    d1 = simple(
-        3,
-        handles=[Sphere(1)],
-        records=[BubblingRecord(RecordKind.M, (SphereSpec(1, (("nu1", 1),)),))],
-    )
-    d2 = simple(
-        3,
-        handles=[Sphere(1)],
-        records=[BubblingRecord(RecordKind.M, (SphereSpec(1, (("nu1", -2),)),))],
-    )
-    s = connected_sum_descriptors(d1, d2)
-    assert validate(s) == []
-    assert len(s.records) == 2
-    assert s.records[0].spheres[0].coefficients == (("nu1", 1),)
-    assert s.records[1].spheres[0].coefficients == (("nu2", -2),)
-
-
-def test_connected_sum_dimension_mismatch():
-    with pytest.raises(ValueError):
-        connected_sum_descriptors(simple(2), simple(3))
-
-
-def test_connected_sum_rejects_invalid_input():
-    bad = simple(3, records=[BubblingRecord(RecordKind.M, (SphereSpec(2),))])
-    with pytest.raises(ValueError):
-        connected_sum_descriptors(bad, simple(3))
 
 
 # ---------------------------------------------------------------------------

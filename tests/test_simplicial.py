@@ -27,8 +27,6 @@ from reeb_bubble.simplicial import (
     SimplicialComplex,
     SimplicialMap,
     chain_complex_of,
-    cone_complex,
-    connected_sum_complex,
     connected_sum_with_maps,
     cup_ring_of_complex,
     degree_map,
@@ -41,10 +39,8 @@ from reeb_bubble.simplicial import (
     polygon_complex,
     product_complex,
     sphere_complex,
-    sphere_to_wedge_map,
     suspension_complex,
     top_cycle,
-    wedge_complex,
     wedge_complexes,
 )
 
@@ -65,6 +61,12 @@ def rp2():
 
 def torus():
     return product_complex(sphere_complex(1), sphere_complex(1))
+
+
+def cone_complex(K, apex):
+    """Cone on K, the apex last in the vertex order."""
+    simplices = set(K.simplices) | {(apex,)} | {s + (apex,) for s in K.simplices}
+    return SimplicialComplex(K.vertices + (apex,), simplices, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +140,6 @@ def test_simplicial_map_validation():
     SimplicialMap(S1, S2, {0: 0, 1: 1, 2: 2})  # circle into a sphere is fine
 
 
-def test_dump_lists_simplices():
-    text = sphere_complex(1).dump()
-    assert "0 1" in text and text.count("\n") == 6
-
-
 # ---------------------------------------------------------------------------
 # products, wedges, connected sums
 # ---------------------------------------------------------------------------
@@ -185,13 +182,13 @@ def test_kunneth_convolution(K, L):
 
 
 def test_wedges():
-    two_circles = wedge_complex([sphere_complex(1), sphere_complex(1)])
+    two_circles = wedge_complexes([sphere_complex(1), sphere_complex(1)])[0]
     assert homology_of_complex(two_circles, Z).free_ranks == (1, 2)
-    mixed = wedge_complex([sphere_complex(1), sphere_complex(2)])
+    mixed = wedge_complexes([sphere_complex(1), sphere_complex(2)])[0]
     assert homology_of_complex(mixed, Z).free_ranks == (1, 1, 1)
-    single = wedge_complex([sphere_complex(2)])
+    single = wedge_complexes([sphere_complex(2)])[0]
     assert homology_of_complex(single, Z).free_ranks == (1, 0, 1)
-    point = wedge_complex([])
+    point = wedge_complexes([])[0]
     assert homology_of_complex(point, Z).free_ranks == (1,)
 
 
@@ -202,19 +199,19 @@ def test_wedge_with_late_basepoint_stays_sorted():
 
 
 def test_genus_two_connected_sum():
-    G2 = connected_sum_complex(torus(), torus(), 2)
+    G2 = connected_sum_with_maps(torus(), torus(), 2)[0]
     assert homology_of_complex(G2, Z).free_ranks == (1, 4, 1)
     assert euler_characteristic(G2) == -2
 
 
 def test_sphere_is_connected_sum_unit():
-    SS = connected_sum_complex(sphere_complex(2), sphere_complex(2), 2)
+    SS = connected_sum_with_maps(sphere_complex(2), sphere_complex(2), 2)[0]
     assert homology_of_complex(SS, Z).free_ranks == (1, 0, 1)
 
 
 def test_connected_sum_needs_facets():
     with pytest.raises(ValueError, match="facet"):
-        connected_sum_complex(sphere_complex(1), sphere_complex(2), 2)
+        connected_sum_with_maps(sphere_complex(1), sphere_complex(2), 2)[0]
 
 
 def test_connected_sum_avoid_sets():
@@ -247,8 +244,8 @@ def test_projective_plane_homology():
         sphere_complex(2),
         torus(),
         rp2(),
-        wedge_complex([sphere_complex(1), sphere_complex(2)]),
-        connected_sum_complex(torus(), torus(), 2),
+        wedge_complexes([sphere_complex(1), sphere_complex(2)])[0],
+        connected_sum_with_maps(torus(), torus(), 2)[0],
     ],
 )
 def test_euler_equals_alternating_betti(K):
@@ -262,7 +259,7 @@ def test_top_cycle():
     z2 = top_cycle(torus())
     assert set(z2.values()) <= {1, -1}
     with pytest.raises(ValueError, match="rank"):
-        top_cycle(wedge_complex([sphere_complex(2), sphere_complex(2)]))
+        top_cycle(wedge_complexes([sphere_complex(2), sphere_complex(2)])[0])
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
@@ -293,27 +290,6 @@ def test_degree_map_multiplier_grid(l, d):
     f = degree_map(l, d)
     assert f.codomain.simplices == sphere_complex(l).simplices
     assert measured_degree(f) == d
-
-
-def test_sphere_to_wedge_single():
-    wm = sphere_to_wedge_map(1, [1])
-    assert wm.achieved == (1,)
-    wm2 = sphere_to_wedge_map(2, [0])
-    assert wm2.achieved == (0,)
-
-
-def test_sphere_to_wedge_circle_pair():
-    wm = sphere_to_wedge_map(1, [2, -1])
-    assert wm.achieved == (2, -1)
-    assert homology_of_complex(wm.domain, Z).free_ranks == (1, 1)
-    assert homology_of_complex(wm.codomain, Z).free_ranks == (1, 2)
-
-
-def test_sphere_to_wedge_suspended():
-    wm = sphere_to_wedge_map(2, [3, -2])
-    assert wm.achieved == (3, -2)
-    assert homology_of_complex(wm.domain, Z).free_ranks == (1, 0, 1)
-    assert homology_of_complex(wm.codomain, Z).free_ranks == (1, 0, 2)
 
 
 def test_suspension_homology():
@@ -502,7 +478,7 @@ def test_torus_cup_ring():
 
 
 def test_wedge_cup_ring_trivial():
-    W = wedge_complex([sphere_complex(1), sphere_complex(1), sphere_complex(2)])
+    W = wedge_complexes([sphere_complex(1), sphere_complex(1), sphere_complex(2)])[0]
     ring = cup_ring_of_complex(W, Z)
     for a in ring.basis:
         for b in ring.basis:
@@ -522,7 +498,7 @@ def test_s2xs2_cup_ring():
 
 
 def test_genus2_cup_ring():
-    G2 = connected_sum_complex(torus(), torus(), 2)
+    G2 = connected_sum_with_maps(torus(), torus(), 2)[0]
     ring = cup_ring_of_complex(G2, Z)
     inv = pairing_invariants(ring, 1, 1)
     assert inv.form_divisors == (1, 1, 1, 1)
@@ -571,7 +547,7 @@ def test_field_solver_cocycles_on_a_mod_three_moore_space():
 
 
 def test_cup_ring_padded_top_degree():
-    W = wedge_complex([sphere_complex(1)])
+    W = wedge_complexes([sphere_complex(1)])[0]
     ring = cup_ring_of_complex(W, Z, top_degree=3)
     assert ring.top_degree == 3
     assert ring.free_ranks() == (1, 1, 0, 0)
