@@ -1,11 +1,16 @@
 """Exact linear algebra over the supported coefficient rings.
 
 Everything in this package bottoms out in one integer elimination,
-:func:`sparse_column_reduction`: homology reads its elementary divisors,
-cohomology coordinates read its saturated kernel lattice, and no routine
-builds unimodular transforms of its own.  Field coefficients need exact
-row reduction.  This module is the only place scalar arithmetic happens;
-nothing here (or anywhere else in the package) touches floating point.
+:func:`sparse_column_reduction`, over every coefficient ring: homology and
+field ranks read its elementary divisors (over Z/p, the divisors prime to
+p), cohomology coordinates read its saturated kernel lattice and the dual
+rows that give coordinates along it, and no routine builds unimodular
+transforms of its own.  There is no elimination over a field.  It is not
+needed because every space this package models is torsion-free, so field
+cohomology is integral cohomology reduced into the field; a Z/p cup ring
+on a complex with torsion, where that reduction misses the Tor classes,
+is refused rather than computed another way.  Nothing here (or anywhere
+else in the package) touches floating point.
 
 Scalars are plain ``int`` for Z and Z/p (canonical residues 0..p-1) and
 ``fractions.Fraction`` for Q.
@@ -16,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 
 class RingMismatchError(ValueError):
@@ -76,62 +81,6 @@ class CoefficientRing:
 
     def one(self):
         return self.convert(1)
-
-    def invert(self, x):
-        if self.kind == "Q":
-            if x == 0:
-                raise ZeroDivisionError("inverting 0")
-            return 1 / Fraction(x)
-        if self.kind == "Zp":
-            x = x % self.p
-            if x == 0:
-                raise ZeroDivisionError("inverting 0")
-            return pow(x, self.p - 2, self.p)
-        raise RingMismatchError("Z is not a field; no general inverses")
-
-
-class ExactMatrix:
-    """Immutable dense matrix with exact entries over a fixed ring.
-
-    Row and column counts are explicit so zero-dimensional edge cases
-    (empty chain groups) stay unambiguous.
-    """
-
-    __slots__ = ("ring", "rows", "cols", "data")
-
-    def __init__(self, ring: CoefficientRing, data, cols: int | None = None):
-        data = tuple(tuple(ring.convert(x) for x in row) for row in data)
-        widths = {len(row) for row in data}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
-        if cols is None:
-            if not data:
-                raise ValueError("column count required for empty matrices")
-            cols = len(data[0])
-        if data and len(data[0]) != cols:
-            raise ValueError("row width disagrees with declared column count")
-        self.ring = ring
-        self.rows = len(data)
-        self.cols = cols
-        self.data = data
-
-    def to_rows(self) -> list[list]:
-        return [list(row) for row in self.data]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.ring == other.ring
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.rows, self.cols, self.data))
-
-    def __repr__(self):
-        return f"ExactMatrix({self.ring.label}, {self.rows}x{self.cols})"
 
 
 class ColumnReduction:
@@ -288,6 +237,43 @@ def integer_elementary_divisors(rows, cols: int) -> tuple[int, ...]:
     return sparse_column_reduction(rows, cols).divisors
 
 
+def rank_over(ring: CoefficientRing, divisors: tuple[int, ...]) -> int:
+    """Rank over ``ring`` of an integer matrix with these elementary divisors.
+
+    The Smith form's unimodular transforms stay invertible modulo p, so over
+    Z/p exactly the divisors prime to p survive; over Z and Q every nonzero
+    divisor counts.
+    """
+    if ring.kind == "Zp":
+        return sum(1 for d in divisors if d % ring.p)
+    return len(divisors)
+
+
+def field_reduce(ring: CoefficientRing, rows, cols: int) -> int:
+    """Rank over Q or Z/p of a matrix given by ``{col: value}`` rows.
+
+    Computed by the one integer elimination: over Q each row is first
+    scaled by the lcm of its denominators (which leaves the rank alone),
+    over Z/p the residues are read as integers, and :func:`rank_over`
+    counts the elementary divisors that the field sees.  Over Z the rank
+    forgets the divisors that are the invariant there, so Z raises
+    :class:`RingMismatchError`.
+
+    The benchmark's tracer (``LAYERS`` in ``perfbench/tracer.py``) looks
+    this name up in this module to wrap it, also for ``--trace``; the name
+    must stay bound here or the tracer fails with ``AttributeError``.
+    """
+    if not ring.is_field:
+        raise RingMismatchError("field_reduce needs Q or Z/p; got Z")
+    if ring.kind == "Q":
+        scaled = []
+        for row in rows:
+            scale = lcm(*(v.denominator for v in row.values()))
+            scaled.append({j: int(v * scale) for j, v in row.items()})
+        rows = scaled
+    return rank_over(ring, sparse_column_reduction(rows, cols).divisors)
+
+
 # ---------------------------------------------------------------------------
 # Elementary divisors from the retired pivots
 # ---------------------------------------------------------------------------
@@ -430,63 +416,4 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
 
-
-# ---------------------------------------------------------------------------
-# Field reduction
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FieldReduction:
-    """Row-reduced data of a matrix over Q or Z/p."""
-
-    rank: int
-    pivots: tuple[int, ...]
-    rref: ExactMatrix
-    kernel: tuple[tuple, ...]  # kernel basis vectors (length = cols)
-
-
-def field_reduce(A: ExactMatrix) -> FieldReduction:
-    """Exact reduced row echelon form with kernel basis, fields only."""
-    ring = A.ring
-    if not ring.is_field:
-        raise RingMismatchError("field_reduce needs Q or Z/p; got Z")
-    m, n = A.rows, A.cols
-    M = A.to_rows()
-    if ring.kind == "Zp":
-        p = ring.p
-
-        def normalize(row):
-            return [v % p for v in row]
-
-        M = [normalize(r) for r in M]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, m) if M[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        inv = ring.invert(M[r][c])
-        M[r] = [ring.convert(v * inv) for v in M[r]]
-        for i in range(m):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [ring.convert(a - f * b) if b else a for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    kernel = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        vec = [ring.zero()] * n
-        vec[free] = ring.one()
-        for k, c in enumerate(pivots):
-            vec[c] = ring.convert(-M[k][free])
-        kernel.append(tuple(vec))
-    return FieldReduction(rank, tuple(pivots), ExactMatrix(ring, M, n), tuple(kernel))
 

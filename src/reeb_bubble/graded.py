@@ -16,7 +16,6 @@ from itertools import product as iter_product
 
 from .coefficients import (
     CoefficientRing,
-    ExactMatrix,
     RingMismatchError,
     field_reduce,
     integer_elementary_divisors,
@@ -512,18 +511,11 @@ def _invariants_of_matrix(ring: CoefficientRing, rows: list[dict]):
     if not rows:
         return 0, (() if ring.kind == "Z" else None)
     used = {j: k for k, j in enumerate(sorted({j for row in rows for j in row}))}
+    block = [{used[j]: v for j, v in row.items()} for row in rows]
     if ring.kind == "Z":
-        block = [{used[j]: v for j, v in row.items()} for row in rows]
         divisors = integer_elementary_divisors(block, len(used))
         return len(divisors), divisors
-    zero = ring.zero()
-    block = []
-    for row in rows:
-        vec = [zero] * len(used)
-        for j, v in row.items():
-            vec[used[j]] = v
-        block.append(vec)
-    return field_reduce(ExactMatrix(ring, block, len(used))).rank, None
+    return field_reduce(ring, block, len(used)), None
 
 
 def pairing_invariants(A: PresentedGradedRing, p: int, q: int) -> PairingInvariants:

@@ -475,8 +475,9 @@ def verify_descriptor(
     when the descriptor supports it ("auto") or is forced to ("2", raising
     if unsupported).  All verdicts land in the report; nothing raises on a
     mismatch.  A failed self-check inside the measured cup ring (a
-    ``RuntimeError``) is recorded as a ``tier-2 oracle`` witness on that
-    ring, not raised.
+    ``RuntimeError``), or its refusal of the measured complex (a
+    ``ValueError``: torsion, or no connectivity), is recorded as a
+    ``tier-2 oracle`` witness on that ring, not raised.
 
     The descriptor is validated once and its integral base ring built once
     per call; that ring serves tier-1 assembly, every ring's expected
@@ -522,8 +523,8 @@ def verify_descriptor(
             formula_ring = _ring_presentation(d, R, base).ring
             try:
                 measured = cup_ring_of_complex(K, R, top_degree=n)
-            except RuntimeError as exc:
-                # an internal self-check of the measuring oracle failed
+            except (RuntimeError, ValueError) as exc:
+                # a failed self-check, or a refusal (torsion, no connectivity)
                 ring_match = False
                 witnesses.append(f"tier-2 oracle: {exc}")
             else:

@@ -11,14 +11,12 @@ relying on Python's comparison operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .coefficients import (
     CoefficientRing,
     ColumnReduction,
-    ExactMatrix,
-    field_reduce,
+    rank_over,
     sparse_column_reduction,
 )
 from .graded import BasisElement, GradedModule, PresentedGradedRing
@@ -210,8 +208,11 @@ class ChainComplexZ:
     consecutive boundaries is checked to vanish exactly.
 
     Each boundary is eliminated at most once: :meth:`reduction` caches its
-    column reduction, and homology (through its elementary divisors), the
-    integral cocycle solvers and :func:`top_cycle` all read that one.
+    column reduction, and homology over every ring (through its elementary
+    divisors), the integral cocycle solvers and :func:`top_cycle` all read
+    that one.  Cup rings over every ring read the one integral product
+    table cached here, so a Z/p cup ring of a complex with torsion, whose
+    Tor classes no integral cocycle carries, is refused.
     """
 
     __slots__ = ("bases", "boundaries", "_reductions", "_solvers", "_products")
@@ -299,19 +300,13 @@ def chain_complex_of(K: SimplicialComplex) -> ChainComplexZ:
     return cx
 
 
-def _rank_over(ring: CoefficientRing, divisors: tuple[int, ...]) -> int:
-    if ring.kind == "Zp":
-        return sum(1 for d in divisors if d % ring.p)
-    return len(divisors)
-
-
 def homology_of_chain_complex(cx: ChainComplexZ, R: CoefficientRing) -> GradedModule:
     top = cx.max_degree
     divisors = [cx.boundary_divisors(k) for k in range(top + 1)] + [()]
     ranks = []
     torsion = []
     for k in range(top + 1):
-        rk, rk1 = _rank_over(R, divisors[k]), _rank_over(R, divisors[k + 1])
+        rk, rk1 = rank_over(R, divisors[k]), rank_over(R, divisors[k + 1])
         ranks.append(cx.dim_at(k) - rk - rk1)
         if R.kind == "Z":
             torsion.append(tuple(d for d in divisors[k + 1] if d > 1))
@@ -703,70 +698,55 @@ def _prefold_reflection(dom: SimplicialComplex, m: int, l: int) -> SimplicialMap
 # ---------------------------------------------------------------------------
 
 
-def _field_kernel(R: CoefficientRing, rows, cols: int):
-    """Kernel basis over a field of a matrix given by ``{col: value}`` rows."""
-    if cols == 0:
-        return []
-    if not rows:
-        basis = []
-        for i in range(cols):
-            v = [R.zero()] * cols
-            v[i] = R.one()
-            basis.append(v)
-        return basis
-    dense = [[0] * cols for _ in rows]
-    for vec, row in zip(dense, rows):
-        for j, v in row.items():
-            vec[j] = v
-    return [list(v) for v in field_reduce(ExactMatrix(R, dense, cols)).kernel]
-
-
 class _DegreeSolver:
-    """Basis and coordinates for one cohomology degree.
+    """Basis and coordinates for one integral cohomology degree.
 
-    Works in a cycle splitting of the chain group: a unimodular column
-    transform of the boundary matrix whose kernel block is the cycle
-    lattice.  In those coordinates coboundaries vanish, evaluation of a
-    cochain against a cycle is a plain dot product, and cohomology classes
-    are the left-kernel of the next boundary expressed in the splitting.
-    Coordinates of an integral cocycle along the representatives are then
-    rational evaluations that are guaranteed to be integers.
+    Works in a cycle splitting of the chain group: the boundary's column
+    reduction gives a saturated basis of the cycle lattice and dual rows
+    that read coordinates along it.  A cochain is seen through its values
+    ``y`` on the basis cycles; it is a cocycle exactly when ``y`` kills the
+    next boundary's columns written in the splitting, and the class basis
+    ``kappa`` is a saturated basis of that kernel, with dual rows of its
+    own.  The coordinate along class ``a`` is the dual row of ``kappa[a]``
+    applied to ``y``, an integer dot product, checked by rebuilding ``y``.
+    Only the free part of integral cohomology is seen: torsion classes
+    vanish on every cycle, and the Tor classes of Z/p cohomology reduce
+    from no integral cocycle.  So Z and Z/p
+    cup rings of a complex with torsion are refused (see
+    :func:`cup_ring_of_complex`).
     """
 
-    def __init__(self, reps, kernel_cols, wcols):
+    def __init__(self, reps, cycle_cols, kappa, kappa_duals):
         self.reps = reps
-        self._kernel_cols = kernel_cols
-        self._wcols = wcols
+        self._cycle_cols = cycle_cols
+        self._kappa = kappa
+        self._kappa_duals = kappa_duals
 
     @property
     def rank(self):
         return len(self.reps)
 
     def coordinates(self, vec):
+        """Integer coordinates of a cocycle along ``reps``; raises
+        ``RuntimeError`` when ``vec`` is not a cocycle."""
         y = {}
-        for i, col in enumerate(self._kernel_cols):
+        for i, col in enumerate(self._cycle_cols):
             s = 0
             for t, v in col.items():
                 s += v * vec[t]
             if s:
                 y[i] = s
         coords = []
-        for w in self._wcols:
-            total = Fraction(0)
-            for i, s in y.items():
-                f = w.get(i)
-                if f is not None:
-                    total += s * f
-            if total.denominator != 1:
-                raise RuntimeError("cocycle coordinate failed to be integral")
-            coords.append(int(total))
+        rebuilt: dict[int, int] = {}
+        for dual, ka in zip(self._kappa_duals, self._kappa):
+            c = sum(v * y.get(i, 0) for i, v in dual.items())
+            coords.append(c)
+            if c:
+                for i, v in ka.items():
+                    rebuilt[i] = rebuilt.get(i, 0) + c * v
+        if {i: v for i, v in rebuilt.items() if v} != y:
+            raise RuntimeError("cochain is not a cocycle: its cycle values leave the lattice")
         return coords
-
-
-def _sparse_dot(a: dict, b: dict) -> int:
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(v * b.get(j, 0) for j, v in a.items())
 
 
 def _integral_solver(cx: ChainComplexZ, k: int, expected_rank: int) -> _DegreeSolver:
@@ -809,30 +789,17 @@ def _build_integral_solver(cx: ChainComplexZ, k: int) -> _DegreeSolver:
                 for i, w in by_cell.get(t, {}).items():
                     acc[i] = acc.get(i, 0) + v * w
             mt_rows.append({i: x for i, x in acc.items() if x})
-    kappa = sparse_column_reduction(mt_rows, z).kernel_cols
+    classes = sparse_column_reduction(mt_rows, z)
     reps = []
-    for ka in kappa:
+    for ka in classes.kernel_cols:
         vec = [0] * nk
         for i, coef in ka.items():
             for t, val in red.kernel_dual_rows[i].items():
                 vec[t] += coef * val
         reps.append(vec)
-    # rational duals: right inverse of the representative matrix in the
-    # splitting, via the (positive definite) Gram matrix
-    b = len(kappa)
-    QQ = CoefficientRing.rationals()
-    grows = [[Fraction(_sparse_dot(ka, kb)) for kb in kappa] for ka in kappa]
-    wcols = []
-    for c in range(b):
-        unit = [Fraction(1 if a == c else 0) for a in range(b)]
-        sol = _solve_square(QQ, grows, unit)
-        w: dict[int, Fraction] = {}
-        for a, f in enumerate(sol):
-            if f:
-                for i, x in kappa[a].items():
-                    w[i] = w.get(i, Fraction(0)) + f * x
-        wcols.append({i: f for i, f in w.items() if f})
-    solver = _DegreeSolver(reps, red.kernel_cols, wcols)
+    solver = _DegreeSolver(
+        reps, red.kernel_cols, classes.kernel_cols, classes.kernel_dual_rows
+    )
     for a, rep in enumerate(reps):
         coords = solver.coordinates(rep)
         if any(c != (1 if i == a else 0) for i, c in enumerate(coords)):
@@ -840,79 +807,12 @@ def _build_integral_solver(cx: ChainComplexZ, k: int) -> _DegreeSolver:
     return solver
 
 
-class _FieldSolver:
-    def __init__(self, ring, reps, duals, gram_t):
-        self.ring = ring
-        self.reps = reps
-        self.duals = duals
-        self.gram_t = gram_t  # rows: duals, cols: reps
+def _cup_products(K: SimplicialComplex, cx: ChainComplexZ, top: int, hom):
+    """Basis ids and integral Alexander-Whitney product table through ``top``.
 
-    @property
-    def rank(self):
-        return len(self.reps)
-
-    def coordinates(self, vec):
-        evals = [_dot_ring(self.ring, vec, d) for d in self.duals]
-        return _solve_square(self.ring, self.gram_t, evals)
-
-
-def _dot_ring(ring, a, b):
-    total = ring.zero()
-    for x, y in zip(a, b):
-        total = total + x * y
-    return ring.convert(total)
-
-
-def _solve_square(ring, rows, vec):
-    n = len(rows)
-    aug = [list(rows[i]) + [vec[i]] for i in range(n)]
-    red = field_reduce(ExactMatrix(ring, aug, n + 1))
-    if red.rank != n:
-        raise RuntimeError("singular coordinate system")
-    sol = [ring.zero()] * n
-    rref = red.rref.to_rows()
-    for i, p in enumerate(red.pivots):
-        sol[p] = rref[i][n]
-    return sol
-
-
-def _field_solver(cx: ChainComplexZ, k: int, R: CoefficientRing, expected_rank: int):
-    nk = cx.dim_at(k)
-    # the coboundary: its rows are the columns of the next boundary
-    delta_rows = [{} for _ in range(cx.dim_at(k + 1))]
-    if delta_rows:
-        for i, row in enumerate(cx.boundaries[k + 1]):
-            for j, v in row.items():
-                delta_rows[j][i] = v
-    cocycles = _field_kernel(R, delta_rows, nk)
-    cycles = _field_kernel(R, cx.boundaries[k] if k > 0 else [], nk)
-    if not cocycles or not cycles:
-        if expected_rank:
-            raise RuntimeError(f"degree {k}: empty pairing but rank {expected_rank}")
-        return _FieldSolver(R, [], [], [])
-    P = [[_dot_ring(R, phi, z) for z in cycles] for phi in cocycles]
-    red = field_reduce(ExactMatrix(R, P, len(cycles)))
-    if red.rank != expected_rank:
-        raise RuntimeError(
-            f"degree {k}: pairing rank {red.rank}, homology rank {expected_rank}"
-        )
-    col_pivots = red.pivots
-    red_t = field_reduce(
-        ExactMatrix(R, [list(col) for col in zip(*P)], len(cocycles))
-    )
-    row_pivots = red_t.pivots
-    reps = [cocycles[i] for i in row_pivots]
-    duals = [cycles[j] for j in col_pivots]
-    gram_t = [[P[i][j] for i in row_pivots] for j in col_pivots]
-    return _FieldSolver(R, reps, duals, gram_t)
-
-
-def _cup_products(K: SimplicialComplex, cx: ChainComplexZ, top: int, hom, solver_for):
-    """Basis ids and Alexander-Whitney product table through degree ``top``.
-
-    ``solver_for(k, rank)`` gives the degree-k solver; coordinates that
-    are zero are left out.  The (front face, back face) index pairs of
-    each degree pair are computed once and shared by all its basis pairs.
+    ``hom`` is the integral homology of ``cx``; coordinates that are zero
+    are left out.  The (front face, back face) index pairs of each degree
+    pair are computed once and shared by all its basis pairs.
     """
     solvers = {}
     basis = []
@@ -920,7 +820,7 @@ def _cup_products(K: SimplicialComplex, cx: ChainComplexZ, top: int, hom, solver
         rank = hom.rank(k)
         if rank == 0:
             continue
-        solvers[k] = solver_for(k, rank)
+        solvers[k] = _integral_solver(cx, k, rank)
         basis += [BasisElement(f"c{k}.{i + 1}", k, ("base",), False) for i in range(rank)]
 
     faces = {}
@@ -950,15 +850,18 @@ def cup_ring_of_complex(
 ) -> PresentedGradedRing:
     """Cohomology ring with Alexander-Whitney products in a chosen basis.
 
-    Over the integers the complex must have torsion-free cohomology through
-    the requested top degree.  The integral product table is evaluated
-    once per chain complex and top degree and cached on the chain complex,
-    next to the integral solvers it uses.  Over Q, and over Z/p when the
-    complex is torsion-free through the top degree, the ring is that table
-    with its coordinates reduced into the field (coefficient reduction is
-    a ring isomorphism there); otherwise kernels and products are
-    recomputed over the field directly.  Every ring is still checked in
-    full by ``PresentedGradedRing``.
+    Every ring is the integral product table, evaluated once per chain
+    complex and top degree and cached on the chain complex next to the
+    integral solvers it uses; the ring constructor reduces its coordinates
+    into R, which is a ring isomorphism onto the free part over Q, and over
+    every ring when the integral homology is torsion-free.  Torsion in
+    H_{k-1} is torsion in integral H^k, and over Z/p torsion in H_k also
+    adds Tor classes to H^k that no integral cocycle carries.  So over Z a
+    complex with torsion below the top degree, and over Z/p one with any
+    torsion through it (p-torsion or not: one rule), raises ``ValueError``.
+    No field elimination exists to fill the gap: every space this package
+    models is torsion-free.
+    Every ring is still checked in full by ``PresentedGradedRing``.
     """
     cx = chain_complex_of(K)
     dim = cx.max_degree
@@ -969,29 +872,19 @@ def cup_ring_of_complex(
     if homz.rank(0) != 1:
         raise ValueError("cup rings require a connected complex")
     reach = min(top, dim)
-
-    if R.kind == "Z":
-        # H^k torsion is the torsion of H_{k-1}
-        for k in range(1, reach + 1):
+    if R.kind != "Q":
+        # H^k torsion is the torsion of H_{k-1}; over Z/p, H_reach's torsion
+        # reaches H^reach too, as Tor(H^{reach+1}, Z/p)
+        last = reach if R.kind == "Z" else reach + 1
+        for k in range(1, last + 1):
             if homz.torsion_at(k - 1):
                 raise ValueError(
-                    f"integral cohomology in degree {k} has torsion; use field coefficients"
+                    f"integral cohomology in degree {k} has torsion; "
+                    f"{R.label} cup rings need a torsion-free complex, use Q"
                 )
-    if R.kind in ("Z", "Q") or all(not homz.torsion_at(i) for i in range(reach + 1)):
-        # the integral free part carries the whole ring after tensoring;
-        # the constructor reduces the integer coordinates into R, dropping zeros
-        table = cx._products.get(reach)
-        if table is None:
-            table = cx._products[reach] = _cup_products(
-                K, cx, reach, homz, lambda k, rank: _integral_solver(cx, k, rank)
-            )
-    else:
-        table = _cup_products(
-            K,
-            cx,
-            reach,
-            homology_of_chain_complex(cx, R),
-            lambda k, rank: _field_solver(cx, k, R, rank),
-        )
+    # the constructor reduces the integer coordinates into R, dropping zeros
+    table = cx._products.get(reach)
+    if table is None:
+        table = cx._products[reach] = _cup_products(K, cx, reach, homz)
     basis, products = table
     return PresentedGradedRing(R, top, basis, products)

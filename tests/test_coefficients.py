@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 from divisor_reference import determinantal_divisors, modular_lattice_divisors
+from field_reference import field_rank, field_row_reduce
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reeb_bubble.coefficients import (
     CoefficientRing,
-    ExactMatrix,
     RingMismatchError,
     field_reduce,
     integer_elementary_divisors,
@@ -61,7 +61,7 @@ def test_snf_round_trip_property(seed):
     for a, b in zip(divisors, divisors[1:]):
         assert a > 0 and b % a == 0
     # rank over Q equals the count of nonzero divisors
-    assert field_reduce(ExactMatrix(Q, rows, n)).rank == len(divisors)
+    assert field_rank(Q, rows, n) == len(divisors)
     # a nonsingular square matrix's lattice contains |det|·Z^n
     if m == n and len(divisors) == n:
         det = 1
@@ -128,37 +128,40 @@ def test_residue_step_terminates_on_unreduced_hermite_cycles():
 
 
 def test_field_reduce_identity_over_q():
-    red = field_reduce(ExactMatrix(Q, [[1, 0], [0, 1]]))
-    assert red.rank == 2
-    assert red.kernel == ()
+    rank, _, kernel = field_row_reduce(Q, [[1, 0], [0, 1]], 2)
+    assert rank == 2
+    assert kernel == ()
+    assert field_reduce(Q, [{0: 1}, {1: 1}], 2) == 2
 
 
 def test_field_reduce_proportional_rows():
-    red = field_reduce(ExactMatrix(Q, [[1, 2], [2, 4]]))
-    assert red.rank == 1
-    assert red.kernel == ((Fraction(-2), Fraction(1)),)
+    rank, _, kernel = field_row_reduce(Q, [[1, 2], [2, 4]], 2)
+    assert rank == 1
+    assert kernel == ((Fraction(-2), Fraction(1)),)
+    assert field_reduce(Q, [{0: 1, 1: 2}, {0: 2, 1: 4}], 2) == 1
 
 
 def test_field_reduce_mod_two():
-    red = field_reduce(ExactMatrix(F2, [[1, 1], [1, 1]]))
-    assert red.rank == 1
-    assert red.kernel == ((1, 1),)
+    rank, _, kernel = field_row_reduce(F2, [[1, 1], [1, 1]], 2)
+    assert rank == 1
+    assert kernel == ((1, 1),)
+    assert field_reduce(F2, [{0: 1, 1: 1}, {0: 1, 1: 1}], 2) == 1
 
 
 def test_field_reduce_rejects_integers():
     with pytest.raises(RingMismatchError):
-        field_reduce(ExactMatrix(Z, [[1]]))
+        field_reduce(Z, [{0: 1}], 1)
 
 
 def test_field_reduce_kernel_annihilates():
     rng = random.Random(7)
     for _ in range(10):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
-        A = ExactMatrix(Q, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)], n)
-        red = field_reduce(A)
-        assert red.rank + len(red.kernel) == n
-        for vec in red.kernel:
-            for row in A.data:
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        rank, _, kernel = field_row_reduce(Q, rows, n)
+        assert rank + len(kernel) == n
+        for vec in kernel:
+            for row in rows:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
@@ -175,7 +178,7 @@ def test_integer_kernel_is_saturated_and_annihilates(seed):
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
     # dimension matches the rational kernel (a saturated lattice basis)
-    assert len(basis) == n - field_reduce(ExactMatrix(Q, rows, n)).rank
+    assert len(basis) == n - field_rank(Q, rows, n)
     # integral duals with dual·kernel = identity: an integral kernel vector
     # has integral coordinates along the basis
     for i, dual in enumerate(red.kernel_dual_rows):
@@ -198,16 +201,22 @@ def _check_column_reduction(rows, n):
         from_dicts.rank, from_dicts.kernel_cols, from_dicts.kernel_dual_rows, from_dicts.divisors
     ) == (red.rank, red.kernel_cols, red.kernel_dual_rows, red.divisors)
     assert (rows, sparse) == before
-    rank = field_reduce(ExactMatrix(Q, rows, n)).rank
+    rank = field_rank(Q, rows, n)
     assert red.rank == rank
+    # field_reduce agrees on rows of fractions: row i divided by i + 2
+    fractions = [{j: Fraction(v, i + 2) for j, v in row.items()} for i, row in enumerate(sparse)]
+    assert field_reduce(Q, fractions, n) == rank
     # the divisors form a chain, one per pivot, and each prime field sees
     # exactly the divisors it does not divide
     assert len(red.divisors) == rank
     for a, b in zip(red.divisors, red.divisors[1:]):
         assert a > 0 and b % a == 0
     for p in PRIMES:
-        rank_p = field_reduce(ExactMatrix(CoefficientRing.prime_field(p), rows, n)).rank
+        Fp = CoefficientRing.prime_field(p)
+        rank_p = field_rank(Fp, rows, n)
         assert rank_p == sum(1 for d in red.divisors if d % p), p
+        residues = [{j: v % p for j, v in row.items() if v % p} for row in sparse]
+        assert field_reduce(Fp, residues, n) == rank_p, p
     assert len(red.kernel_cols) == len(red.kernel_dual_rows) == n - rank
     for col in red.kernel_cols:
         for row in rows:

@@ -10,15 +10,11 @@ from collections import Counter
 
 import pytest
 from divisor_reference import determinantal_divisors
+from field_reference import field_rank
 
 from reeb_bubble.calculus import cohomology_ring_of_descriptor
 from reeb_bubble.catalog import random_descriptors
-from reeb_bubble.coefficients import (
-    CoefficientRing,
-    ExactMatrix,
-    RingMismatchError,
-    field_reduce,
-)
+from reeb_bubble.coefficients import CoefficientRing, RingMismatchError
 from reeb_bubble.graded import (
     BasisElement,
     ConnSum,
@@ -359,7 +355,7 @@ def _dense_pairing_reference(A, p, q):
         if A.ring.kind == "Z":
             divisors = determinantal_divisors(rows, cols)
             return len(divisors), divisors
-        return field_reduce(ExactMatrix(A.ring, rows, cols)).rank, None
+        return field_rank(A.ring, rows, cols), None
 
     map_rank, map_div = invariants(map_rows, len(P) * len(Q_))
     form_rank, form_div = invariants(form_rows, len(P))

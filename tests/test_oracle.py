@@ -9,6 +9,7 @@ import random
 from collections import Counter
 
 import pytest
+from test_simplicial import rp2
 
 from reeb_bubble import calculus as calculus_module
 from reeb_bubble import coefficients as coefficients_module
@@ -408,6 +409,22 @@ def test_oracle_self_check_failure_becomes_witness(monkeypatch):
         assert v.homology_match
         assert v.ring_match is False
         assert v.witnesses == ("tier-2 oracle: degree 1: dual basis check failed",)
+
+
+def test_oracle_refusal_becomes_witness(monkeypatch):
+    # the projective plane has H_1 = Z/2, so its cup ring is refused over
+    # Z, Z/2 and Z/3; each refusal lands in the report instead of raising
+    monkeypatch.setattr(oracle_module, "simplicial_model", lambda d: rp2())
+    rep = verify_descriptor(desc(2, [Sphere(1)], []), RINGS, tier=2)
+    assert not rep.ok
+    for v in rep.verdicts:
+        assert v.ring_match is False and v.witnesses
+    refused = [
+        v.ring_label
+        for v in rep.verdicts
+        if any(w.startswith("tier-2 oracle: ") and "torsion" in w for w in v.witnesses)
+    ]
+    assert refused == ["Z", "Z/2", "Z/3"]
 
 
 def test_report_serialization_shape():

@@ -7,11 +7,11 @@ generated instances.
 """
 
 import pytest
+from field_reference import field_kernel, field_rank
 
 from reeb_bubble.coefficients import CoefficientRing
 from reeb_bubble.graded import (
     ConnSum,
-    PresentedGradedRing,
     Product,
     Sphere,
     compare_invariants,
@@ -21,8 +21,6 @@ from reeb_bubble.graded import (
 )
 from reeb_bubble.simplicial import (
     ChainComplexZ,
-    _cup_products,
-    _field_solver,
     _integral_solver,
     SimplicialComplex,
     SimplicialMap,
@@ -415,19 +413,9 @@ def test_mayer_vietoris_bookkeeping(case):
         return _combined_rank(A, U, both, into_L, i)
 
     def _combined_rank(A, U, f1, f2, k):
-        from reeb_bubble.coefficients import ExactMatrix, field_reduce
-        from reeb_bubble.simplicial import _field_kernel
-        from reeb_bubble.simplicial import chain_complex_of as cco
-
-        def field_rank(rows, cols):
-            rows = [r for r in rows if any(r)]
-            if not rows or cols == 0:
-                return 0
-            return field_reduce(ExactMatrix(Q, rows, cols)).rank
-
-        dom_cx = cco(A)
-        cod_cx = cco(U)
-        cycles = _field_kernel(Q, dom_cx.boundaries[k] if k > 0 else [], dom_cx.dim_at(k))
+        dom_cx = chain_complex_of(A)
+        cod_cx = chain_complex_of(U)
+        cycles = field_kernel(Q, dom_cx.boundaries[k] if k > 0 else [], dom_cx.dim_at(k))
         if not cycles:
             return 0
         index = {s: i for i, s in enumerate(cod_cx.bases[k])}
@@ -449,8 +437,8 @@ def test_mayer_vietoris_bookkeeping(case):
                 boundaries.append(
                     [Q.convert(m[i].get(j, 0)) for i in range(cod_cx.dim_at(k))]
                 )
-        return field_rank(boundaries + vecs, cod_cx.dim_at(k)) - field_rank(
-            boundaries, cod_cx.dim_at(k)
+        return field_rank(Q, boundaries + vecs, cod_cx.dim_at(k)) - field_rank(
+            Q, boundaries, cod_cx.dim_at(k)
         )
 
     def b(r, i):
@@ -509,22 +497,20 @@ def test_genus2_cup_ring():
 
 
 def test_projective_plane_cup_rings():
+    # H_1 = Z/2: the integral table misses H^1 and H^2 over Z/2, so Z/p
+    # rings are refused like the integral one
     K = rp2()
-    with pytest.raises(ValueError, match="field coefficients"):
-        cup_ring_of_complex(K, Z)
-    ring2 = cup_ring_of_complex(K, Z2)
-    assert ring2.free_ranks() == (1, 1, 1)
-    a = ring2.degree_basis(1)[0]
-    (top,) = ring2.degree_basis(2)
-    assert ring2.product(a.id, a.id) == {top.id: 1}
+    for R in (Z, Z2):
+        with pytest.raises(ValueError, match="degree 2 has torsion"):
+            cup_ring_of_complex(K, R)
     ring_q = cup_ring_of_complex(K, Q)
     assert ring_q.free_ranks() == (1, 0, 0)
 
 
-def test_field_solver_cocycles_on_a_mod_three_moore_space():
+def test_mod_three_moore_space_refuses_torsion_cup_rings():
     # a degree-3 circle map's cylinder with a cone on its domain has
-    # H_1 = Z/3, so its Z/3 classes come from the field solver; signs
-    # matter over Z/3, unlike on the projective plane over Z/2
+    # H_1 = Z/3; every ring but Q is refused, Z/2 too, though 2 does not
+    # divide the torsion
     f = degree_map(1, 3)
     C, dlab, _ = mapping_cylinder(f)
     cone = cone_complex(f.domain, ("apex",))
@@ -536,14 +522,11 @@ def test_field_solver_cocycles_on_a_mod_three_moore_space():
         {dlab[v]: v for v in f.domain.vertices},
     )
     assert homology_of_complex(G, Z).torsion_at(1) == (3,)
-    assert cup_ring_of_complex(G, Z3).free_ranks() == (1, 1, 1)
-    cx = chain_complex_of(G)
-    (rep,) = _field_solver(cx, 1, Z3, 1).reps
-    coboundary = {}
-    for i, row in enumerate(cx.boundaries[2]):
-        for j, v in row.items():
-            coboundary[j] = coboundary.get(j, 0) + rep[i] * v
-    assert any(rep) and all(c % 3 == 0 for c in coboundary.values())
+    assert homology_of_complex(G, Z3).free_ranks == (1, 1, 1)
+    for R in (Z, Z2, Z3):
+        with pytest.raises(ValueError, match="torsion"):
+            cup_ring_of_complex(G, R)
+    assert cup_ring_of_complex(G, Q).free_ranks() == (1, 0, 0)
 
 
 def test_cup_ring_padded_top_degree():
@@ -591,21 +574,26 @@ def test_cached_integral_solver_still_checks_rank():
     assert not chain_complex_of(torus())._solvers
 
 
-def test_derived_field_rings_match_the_field_solver():
-    # Q and torsion-free Z/p rings are the integral table reduced into the
-    # field; the direct field computation picks other representatives, so
-    # the two are compared through their invariants
+def test_derived_field_rings_match_the_formula_rings():
+    # Q and Z/p rings are the integral table reduced into the field
     K = torus()
-    cx = chain_complex_of(K)
     for R in (Q, Z2, Z3):
         derived = cup_ring_of_complex(K, R)
-        hom = homology_of_complex(K, R)
-        basis, products = _cup_products(
-            K, cx, 2, hom, lambda k, rank: _field_solver(cx, k, R, rank)
-        )
-        direct = PresentedGradedRing(R, 2, basis, products)
-        assert _all_pairings(derived) == _all_pairings(direct)
+        formula = cps_cohomology(Product(Sphere(1), Sphere(1)), R)
+        assert compare_invariants(derived, formula).is_consistent
         assert _all_pairings(derived)[(1, 1)].map_rank == 1
+
+
+def test_integral_coordinates_reject_non_cocycles():
+    # no single edge of the torus is a cocycle: each one's cycle values
+    # leave the class lattice
+    cx = chain_complex_of(torus())
+    solver = _integral_solver(cx, 1, 2)
+    n = cx.dim_at(1)
+    for e in range(n):
+        with pytest.raises(RuntimeError, match="not a cocycle"):
+            solver.coordinates([1 if t == e else 0 for t in range(n)])
+    assert [solver.coordinates(rep) for rep in solver.reps] == [[1, 0], [0, 1]]
 
 
 def test_integral_product_table_cached_per_top_degree():
