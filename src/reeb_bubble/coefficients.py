@@ -3,14 +3,20 @@
 Everything in this package bottoms out in one integer elimination,
 :func:`sparse_column_reduction`, over every coefficient ring: homology and
 field ranks read its elementary divisors (over Z/p, the divisors prime to
-p), cohomology coordinates read its saturated kernel lattice and the dual
-rows that give coordinates along it, and no routine builds unimodular
-transforms of its own.  There is no elimination over a field.  It is not
-needed because every space this package models is torsion-free, so field
-cohomology is integral cohomology reduced into the field; a Z/p cup ring
-on a complex with torsion, where that reduction misses the Tor classes,
-is refused rather than computed another way.  Nothing here (or anywhere
-else in the package) touches floating point.
+p), cohomology coordinates read its saturated kernel lattice, the dual
+rows that give coordinates along it and its retired pivot columns, and no
+routine builds unimodular transforms of its own.  Chain complexes reduce
+their boundaries from the top degree down and leave out of each one the
+columns that the next one's unit pivots clear (see
+``simplicial.ChainComplexZ``): the divisors are unchanged, and the kernel
+shrinks to the part the boundaries above do not already span.
+
+There is no elimination over a field.  It is not needed because every
+space this package models is torsion-free, so field cohomology is
+integral cohomology reduced into the field; a Z/p cup ring on a complex
+with torsion, where that reduction misses the Tor classes, is refused
+rather than computed another way.  Nothing here (or anywhere else in the
+package) touches floating point.
 
 Scalars are plain ``int`` for Z and Z/p (canonical residues 0..p-1) and
 ``fractions.Fraction`` for Q.
@@ -95,140 +101,193 @@ class ColumnReduction:
     complement).  ``kernel_cols[i]`` pairs with ``kernel_dual_rows[i]``.
     ``divisors`` lists the ``rank`` nonzero elementary divisors in chain
     order, each dividing the next.
+
+    ``pivots`` lists the retired (row, column) pivots in retirement order
+    and ``retired[t]`` the column of pivot ``t`` as it was retired, a
+    ``{row: value}`` dict with a positive value on its pivot row.  Row
+    ``pivots[t][0]`` is zero in every column retired after ``t``, so the
+    retired columns, which span the column lattice, are triangular on
+    their pivot rows.  ``unit_rows`` is the set of pivot rows whose pivot
+    is 1.  Columns left out of the reduction (``cleared``) belong to
+    neither the pivots nor the kernel.
     """
 
-    __slots__ = ("cols", "rank", "kernel_cols", "kernel_dual_rows", "divisors")
+    __slots__ = (
+        "cols",
+        "rank",
+        "kernel_cols",
+        "kernel_dual_rows",
+        "divisors",
+        "pivots",
+        "retired",
+        "unit_rows",
+    )
 
-    def __init__(self, cols, rank, kernel_cols, kernel_dual_rows, divisors):
+    def __init__(
+        self, cols, rank, kernel_cols, kernel_dual_rows, divisors, pivots, retired, unit_rows
+    ):
         self.cols = cols
         self.rank = rank
         self.kernel_cols = kernel_cols
         self.kernel_dual_rows = kernel_dual_rows
         self.divisors = divisors
+        self.pivots = pivots
+        self.retired = retired
+        self.unit_rows = unit_rows
 
 
-def sparse_column_reduction(rows, cols: int) -> ColumnReduction:
+def sparse_column_reduction(rows, cols: int, cleared=frozenset()) -> ColumnReduction:
     """Compute a :class:`ColumnReduction` of an integer matrix.
 
     ``rows`` holds the matrix row-major; each row may be a dense list or a
     sparse ``{col: value}`` dict.  The pivot row is the shortest live row,
-    taken from a lazy min-heap of row lengths that is pushed again whenever
-    a row's support changes (Markowitz-style ordering); in that row the
-    pivot column has the smallest |value|, then the shortest column.  Rows
-    are cleared by nearest-quotient division, so entries stay close to the
-    gcd scale of the input instead of growing with Bezout coefficients.
+    taken from a lazy min-heap of row lengths that gets one new entry per
+    row whose support changed in a pivot step (Markowitz-style ordering);
+    in that row the pivot column has the smallest |value|, then the
+    shortest column.  Rows are cleared by nearest-quotient division, so
+    entries stay close to the gcd scale of the input instead of growing
+    with Bezout coefficients.
+
+    The columns in ``cleared`` are left out: ``rows`` must hold no entry in
+    them, and they join neither the pivots nor the kernel (see
+    :meth:`ChainComplexZ.reduction <reeb_bubble.simplicial.ChainComplexZ.reduction>`).
 
     This is the package's only integer elimination: the elementary
     divisors are read off the retired pivots (see :func:`_pivot_divisors`),
     so homology, the cocycle solvers and the fundamental cycle all share
     one reduction per boundary matrix.
     """
-    acol: list[dict[int, int]] = [dict() for _ in range(cols)]
-    orig_cols: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
+    acol: list[dict[int, int]] = [{} for _ in range(cols)]
     for i, row in enumerate(rows):
         items = row.items() if isinstance(row, dict) else enumerate(row)
         for j, v in items:
             if v:
                 acol[j][i] = v
-                orig_cols[j].append((i, v))
-    vcol: list[dict[int, int]] = [{j: 1} for j in range(cols)]
-    vinv: list[dict[int, int]] = [{j: 1} for j in range(cols)]
+    # a row's support is filled in column order, which fixes the order in
+    # which its columns are visited and so the pivot sequence
     rowsupp: dict[int, set[int]] = {}
     for j, col in enumerate(acol):
         for i in col:
-            rowsupp.setdefault(i, set()).add(j)
+            supp = rowsupp.get(i)
+            if supp is None:
+                rowsupp[i] = {j}
+            else:
+                supp.add(j)
+    vcol: list[dict[int, int]] = [{j: 1} for j in range(cols)]
+    vinv: list[dict[int, int]] = [{j: 1} for j in range(cols)]
 
     # (row length, row) candidates; an entry is stale once its row is
     # retired or its length has changed, and is skipped when popped
     heap = [(len(js), i) for i, js in rowsupp.items()]
     heapify(heap)
-
-    def col_op(dst: int, src: int, q: int):
-        # column dst -= q * column src, with the inverse row update
-        d = acol[dst]
-        for i, v in acol[src].items():
-            nv = d.get(i, 0) - q * v
-            if nv:
-                if i not in d:
-                    supp = rowsupp[i]
-                    supp.add(dst)
-                    heappush(heap, (len(supp), i))
-                d[i] = nv
-            elif i in d:
-                del d[i]
-                supp = rowsupp[i]
-                supp.discard(dst)
-                heappush(heap, (len(supp), i))
-        vd = vcol[dst]
-        for t, v in vcol[src].items():
-            nv = vd.get(t, 0) - q * v
-            if nv:
-                vd[t] = nv
-            elif t in vd:
-                del vd[t]
-        rs = vinv[src]
-        for t, v in vinv[dst].items():
-            nv = rs.get(t, 0) + q * v
-            if nv:
-                rs[t] = nv
-            elif t in rs:
-                del rs[t]
-
-    def negate_col(j: int):
-        acol[j] = {i: -v for i, v in acol[j].items()}
-        vcol[j] = {t: -v for t, v in vcol[j].items()}
-        vinv[j] = {t: -v for t, v in vinv[j].items()}
+    touched: set[int] = set()  # rows whose support changed in this step
 
     active = set(range(cols))
+    if cleared:
+        active -= cleared
     pivots: list[tuple[int, int]] = []  # (row, column) in retirement order
+    retired: list[dict[int, int]] = []
+    unit_rows: set[int] = set()
     while heap:
         length, pr = heappop(heap)
         supp = rowsupp.get(pr)
-        if not length or supp is None or len(supp) != length:
+        if supp is None or len(supp) != length:
             continue
-        pc = min(supp, key=lambda j: (abs(acol[j][pr]), len(acol[j]), j))
+        if length == 1:
+            (pc,) = supp
+        else:
+            pc = min(supp, key=lambda j: (abs(acol[j][pr]), len(acol[j]), j))
         while True:
-            if acol[pc][pr] < 0:
-                negate_col(pc)
-            a = acol[pc][pr]
-            others = [j for j in rowsupp[pr] if j != pc]
-            if not others:
+            col = acol[pc]
+            if col[pr] < 0:
+                col = acol[pc] = {i: -v for i, v in col.items()}
+                vcol[pc] = {t: -v for t, v in vcol[pc].items()}
+                vinv[pc] = {t: -v for t, v in vinv[pc].items()}
+            a = col[pr]
+            if len(supp) == 1:
                 break
             next_pc, next_abs = None, None
-            for j in others:
-                q = (2 * acol[j][pr] + a) // (2 * a)
+            for j in list(supp):
+                if j == pc:
+                    continue
+                d = acol[j]
+                q = (2 * d[pr] + a) // (2 * a)
                 if q:
-                    col_op(j, pc, q)
-                r = acol[j].get(pr, 0)
+                    # column j -= q * column pc, with the inverse row update
+                    for i, v in col.items():
+                        nv = d.get(i, 0) - q * v
+                        if nv:
+                            if i not in d:
+                                rowsupp[i].add(j)
+                                touched.add(i)
+                            d[i] = nv
+                        elif i in d:
+                            del d[i]
+                            rowsupp[i].discard(j)
+                            touched.add(i)
+                    vd = vcol[j]
+                    for t, v in vcol[pc].items():
+                        nv = vd.get(t, 0) - q * v
+                        if nv:
+                            vd[t] = nv
+                        elif t in vd:
+                            del vd[t]
+                    rs = vinv[pc]
+                    for t, v in vinv[j].items():
+                        nv = rs.get(t, 0) + q * v
+                        if nv:
+                            rs[t] = nv
+                        elif t in rs:
+                            del rs[t]
+                r = d.get(pr, 0)
                 if r and (next_abs is None or abs(r) < next_abs):
                     next_pc, next_abs = j, abs(r)
             if next_pc is None:
                 break
-            if next_abs < acol[pc][pr]:
+            if next_abs < a:
                 pc = next_pc
         del rowsupp[pr]
-        for i in acol[pc]:
+        for i in col:
             supp = rowsupp.get(i)
             if supp is not None:
                 supp.discard(pc)
+                touched.add(i)
+        for i in touched:
+            supp = rowsupp.get(i)
+            if supp:
                 heappush(heap, (len(supp), i))
+        touched.clear()
         active.discard(pc)
         pivots.append((pr, pc))
+        retired.append(col)
+        if a == 1:
+            unit_rows.add(pr)
 
     kernel_idx = sorted(active)
     if any(acol[j] for j in kernel_idx):
         raise RuntimeError("active column left nonzero after reduction")
     kernel_cols = [vcol[j] for j in kernel_idx]
+    if kernel_cols:
+        # every row must vanish on every kernel vector
+        by_col: dict[int, list[tuple[int, int]]] = {}
+        for t, vec in enumerate(kernel_cols):
+            for j, x in vec.items():
+                by_col.setdefault(j, []).append((t, x))
+        for row in rows:
+            items = row.items() if isinstance(row, dict) else enumerate(row)
+            acc: dict[int, int] = {}
+            for j, v in items:
+                for t, x in by_col.get(j, ()):
+                    acc[t] = acc.get(t, 0) + x * v
+            if any(acc.values()):
+                raise RuntimeError("column reduction produced a non-kernel vector")
+    if len(unit_rows) == len(pivots):
+        divisors = (1,) * len(pivots)
+    else:
+        divisors = _pivot_divisors(pivots, retired)
     kernel_dual_rows = [vinv[j] for j in kernel_idx]
-    for v in kernel_cols:
-        acc: dict[int, int] = {}
-        for j, x in v.items():
-            for i, a in orig_cols[j]:
-                acc[i] = acc.get(i, 0) + x * a
-        if any(acc.values()):
-            raise RuntimeError("column reduction produced a non-kernel vector")
     return ColumnReduction(
-        cols, len(pivots), kernel_cols, kernel_dual_rows, _pivot_divisors(acol, pivots)
+        cols, len(pivots), kernel_cols, kernel_dual_rows, divisors, pivots, retired, unit_rows
     )
 
 
@@ -279,31 +338,25 @@ def field_reduce(ring: CoefficientRing, rows, cols: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pivot_divisors(acol, pivots) -> tuple[int, ...]:
-    """Elementary divisors of the retired columns of a column reduction.
+def clear_unit_pivots(pivots, retired) -> list[tuple[int, dict[int, int]]]:
+    """The non-unit retired columns, cleared on every unit pivot row.
 
-    A retired column is never touched again, and row ``pr`` is zero in every
+    ``pivots`` and ``retired`` are those of a :class:`ColumnReduction`.  A
+    retired column is never touched again, and row ``pr`` is zero in every
     column retired after ``pc``; so the pivot rows form a lower-triangular
     block with the positive pivots on its diagonal.  Walking the pivots in
-    order, a unit pivot first clears its row in the non-unit columns kept so
-    far (a column operation with the unit column, which is zero in every
-    earlier pivot row: no diagonal changes and no split-off row is
-    refilled) and then splits off as a divisor 1.  The kept columns'
-    pivot block has determinant D, the product of their pivots, so their
-    row lattice in Z^s contains D·Z^s and :func:`smith_normal_form` finishes
-    modulo D.
+    order, a unit pivot clears its row in the non-unit columns kept so far
+    (a column operation with the unit column, which is zero in every
+    earlier pivot row: no diagonal changes and no cleared row is
+    refilled).  Returns ``(pivot row, cleared column)`` pairs in retirement
+    order; the retired columns are not modified.
     """
-    ones = 0
-    kept: list[dict[int, int]] = []  # non-unit columns, as cleared so far
-    modulus = 1
-    for pr, pc in pivots:
-        col = acol[pc]
-        a = col[pr]
-        if a != 1:
-            kept.append(dict(col))
-            modulus *= a
+    kept: list[tuple[int, dict[int, int]]] = []
+    for (pr, _), col in zip(pivots, retired):
+        if col[pr] != 1:
+            kept.append((pr, dict(col)))
             continue
-        for k in kept:
+        for _, k in kept:
             x = k.get(pr)
             if x:
                 for i, v in col.items():
@@ -312,16 +365,30 @@ def _pivot_divisors(acol, pivots) -> tuple[int, ...]:
                         k[i] = nv
                     else:
                         del k[i]
-        ones += 1
-    if not kept:
-        return (1,) * ones
+    return kept
+
+
+def _pivot_divisors(pivots, retired) -> tuple[int, ...]:
+    """Elementary divisors of the retired columns of a column reduction.
+
+    Each unit pivot splits off as a divisor 1 once
+    :func:`clear_unit_pivots` has cleared its row in the non-unit columns.
+    The kept columns' pivot block has determinant D, the product of their
+    pivots, so their row lattice in Z^s contains D·Z^s and
+    :func:`smith_normal_form` finishes modulo D.
+    """
+    kept = clear_unit_pivots(pivots, retired)
+    ones = (1,) * (len(pivots) - len(kept))
+    modulus = 1
+    for pr, k in kept:
+        modulus *= k[pr]
     residue: dict[int, dict[int, int]] = {}
-    for t, k in enumerate(kept):
+    for t, (_, k) in enumerate(kept):
         for i, v in k.items():
             v %= modulus
             if v:
                 residue.setdefault(i, {})[t] = v
-    return (1,) * ones + smith_normal_form(list(residue.values()), len(kept), modulus)
+    return ones + smith_normal_form(list(residue.values()), len(kept), modulus)
 
 
 def smith_normal_form(rows, cols: int, modulus: int) -> tuple[int, ...]:

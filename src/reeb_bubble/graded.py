@@ -11,7 +11,7 @@ honestly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .coefficients import (

@@ -16,6 +16,7 @@ from itertools import combinations
 from .coefficients import (
     CoefficientRing,
     ColumnReduction,
+    clear_unit_pivots,
     rank_over,
     sparse_column_reduction,
 )
@@ -207,10 +208,18 @@ class ChainComplexZ:
     dicts, so no consumer ever reads a dense matrix.  Composition of
     consecutive boundaries is checked to vanish exactly.
 
-    Each boundary is eliminated at most once: :meth:`reduction` caches its
-    column reduction, and homology over every ring (through its elementary
-    divisors), the integral cocycle solvers and :func:`top_cycle` all read
-    that one.  Cup rings over every ring read the one integral product
+    Each boundary is eliminated at most once, from the top degree down,
+    with clearing (the "twist" of Chen & Kerber, 2011): :meth:`reduction`
+    reduces the k-th boundary with every column left out that is a unit
+    pivot row of the (k+1)-th boundary's reduction.  The retired unit
+    columns b_t of the (k+1)-th boundary are unitriangular on those rows,
+    so with the kept cells they form a basis of the chain group, and the
+    k-th boundary kills them.  It therefore has the same image, hence the
+    same elementary divisors, on the kept columns alone, and its cycle
+    lattice is span(b_t) plus the cleared kernel.  Homology over every ring
+    reads the divisors, the integral cocycle solvers read the cleared
+    splitting, and :func:`top_cycle` reads the top degree, where nothing is
+    cleared.  Cup rings over every ring read the one integral product
     table cached here, so a Z/p cup ring of a complex with torsion, whose
     Tor classes no integral cocycle carries, is refused.
     """
@@ -262,15 +271,25 @@ class ChainComplexZ:
         return len(self.bases[k]) if 0 <= k <= self.max_degree else 0
 
     def reduction(self, k: int) -> ColumnReduction:
-        """Column reduction of the k-th boundary matrix, computed once.
+        """Column reduction of the k-th boundary matrix, cleared, computed once.
 
-        Degree 0 reduces the zero map out of degree 0, whose kernel is the
-        whole chain group.
+        Reductions run from the top degree down: every unit pivot row of
+        ``reduction(k + 1)`` names a column of the k-th boundary that is
+        left out (cleared).  The divisors stay those of the whole matrix,
+        and the kernel is the cleared kernel (see the class docstring).
+        The top degree is reduced whole.  Degree 0 reduces the zero map
+        out of degree 0.
         """
         red = self._reductions.get(k)
         if red is None:
+            rows = self.boundaries[k]
+            cleared = ()
+            if k < self.max_degree and self.dim_at(k) and self.dim_at(k + 1):
+                cleared = self.reduction(k + 1).unit_rows
+            if cleared:
+                rows = [{j: v for j, v in row.items() if j not in cleared} for row in rows]
             red = self._reductions[k] = sparse_column_reduction(
-                self.boundaries[k], self.dim_at(k)
+                rows, self.dim_at(k), cleared
             )
         return red
 
@@ -699,26 +718,29 @@ def _prefold_reflection(dom: SimplicialComplex, m: int, l: int) -> SimplicialMap
 
 
 class _DegreeSolver:
-    """Basis and coordinates for one integral cohomology degree.
+    """Basis and coordinates for one integral cohomology degree k.
 
-    Works in a cycle splitting of the chain group: the boundary's column
-    reduction gives a saturated basis of the cycle lattice and dual rows
-    that read coordinates along it.  A cochain is seen through its values
-    ``y`` on the basis cycles; it is a cocycle exactly when ``y`` kills the
-    next boundary's columns written in the splitting, and the class basis
-    ``kappa`` is a saturated basis of that kernel, with dual rows of its
-    own.  The coordinate along class ``a`` is the dual row of ``kappa[a]``
-    applied to ``y``, an integer dot product, checked by rebuilding ``y``.
-    Only the free part of integral cohomology is seen: torsion classes
-    vanish on every cycle, and the Tor classes of Z/p cohomology reduce
-    from no integral cocycle.  So Z and Z/p
-    cup rings of a complex with torsion are refused (see
-    :func:`cup_ring_of_complex`).
+    Works in the cleared splitting of the chain group (see
+    :class:`ChainComplexZ`): the k-cycles are the unit boundaries b_t of
+    the next degree plus the cleared kernel z_j, whose dual rows d_j read
+    coordinates along it.  A cocycle kills every b_t, so it is seen through
+    its values ``y`` on the z_j.  The remaining (non-unit) boundaries, with
+    their unit-pivot entries cleared, lie in the span of the z_j; ``y``
+    must kill them read along the d_j, and the class basis ``kappa`` is a
+    saturated basis of that kernel, with dual rows of its own.  With no
+    non-unit boundary the relations are empty and ``kappa`` is the
+    identity.  The coordinate along class ``a`` is the dual row of
+    ``kappa[a]`` applied to ``y``, an integer dot product, checked by
+    rebuilding ``y``.  Only the free part of integral cohomology is seen:
+    torsion classes vanish on every cycle, and the Tor classes of Z/p
+    cohomology reduce from no integral cocycle.  So Z and Z/p cup rings of
+    a complex with torsion are refused (see :func:`cup_ring_of_complex`).
     """
 
-    def __init__(self, reps, cycle_cols, kappa, kappa_duals):
+    def __init__(self, reps, next_rows, cycles, kappa, kappa_duals):
         self.reps = reps
-        self._cycle_cols = cycle_cols
+        self._next_rows = next_rows
+        self._cycles = cycles
         self._kappa = kappa
         self._kappa_duals = kappa_duals
 
@@ -729,8 +751,15 @@ class _DegreeSolver:
     def coordinates(self, vec):
         """Integer coordinates of a cocycle along ``reps``; raises
         ``RuntimeError`` when ``vec`` is not a cocycle."""
+        image: dict[int, int] = {}
+        for t, x in enumerate(vec):
+            if x:
+                for c, v in self._next_rows[t].items():
+                    image[c] = image.get(c, 0) + x * v
+        if any(image.values()):
+            raise RuntimeError("cochain is not a cocycle: it does not kill the next boundary")
         y = {}
-        for i, col in enumerate(self._cycle_cols):
+        for i, col in enumerate(self._cycles):
             s = 0
             for t, v in col.items():
                 s += v * vec[t]
@@ -745,7 +774,7 @@ class _DegreeSolver:
                 for i, v in ka.items():
                     rebuilt[i] = rebuilt.get(i, 0) + c * v
         if {i: v for i, v in rebuilt.items() if v} != y:
-            raise RuntimeError("cochain is not a cocycle: its cycle values leave the lattice")
+            raise RuntimeError("cocycle values leave the class lattice")
         return coords
 
 
@@ -768,37 +797,40 @@ def _integral_solver(cx: ChainComplexZ, k: int, expected_rank: int) -> _DegreeSo
 def _build_integral_solver(cx: ChainComplexZ, k: int) -> _DegreeSolver:
     nk = cx.dim_at(k)
     red = cx.reduction(k)
-    z = len(red.kernel_cols)
-    # dual rows of the splitting, indexed by chain coordinate
-    by_cell: dict[int, dict[int, int]] = {}
-    for i, row in enumerate(red.kernel_dual_rows):
-        for t, v in row.items():
-            by_cell.setdefault(t, {})[i] = v
-    # columns of the next boundary, rewritten in splitting coordinates;
-    # cocycles are exactly the vectors annihilating all of them
-    mt_rows: list[dict[int, int]] = []
-    if k + 1 <= cx.max_degree and cx.dim_at(k + 1):
-        nxt = cx.boundaries[k + 1]
-        dcols: list[dict[int, int]] = [dict() for _ in range(cx.dim_at(k + 1))]
-        for t, row in enumerate(nxt):
-            for c, v in row.items():
-                dcols[c][t] = v
-        for dc in dcols:
-            acc: dict[int, int] = {}
-            for t, v in dc.items():
-                for i, w in by_cell.get(t, {}).items():
-                    acc[i] = acc.get(i, 0) + v * w
-            mt_rows.append({i: x for i, x in acc.items() if x})
-    classes = sparse_column_reduction(mt_rows, z)
+    duals = red.kernel_dual_rows
+    if k < cx.max_degree:
+        above = cx.reduction(k + 1)
+        next_rows = cx.boundaries[k + 1]
+        torsion = clear_unit_pivots(above.pivots, above.retired)
+        units = [
+            (r, b) for (r, _), b in zip(above.pivots, above.retired) if r in above.unit_rows
+        ]
+    else:
+        next_rows, torsion, units = [{}] * nk, [], []
+    # the non-unit boundaries read along the cleared kernel; classes are
+    # the values on it that kill them
+    relations = []
+    for _, b in torsion:
+        rel = {}
+        for j, d in enumerate(duals):
+            s = sum(v * d.get(t, 0) for t, v in b.items())
+            if s:
+                rel[j] = s
+        relations.append(rel)
+    classes = sparse_column_reduction(relations, len(duals))
     reps = []
     for ka in classes.kernel_cols:
         vec = [0] * nk
         for i, coef in ka.items():
-            for t, val in red.kernel_dual_rows[i].items():
+            for t, val in duals[i].items():
                 vec[t] += coef * val
+        # extend over the cleared cells, latest pivot first, so that the
+        # cochain kills every unit boundary (b[r] == 1 and vec[r] is still 0)
+        for r, b in reversed(units):
+            vec[r] = -sum(v * vec[t] for t, v in b.items())
         reps.append(vec)
     solver = _DegreeSolver(
-        reps, red.kernel_cols, classes.kernel_cols, classes.kernel_dual_rows
+        reps, next_rows, red.kernel_cols, classes.kernel_cols, classes.kernel_dual_rows
     )
     for a, rep in enumerate(reps):
         coords = solver.coordinates(rep)

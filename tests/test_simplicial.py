@@ -8,8 +8,10 @@ generated instances.
 
 import pytest
 from field_reference import field_kernel, field_rank
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reeb_bubble.coefficients import CoefficientRing
+from reeb_bubble.coefficients import CoefficientRing, sparse_column_reduction
 from reeb_bubble.graded import (
     ConnSum,
     Product,
@@ -31,6 +33,7 @@ from reeb_bubble.simplicial import (
     euler_characteristic,
     full_simplex,
     glue_along,
+    homology_of_chain_complex,
     homology_of_complex,
     mapping_cylinder,
     measured_degree,
@@ -128,6 +131,22 @@ def test_boundary_column_index_checked():
     for bad in ({1: 1}, {-1: 1}, [0, 1]):
         with pytest.raises(ValueError, match="column index"):
             ChainComplexZ(bases, [[], [{0: 1}, bad]])
+
+
+def test_only_unit_pivot_rows_are_cleared():
+    # d2(x) = 2e + f retires row e with pivot 2; e is not a unit pivot row,
+    # so d1 = [1, -2] keeps it and stays onto Z.  Clearing it as well would
+    # leave [-2] and a false Z/2 in H_0.
+    cx = ChainComplexZ([["v"], ["e", "f"], ["x"]], [[], [[1, -2]], [[2], [1]]])
+    above = cx.reduction(2)
+    assert above.pivots == [(0, 0)] and above.unit_rows == set()
+    assert cx.boundary_divisors(1) == (1,)
+    assert homology_of_chain_complex(cx, Z).torsion == ((), (), ())
+    # with d2(x) = e + 2f the unit pivot row e is cleared out of d1 = [2, -1]
+    cx = ChainComplexZ([["v"], ["e", "f"], ["x"]], [[], [[2, -1]], [[1], [2]]])
+    assert cx.reduction(2).unit_rows == {0}
+    assert cx.reduction(1).pivots == [(0, 1)] and cx.reduction(1).kernel_cols == []
+    assert cx.boundary_divisors(1) == (1,)
 
 
 def test_simplicial_map_validation():
@@ -275,6 +294,29 @@ def test_top_cycle_is_a_signed_cycle(l):
                 face = s[:i] + s[i + 1 :]
                 boundary[face] = boundary.get(face, 0) + (-1) ** i * c
         assert not any(boundary.values())
+
+
+@st.composite
+def _small_complexes(draw):
+    n = draw(st.integers(1, 8))
+    facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True)
+    return SimplicialComplex.from_facets(range(n), draw(st.lists(facet, min_size=1, max_size=10)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_small_complexes())
+def test_cleared_reductions_keep_divisors_and_cocycles(K):
+    # each boundary is reduced with the unit pivot rows of the next one
+    # left out; its divisors must be those of the whole matrix, and the
+    # cocycle solvers built on the cleared splitting pass their dual-basis
+    # check whenever a cup ring can be built
+    cx = chain_complex_of(K)
+    for k in range(1, cx.max_degree + 1):
+        whole = sparse_column_reduction(cx.boundaries[k], cx.dim_at(k))
+        assert cx.boundary_divisors(k) == whole.divisors, k
+    if homology_of_complex(K, Z).rank(0) == 1:
+        ring = cup_ring_of_complex(K, Q)
+        assert ring.free_ranks() == homology_of_complex(K, Q).free_ranks
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +547,31 @@ def test_projective_plane_cup_rings():
             cup_ring_of_complex(K, R)
     ring_q = cup_ring_of_complex(K, Q)
     assert ring_q.free_ranks() == (1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: product_complex(rp2(), sphere_complex(1)), [(1, 1, 0, 0), (1, 2, 0, 0)]),
+        (lambda: wedge_complexes([rp2(), torus()])[0], [(1, 1, 1, 2)]),
+        (
+            lambda: product_complex(rp2(), torus()),
+            [(1, 1, 1, 2), (1, 2, 0, 0), (1, 3, 0, 0), (2, 2, 0, 0)],
+        ),
+    ],
+    ids=["rp2-x-circle", "rp2-wedge-torus", "rp2-x-torus"],
+)
+def test_rational_pairings_with_torsion_relations(build, expected):
+    # H_1 = Z/2 (+ free part) gives the cocycle solvers a non-unit boundary
+    # to relate while classes are present; (p, q, map rank, form rank)
+    ring = cup_ring_of_complex(build(), Q)
+    top = ring.top_degree
+    found = []
+    for p in range(1, top):
+        for q in range(p, top - p + 1):
+            inv = pairing_invariants(ring, p, q)
+            found.append((p, q, inv.map_rank, inv.form_rank))
+    assert found == expected
 
 
 def test_mod_three_moore_space_refuses_torsion_cup_rings():
