@@ -133,7 +133,11 @@ def cohomology_ring_of_descriptor(
 def _ring_presentation(
     d: ReebDescriptor, R: CoefficientRing, base: PresentedGradedRing
 ) -> RingPresentationReport:
-    """The presentation of a valid descriptor over its base ring over ``R``."""
+    """The presentation of a valid descriptor over ``R``.
+
+    ``base`` is its base ring over ``R`` or over Z: the ring constructor
+    reduces integer coefficients into ``R``.
+    """
     n = d.n
     if base.products and all(isinstance(h, Sphere) for h in d.base.handles):
         raise RuntimeError("sphere cores must have a zero product table")

@@ -44,7 +44,6 @@ from .simplicial import (
     cup_ring_of_complex,
     degree_map,
     euler_characteristic,
-    full_simplex,
     glue_along,
     homology_of_chain_complex,
     homology_of_complex,
@@ -197,11 +196,6 @@ def _base_complex(d: ReebDescriptor):
     return W, carriers, ("w",)
 
 
-def _constant_map(K: SimplicialComplex) -> SimplicialMap:
-    pt = full_simplex(0)
-    return SimplicialMap(K, pt, {v: 0 for v in K.vertices})
-
-
 def _sub(K: SimplicialComplex, vertices):
     return K.restrict_full(sorted(set(vertices), key=K.rank.__getitem__))
 
@@ -211,14 +205,14 @@ def simplicial_model(d: ReebDescriptor) -> SimplicialComplex:
 
     Per record, the attached manifold is a connected sum of sphere products
     whose section spheres are kept intact by the facet-avoidance sets.  A
-    sphere pairing a base class with coefficient of magnitude >= 2 (or an
-    explicit 0) routes through the mapping cylinder of a degree map; a
-    single-sphere record with a unimodular coefficient glues straight onto
-    the carrier of its target class.  Records with several spheres chain
-    their sections through shared vertices at the connected-sum interfaces,
-    every shared vertex sitting over the wedge point, and attach along one
-    mapping cylinder of the whole chain, so the identification locus stays
-    connected.
+    record with one sphere whose coefficient is +-1 glues its section
+    straight onto the carrier of its target class.  Every other record,
+    with one sphere or several, attaches along one mapping cylinder: a
+    sphere with a live coefficient maps onto its carrier by a degree map,
+    and one without, an explicit 0 included, maps to the wedge point.
+    Several spheres chain their sections through shared vertices at the
+    connected-sum interfaces, every shared vertex sitting over the wedge
+    point, so the identification locus stays connected.
     """
     _require_valid(d)
     reason = tier2_obstruction(d)
@@ -235,89 +229,50 @@ def simplicial_model(d: ReebDescriptor) -> SimplicialComplex:
             X, _, _ = glue_along(
                 X, _sub(X, [bp]), E, _sub(E, [("pt", ridx, 0)]), {bp: ("pt", ridx, 0)}
             )
-        elif len(spheres) == 1:
-            X = _attach_single(X, carriers, bp, n, ridx, spheres[0])
         else:
-            X = _attach_chain(X, carriers, bp, n, ridx, spheres)
+            X = _attach_record(X, carriers, bp, n, ridx, spheres)
     return X
 
 
-def _attach_single(X, carriers, bp, n, ridx, s):
-    live = [(t, v) for t, v in s.coefficients if v]
-    stored = list(s.coefficients)
-    if live:
-        target, value = live[0]
-    elif stored:
-        target, value = stored[0]
-    else:
-        target, value = None, None
-    if target is not None and abs(value) == 1:
-        f = None
-    elif target is None:
-        f = _constant_map(sphere_complex(s.dim))
-    else:
-        f = degree_map(s.dim, value)
+def _attach_record(X, carriers, bp, n, ridx, spheres):
+    """Attach one record's sphere products along its spheres.
 
-    dome = f.domain if f is not None else sphere_complex(s.dim)
-    E = product_complex(dome, sphere_complex(n - s.dim))
-    fresh = {v: ("er", ridx, v) for v in E.vertices}
-    E = E.relabeled(fresh)
-    section = {u: fresh[(u, 0)] for u in dome.vertices}
-
-    if f is None:
-        landing = dict(carriers[target])
-    else:
-        cyl, dlab, clab = mapping_cylinder(f)
-        tag = {v: ("cy", ridx, 1, v) for v in cyl.vertices}
-        cyl = cyl.relabeled(tag)
-        dlab = {u: tag[v] for u, v in dlab.items()}
-        clab = {u: tag[v] for u, v in clab.items()}
-        if target is None:
-            pair = {bp: clab[0]}
-        else:
-            car = carriers[target]
-            pair = {car[v]: clab[v] for v in car}
-        X, _, mL = glue_along(
-            X, _sub(X, pair.keys()), cyl, _sub(cyl, pair.values()), pair
-        )
-        landing = {u: mL[dlab[u]] for u in dome.vertices}
-
-    iso = {landing[u]: section[u] for u in dome.vertices}
-    X, _, _ = glue_along(X, _sub(X, iso.keys()), E, _sub(E, iso.values()), iso)
-    return X
-
-
-def _attach_chain(X, carriers, bp, n, ridx, spheres):
-    """Attach a record whose generating polyhedron has several spheres.
-
-    Consecutive sphere products share exactly one section vertex at their
-    connected-sum interface; the shared vertices all sit over the wedge
-    point, so the abstract chain of spheres maps consistently to the base.
-    A sphere with a live target contributes its degree map's wing; one
-    without maps constantly to the wedge point.  The chain is attached
-    through a single mapping cylinder, which keeps the gluing locus
-    connected instead of one sphere copy per summand.
+    With several spheres, consecutive sphere products share exactly one
+    section vertex at their connected-sum interface; the shared vertices
+    all sit over the wedge point, so the abstract chain of spheres maps
+    consistently to the base.  A sphere with a live target contributes its
+    degree map's wing; one without maps constantly to the wedge point.  The
+    chain, a lone sphere included, is attached through a single mapping
+    cylinder, which keeps the gluing locus connected instead of one sphere
+    copy per summand.  The one shortcut: a lone sphere whose coefficient is
+    +-1 needs no cylinder, and its section lands on the carrier itself.
     """
+    direct = False
     elems = []
     for s in spheres:
         live = [(t, v) for t, v in s.coefficients if v]
-        if live:
+        if live and abs(live[0][1]) == 1 and len(spheres) == 1:
+            direct = True
+            dome, pre = sphere_complex(s.dim), []
+            image = carriers[live[0][0]]
+        elif live:
             target, value = live[0]
-            f = degree_map(s.dim, value, anchor_preimages=2)
+            f = degree_map(s.dim, value)
             dome = f.domain
             pre = sorted(
                 v for v in dome.vertices
                 if isinstance(v, int) and f.vertex_map[v] == 0
             )
+            image = {v: carriers[target][w] for v, w in f.vertex_map.items()}
         else:
-            target, f = None, None
             dome = sphere_complex(s.dim)
             pre = sorted(dome.vertices)
-        elems.append((s.dim, f, target, dome, pre))
+            image = {v: bp for v in dome.vertices}
+        elems.append((s.dim, dome, pre, image))
 
     k = len(elems)
     links = []
-    for j, (dim, f, target, dome, pre) in enumerate(elems):
+    for j, (dim, dome, pre, image) in enumerate(elems):
         if 0 < j < k - 1 and len(pre) < 2:
             raise RuntimeError("chain link needs two anchor preimages")
         vl = pre[0] if j > 0 else None
@@ -326,7 +281,7 @@ def _attach_chain(X, carriers, bp, n, ridx, spheres):
 
     factors = []
     sections = []
-    for dim, f, target, dome, pre in elems:
+    for dim, dome, pre, image in elems:
         factors.append(product_complex(dome, sphere_complex(n - dim)))
         sections.append({u: (u, 0) for u in dome.vertices})
     E = factors[0]
@@ -352,47 +307,48 @@ def _attach_chain(X, carriers, bp, n, ridx, spheres):
     E = E.relabeled(fresh)
     sections = [{u: fresh[v] for u, v in sec.items()} for sec in sections]
 
-    # abstract chain of the sphere domains, one shared vertex per link
-    cw = []
-    C = None
-    for j, (dim, f, target, dome, pre) in enumerate(elems):
-        tag = {v: ("cw", ridx, j, v) for v in dome.vertices}
-        piece = dome.relabeled(tag)
-        if C is None:
-            C = piece
-            cw.append(dict(tag))
-        else:
-            shared_prev = cw[j - 1][links[j - 1][1]]
-            shared_new = tag[links[j][0]]
-            C, _, mLL = glue_along(
-                C, _sub(C, [shared_prev]), piece, _sub(piece, [shared_new]),
-                {shared_prev: shared_new},
-            )
-            cw.append({v: mLL[tag[v]] for v in dome.vertices})
+    if direct:
+        landings = [elems[0][3]]
+    else:
+        # abstract chain of the sphere domains, one shared vertex per link
+        cw = []
+        C = None
+        for j, (dim, dome, pre, image) in enumerate(elems):
+            tag = {v: ("cw", ridx, j, v) for v in dome.vertices}
+            piece = dome.relabeled(tag)
+            if C is None:
+                C = piece
+                cw.append(dict(tag))
+            else:
+                shared_prev = cw[j - 1][links[j - 1][1]]
+                shared_new = tag[links[j][0]]
+                C, _, mLL = glue_along(
+                    C, _sub(C, [shared_prev]), piece, _sub(piece, [shared_new]),
+                    {shared_prev: shared_new},
+                )
+                cw.append({v: mLL[tag[v]] for v in dome.vertices})
 
-    phi = {}
-    for j, (dim, f, target, dome, pre) in enumerate(elems):
-        for v in dome.vertices:
-            img = bp if f is None else carriers[target][f.vertex_map[v]]
-            phi[cw[j][v]] = img
-    D = _sub(X, set(phi.values()))
-    chain_map = SimplicialMap(C, D, phi)
-
-    cyl, dlab, clab = mapping_cylinder(chain_map)
-    tag = {v: ("cy", ridx, 0, v) for v in cyl.vertices}
-    cyl = cyl.relabeled(tag)
-    dlab = {u: tag[v] for u, v in dlab.items()}
-    clab = {u: tag[v] for u, v in clab.items()}
-    pair = {w: clab[w] for w in D.vertices}
-    X, _, mL = glue_along(
-        X, _sub(X, pair.keys()), cyl, _sub(cyl, pair.values()), pair
-    )
-    landing = {cv: mL[dlab[cv]] for cv in C.vertices}
+        phi = {}
+        for chain_vertex, (dim, dome, pre, image) in zip(cw, elems):
+            for v in dome.vertices:
+                phi[chain_vertex[v]] = image[v]
+        D = _sub(X, set(phi.values()))
+        cyl, dlab, clab = mapping_cylinder(SimplicialMap(C, D, phi))
+        tag = {v: ("cy", ridx, v) for v in cyl.vertices}
+        cyl = cyl.relabeled(tag)
+        pair = {w: tag[clab[w]] for w in D.vertices}
+        X, _, mL = glue_along(
+            X, _sub(X, pair.keys()), cyl, _sub(cyl, pair.values()), pair
+        )
+        landings = [
+            {u: mL[tag[dlab[cv]]] for u, cv in chain_vertex.items()}
+            for chain_vertex in cw
+        ]
 
     iso = {}
-    for j, (dim, f, target, dome, pre) in enumerate(elems):
-        for u in dome.vertices:
-            iso[landing[cw[j][u]]] = sections[j][u]
+    for landing, section in zip(landings, sections):
+        for u, v in section.items():
+            iso[landing[u]] = v
     X, _, _ = glue_along(X, _sub(X, iso.keys()), E, _sub(E, iso.values()), iso)
     return X
 
@@ -481,8 +437,8 @@ def verify_descriptor(
 
     The descriptor is validated once and its integral base ring built once
     per call; that ring serves tier-1 assembly, every ring's expected
-    homology and the Euler check.  The base ring over each other ring is
-    built once, for its formula presentation.
+    homology and formula presentation, and the Euler check.  The ring
+    constructor reduces its integer coefficients into each ring.
     """
     if tier == "auto":
         use_tier2 = tier2_obstruction(d) is None
@@ -519,8 +475,7 @@ def verify_descriptor(
         # read before the ring witnesses: an oracle message may say "homology"
         homology_match = not any("homology" in w for w in witnesses)
         if K is not None:
-            base = base_z if R == Z else base_cohomology(d.base, R)
-            formula_ring = _ring_presentation(d, R, base).ring
+            formula_ring = _ring_presentation(d, R, base_z).ring
             try:
                 measured = cup_ring_of_complex(K, R, top_degree=n)
             except (RuntimeError, ValueError) as exc:

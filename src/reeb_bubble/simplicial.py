@@ -220,16 +220,16 @@ class ChainComplexZ:
     reads the divisors, the integral cocycle solvers read the cleared
     splitting, and :func:`top_cycle` reads the top degree, where nothing is
     cleared.  Cup rings over every ring read the one integral product
-    table cached here, so a Z/p cup ring of a complex with torsion, whose
-    Tor classes no integral cocycle carries, is refused.
+    table cached here per top degree (the integral solvers that build it
+    are not kept), so a Z/p cup ring of a complex with torsion, whose Tor
+    classes no integral cocycle carries, is refused.
     """
 
-    __slots__ = ("bases", "boundaries", "_reductions", "_solvers", "_products")
+    __slots__ = ("bases", "boundaries", "_reductions", "_products")
 
     def __init__(self, bases, boundaries, *, check=True):
         self.bases = [list(b) for b in bases]
         self._reductions = {}
-        self._solvers = {}
         self._products = {}
         if len(boundaries) != len(self.bases):
             raise ValueError("need one boundary matrix per degree")
@@ -650,7 +650,7 @@ def _winding_pattern(d: int, j: int) -> int:
     return 0
 
 
-def degree_map(l: int, d: int, anchor_preimages: int = 1) -> SimplicialMap:
+def degree_map(l: int, d: int) -> SimplicialMap:
     """A simplicial self-map model of the degree-d map on the l-sphere.
 
     Domain: an (l-1)-fold suspension of a polygon winding around the
@@ -658,19 +658,17 @@ def degree_map(l: int, d: int, anchor_preimages: int = 1) -> SimplicialMap:
     measured against the canonical fundamental cycles, is verified to
     equal d on every call.
 
-    ``anchor_preimages`` asks for at least that many polygon vertices over
-    codomain vertex 0.  The plain winding already provides |d| of them, so
-    one extra back-and-forth sheet is added exactly when |d| = 1 and two
-    anchors are requested.  Suspension poles are not counted: they rank
-    after the polygon vertices and cannot lead a facet.
+    At least two polygon vertices lie over codomain vertex 0, so a sphere
+    chain can share one of them with each neighbour.  The plain winding
+    gives |d| of them (all three for d = 0); for |d| = 1 the polygon runs
+    three sheets instead, two forward and one back.  Suspension poles are
+    not counted: they rank after the polygon vertices and cannot lead a
+    facet.
     """
     if l < 1:
         raise ValueError("degree maps need l >= 1")
-    if anchor_preimages > 2:
-        raise ValueError("at most two anchor preimages are supported")
-    if anchor_preimages == 2 and abs(d) == 1:
-        s = 1 if d > 0 else -1
-        dirs = [s, s, -s]
+    if abs(d) == 1:
+        dirs = [d, d, -d]
         m = 3 * len(dirs)
         vmap = {}
         for sheet, direction in enumerate(dirs):
@@ -778,23 +776,9 @@ class _DegreeSolver:
         return coords
 
 
-def _integral_solver(cx: ChainComplexZ, k: int, expected_rank: int) -> _DegreeSolver:
-    """The degree-k integral solver of ``cx``, built once and cached on it.
-
-    The rank is checked against ``expected_rank`` on every call, cached or
-    not, so a caller with the wrong homology still gets an error.
-    """
-    solver = cx._solvers.get(k)
-    if solver is None:
-        solver = cx._solvers[k] = _build_integral_solver(cx, k)
-    if solver.rank != expected_rank:
-        raise RuntimeError(
-            f"degree {k}: found {solver.rank} cohomology classes, rank {expected_rank} expected"
-        )
-    return solver
-
-
-def _build_integral_solver(cx: ChainComplexZ, k: int) -> _DegreeSolver:
+def _build_integral_solver(cx: ChainComplexZ, k: int, expected_rank: int) -> _DegreeSolver:
+    """The degree-k integral solver of ``cx``; raises ``RuntimeError`` unless
+    it finds ``expected_rank`` classes, or when its dual basis check fails."""
     nk = cx.dim_at(k)
     red = cx.reduction(k)
     duals = red.kernel_dual_rows
@@ -829,6 +813,10 @@ def _build_integral_solver(cx: ChainComplexZ, k: int) -> _DegreeSolver:
         for r, b in reversed(units):
             vec[r] = -sum(v * vec[t] for t, v in b.items())
         reps.append(vec)
+    if len(reps) != expected_rank:
+        raise RuntimeError(
+            f"degree {k}: found {len(reps)} cohomology classes, rank {expected_rank} expected"
+        )
     solver = _DegreeSolver(
         reps, next_rows, red.kernel_cols, classes.kernel_cols, classes.kernel_dual_rows
     )
@@ -852,7 +840,7 @@ def _cup_products(K: SimplicialComplex, cx: ChainComplexZ, top: int, hom):
         rank = hom.rank(k)
         if rank == 0:
             continue
-        solvers[k] = _integral_solver(cx, k, rank)
+        solvers[k] = _build_integral_solver(cx, k, rank)
         basis += [BasisElement(f"c{k}.{i + 1}", k, ("base",), False) for i in range(rank)]
 
     faces = {}
@@ -883,16 +871,16 @@ def cup_ring_of_complex(
     """Cohomology ring with Alexander-Whitney products in a chosen basis.
 
     Every ring is the integral product table, evaluated once per chain
-    complex and top degree and cached on the chain complex next to the
-    integral solvers it uses; the ring constructor reduces its coordinates
-    into R, which is a ring isomorphism onto the free part over Q, and over
-    every ring when the integral homology is torsion-free.  Torsion in
-    H_{k-1} is torsion in integral H^k, and over Z/p torsion in H_k also
-    adds Tor classes to H^k that no integral cocycle carries.  So over Z a
-    complex with torsion below the top degree, and over Z/p one with any
-    torsion through it (p-torsion or not: one rule), raises ``ValueError``.
-    No field elimination exists to fill the gap: every space this package
-    models is torsion-free.
+    complex and top degree and cached on the chain complex, with one
+    integral solver built per degree; the ring constructor reduces its
+    coordinates into R, which is a ring isomorphism onto the free part over
+    Q, and over every ring when the integral homology is torsion-free.
+    Torsion in H_{k-1} is torsion in integral H^k, and over Z/p torsion in
+    H_k also adds Tor classes to H^k that no integral cocycle carries.  So
+    over Z a complex with torsion below the top degree, and over Z/p one
+    with any torsion through it (p-torsion or not: one rule), raises
+    ``ValueError``.  No field elimination exists to fill the gap: every
+    space this package models is torsion-free.
     Every ring is still checked in full by ``PresentedGradedRing``.
     """
     cx = chain_complex_of(K)

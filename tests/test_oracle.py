@@ -18,6 +18,7 @@ from reeb_bubble import graded as graded_module
 from reeb_bubble import oracle as oracle_module
 from reeb_bubble import simplicial as simplicial_module
 from reeb_bubble.calculus import homology_of_descriptor
+from reeb_bubble.catalog import catalog_entry
 from reeb_bubble.coefficients import CoefficientRing
 from reeb_bubble.descriptor import (
     BaseSpec,
@@ -233,6 +234,29 @@ def test_zero_coefficient_spheres_only_target_wedge_point():
     assert homology_of_complex(K, Z).free_ranks == (1, 1, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "name, simplices",
+    [
+        ("circle-pair-unimodular", 168),
+        ("normal-point-mix", 197),
+        ("torus-core-bubble-n4", 806),
+        ("deep-schedule-n5", 8444),
+    ],
+)
+def test_unit_coefficient_records_glue_without_a_cylinder(name, simplices):
+    # a lone sphere with coefficient +-1 lands on its carrier directly;
+    # routing it through a mapping cylinder as well more than doubles these
+    K = simplicial_model(catalog_entry(name).descriptor)
+    assert len(K.simplices) == simplices
+
+
+@pytest.mark.parametrize("n, l", [(3, 1), (4, 2)])
+def test_explicit_zero_coefficient_maps_to_the_wedge_point(n, l):
+    d = desc(n, [Sphere(l)], [record(RecordKind.M, SphereSpec(l, {"nu1": 0}))])
+    rep = verify_descriptor(d, RINGS, tier=2)
+    assert rep.tier == 2 and rep.ok, format_report(rep)
+
+
 # ---------------------------------------------------------------------------
 # verification reports
 # ---------------------------------------------------------------------------
@@ -302,8 +326,8 @@ def test_verify_builds_each_base_ring_once(monkeypatch, rings):
     )
     rep = verify_descriptor(d, rings)
     assert rep.tier == 2 and rep.ok
-    # validation builds no ring: one base ring per coefficient ring
-    assert calls["base_cohomology"] <= len(rings)
+    # validation builds no ring, and every ring reads the integral one
+    assert calls["base_cohomology"] == 1
     assert calls["validate"] == 1
 
 
