@@ -210,9 +210,9 @@ def simplicial_model(d: ReebDescriptor) -> SimplicialComplex:
     with one sphere or several, attaches along one mapping cylinder: a
     sphere with a live coefficient maps onto its carrier by a degree map,
     and one without, an explicit 0 included, maps to the wedge point.
-    Several spheres chain their sections through shared vertices at the
-    connected-sum interfaces, every shared vertex sitting over the wedge
-    point, so the identification locus stays connected.
+    Several spheres attach along their wedge: the sphere products meet in
+    one connected-sum vertex that every section passes through, and it sits
+    over the wedge point, so the identification locus stays connected.
     """
     _require_valid(d)
     reason = tier2_obstruction(d)
@@ -235,17 +235,18 @@ def simplicial_model(d: ReebDescriptor) -> SimplicialComplex:
 
 
 def _attach_record(X, carriers, bp, n, ridx, spheres):
-    """Attach one record's sphere products along its spheres.
+    """Attach one record's sphere products along a bouquet of its spheres.
 
-    With several spheres, consecutive sphere products share exactly one
-    section vertex at their connected-sum interface; the shared vertices
-    all sit over the wedge point, so the abstract chain of spheres maps
-    consistently to the base.  A sphere with a live target contributes its
-    degree map's wing; one without maps constantly to the wedge point.  The
-    chain, a lone sphere included, is attached through a single mapping
-    cylinder, which keeps the gluing locus connected instead of one sphere
-    copy per summand.  The one shortcut: a lone sphere whose coefficient is
-    +-1 needs no cylinder, and its section lands on the carrier itself.
+    The sphere products are joined into one connected sum at a single
+    vertex w, the first vertex of the first section; every section passes
+    through w, so the sections form a wedge of spheres inside the sum.  The
+    abstract wedge of the sphere domains maps to the base: a sphere with a
+    live target by its degree map onto the carrier, one without constantly
+    to the wedge point.  Each domain's first vertex goes to codomain vertex
+    0 and each carrier sends that to the wedge point, so the wedge vertex
+    has one image.  The record attaches through a single mapping cylinder
+    of that map.  The one shortcut: a lone sphere whose coefficient is +-1
+    needs no cylinder, and its section lands on the carrier itself.
     """
     direct = False
     elems = []
@@ -253,96 +254,57 @@ def _attach_record(X, carriers, bp, n, ridx, spheres):
         live = [(t, v) for t, v in s.coefficients if v]
         if live and abs(live[0][1]) == 1 and len(spheres) == 1:
             direct = True
-            dome, pre = sphere_complex(s.dim), []
+            dome = sphere_complex(s.dim)
             image = carriers[live[0][0]]
         elif live:
             target, value = live[0]
             f = degree_map(s.dim, value)
             dome = f.domain
-            pre = sorted(
-                v for v in dome.vertices
-                if isinstance(v, int) and f.vertex_map[v] == 0
-            )
             image = {v: carriers[target][w] for v, w in f.vertex_map.items()}
         else:
             dome = sphere_complex(s.dim)
-            pre = sorted(dome.vertices)
             image = {v: bp for v in dome.vertices}
-        elems.append((s.dim, dome, pre, image))
+        elems.append((s.dim, dome, image))
 
-    k = len(elems)
-    links = []
-    for j, (dim, dome, pre, image) in enumerate(elems):
-        if 0 < j < k - 1 and len(pre) < 2:
-            raise RuntimeError("chain link needs two anchor preimages")
-        vl = pre[0] if j > 0 else None
-        vr = (pre[1] if j > 0 else pre[0]) if j < k - 1 else None
-        links.append((vl, vr))
-
-    factors = []
     sections = []
-    for dim, dome, pre, image in elems:
-        factors.append(product_complex(dome, sphere_complex(n - dim)))
-        sections.append({u: (u, 0) for u in dome.vertices})
-    E = factors[0]
-    for j in range(1, k):
-        join_prev = sections[j - 1][links[j - 1][1]]
-        join_new = (links[j][0], 0)
-        avoid_prev = set()
-        for sec in sections[:j]:
-            avoid_prev |= set(sec.values())
-        avoid_prev.discard(join_prev)
-        avoid_new = set(sections[j].values())
-        avoid_new.discard(join_new)
-        E, mK, mL = connected_sum_with_maps(
-            E, factors[j], n,
-            avoid_K=avoid_prev, avoid_L=avoid_new,
-            join_K=join_prev, join_L=join_new,
-        )
-        for sec in sections[:j]:
-            for u in sec:
-                sec[u] = mK[sec[u]]
-        sections[j] = {u: mL[v] for u, v in sections[j].items()}
+    for dim, dome, _ in elems:
+        piece = product_complex(dome, sphere_complex(n - dim))
+        section = {u: (u, 0) for u in dome.vertices}
+        join = section[dome.vertices[0]]
+        if not sections:
+            E, w = piece, join
+        else:
+            placed = set().union(*(sec.values() for sec in sections))
+            E, _, mL = connected_sum_with_maps(
+                E, piece, n,
+                avoid_K=placed - {w}, avoid_L=set(section.values()) - {join},
+                join_K=w, join_L=join,
+            )
+            section = {u: mL[v] for u, v in section.items()}
+        sections.append(section)
     fresh = {v: ("er", ridx, v) for v in E.vertices}
     E = E.relabeled(fresh)
     sections = [{u: fresh[v] for u, v in sec.items()} for sec in sections]
 
     if direct:
-        landings = [elems[0][3]]
+        landings = [elems[0][2]]
     else:
-        # abstract chain of the sphere domains, one shared vertex per link
-        cw = []
-        C = None
-        for j, (dim, dome, pre, image) in enumerate(elems):
-            tag = {v: ("cw", ridx, j, v) for v in dome.vertices}
-            piece = dome.relabeled(tag)
-            if C is None:
-                C = piece
-                cw.append(dict(tag))
-            else:
-                shared_prev = cw[j - 1][links[j - 1][1]]
-                shared_new = tag[links[j][0]]
-                C, _, mLL = glue_along(
-                    C, _sub(C, [shared_prev]), piece, _sub(piece, [shared_new]),
-                    {shared_prev: shared_new},
-                )
-                cw.append({v: mLL[tag[v]] for v in dome.vertices})
-
+        C, wedge_maps = wedge_complexes([dome for _, dome, _ in elems])
         phi = {}
-        for chain_vertex, (dim, dome, pre, image) in zip(cw, elems):
+        for vmap, (_, dome, image) in zip(wedge_maps, elems):
             for v in dome.vertices:
-                phi[chain_vertex[v]] = image[v]
+                if phi.setdefault(vmap[v], image[v]) != image[v]:
+                    raise RuntimeError("bouquet vertex has two images in the base")
         D = _sub(X, set(phi.values()))
         cyl, dlab, clab = mapping_cylinder(SimplicialMap(C, D, phi))
         tag = {v: ("cy", ridx, v) for v in cyl.vertices}
         cyl = cyl.relabeled(tag)
-        pair = {w: tag[clab[w]] for w in D.vertices}
+        pair = {x: tag[clab[x]] for x in D.vertices}
         X, _, mL = glue_along(
             X, _sub(X, pair.keys()), cyl, _sub(cyl, pair.values()), pair
         )
         landings = [
-            {u: mL[tag[dlab[cv]]] for u, cv in chain_vertex.items()}
-            for chain_vertex in cw
+            {u: mL[tag[dlab[cv]]] for u, cv in vmap.items()} for vmap in wedge_maps
         ]
 
     iso = {}

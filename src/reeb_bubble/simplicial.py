@@ -185,14 +185,6 @@ class SimplicialMap:
         return {k: v for k, v in out.items() if v}
 
 
-def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
-    if f.codomain is not g.domain and f.codomain.simplices != g.domain.simplices:
-        raise ValueError("maps do not compose")
-    return SimplicialMap(
-        f.domain, g.codomain, {v: g.vertex_map[f.vertex_map[v]] for v in f.domain.vertices}
-    )
-
-
 # ---------------------------------------------------------------------------
 # chain complexes
 # ---------------------------------------------------------------------------
@@ -653,61 +645,37 @@ def _winding_pattern(d: int, j: int) -> int:
 def degree_map(l: int, d: int) -> SimplicialMap:
     """A simplicial self-map model of the degree-d map on the l-sphere.
 
-    Domain: an (l-1)-fold suspension of a polygon winding around the
-    triangle.  Codomain: the minimal sphere.  The chain-level multiplier,
-    measured against the canonical fundamental cycles, is verified to
-    equal d on every call.
-
-    At least two polygon vertices lie over codomain vertex 0, so a sphere
-    chain can share one of them with each neighbour.  The plain winding
-    gives |d| of them (all three for d = 0); for |d| = 1 the polygon runs
-    three sheets instead, two forward and one back.  Suspension poles are
-    not counted: they rank after the polygon vertices and cannot lead a
-    facet.
+    Domain: an (l-1)-fold suspension of a polygon of 3 max(|d|, 1) vertices
+    winding around the triangle.  Codomain: the minimal sphere.  Each
+    suspension reverses the orientation the winding induces, so the polygon
+    winds by d for odd l and by -d for even l.  The chain-level multiplier,
+    measured against the canonical fundamental cycles, is verified to equal
+    d on every call.  Polygon vertex 0, the domain's first vertex, lies over
+    codomain vertex 0.
     """
     if l < 1:
         raise ValueError("degree maps need l >= 1")
-    if abs(d) == 1:
-        dirs = [d, d, -d]
-        m = 3 * len(dirs)
-        vmap = {}
-        for sheet, direction in enumerate(dirs):
-            for t in range(3):
-                vmap[3 * sheet + t] = t if direction > 0 else (-t) % 3
-    else:
-        m = 3 * max(abs(d), 1)
-        vmap = {i: _winding_pattern(d, i) for i in range(m)}
-    poly = polygon_complex(m)
-    cod = sphere_complex(1)
-    f = SimplicialMap(poly, cod, vmap)
+    winding = d if l % 2 else -d
+    m = 3 * max(abs(d), 1)
+    f = SimplicialMap(
+        polygon_complex(m),
+        sphere_complex(1),
+        {i: _winding_pattern(winding, i) for i in range(m)},
+    )
     for step in range(l - 1):
         # send one new pole over the fresh apex, the other into the old
         # sphere: the classical cone/base decomposition of the suspension
-        old_cod = f.codomain
-        apex = step + 3
-        new_cod = sphere_complex(step + 2)
         pa, pb = ("pole", step, 0), ("pole", step, 1)
-        dom = suspension_complex(f.domain, (pa, pb))
-        vmap = {v: f.vertex_map[v] for v in f.domain.vertices}
-        vmap[pa] = apex
+        vmap = dict(f.vertex_map)
+        vmap[pa] = step + 3
         vmap[pb] = 0
-        f = SimplicialMap(dom, new_cod, vmap)
-        del old_cod
+        f = SimplicialMap(
+            suspension_complex(f.domain, (pa, pb)), sphere_complex(step + 2), vmap
+        )
     mu = measured_degree(f)
-    if mu == -d and d != 0:
-        f = compose_maps(f, _prefold_reflection(f.domain, m, l))
-        mu = measured_degree(f)
     if mu != d:
         raise RuntimeError(f"degree map for (l={l}, d={d}) measured {mu}")
     return f
-
-
-def _prefold_reflection(dom: SimplicialComplex, m: int, l: int) -> SimplicialMap:
-    """Orientation-reversing automorphism: reflect the underlying polygon."""
-    vmap = {}
-    for v in dom.vertices:
-        vmap[v] = (-v) % m if isinstance(v, int) else v
-    return SimplicialMap(dom, dom, vmap)
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,46 @@ def test_unit_coefficient_records_glue_without_a_cylinder(name, simplices):
     assert len(K.simplices) == simplices
 
 
+@pytest.mark.parametrize(
+    "name, simplices",
+    [
+        ("bouquet-two-circles", 525),
+        ("bouquet-silent-wing", 343),
+        ("bouquet-three-spheres", 3803),
+    ],
+)
+def test_bouquet_records_attach_along_one_wedge_vertex(name, simplices):
+    # a record's spheres all meet at one vertex over the wedge point, and
+    # a +-1 sphere among several maps by the three-vertex winding
+    K = simplicial_model(catalog_entry(name).descriptor)
+    assert len(K.simplices) == simplices
+
+
+@pytest.mark.parametrize(
+    "d, simplices",
+    [
+        (desc(3, [Sphere(1)], [record(
+            RecordKind.M,
+            SphereSpec(1, {"nu1": 1}),
+            SphereSpec(1, {"nu1": -1}),
+            SphereSpec(1, {"nu1": 1}),
+        )]), 504),
+        (desc(4, [Sphere(2), Sphere(1)], [record(
+            RecordKind.M,
+            SphereSpec(2, {"nu1": -1}),
+            SphereSpec(1, {"nu2": 1}),
+            SphereSpec(2, {"nu1": 1}),
+        )]), 2445),
+    ],
+    ids=["n3-three-circles", "n4-mixed-dims"],
+)
+def test_all_unit_bouquets_verify_at_tier2(d, simplices):
+    # every +-1 sphere among several maps by the three-vertex winding
+    assert len(simplicial_model(d).simplices) == simplices
+    rep = verify_descriptor(d, RINGS, tier=2)
+    assert rep.tier == 2 and rep.ok, format_report(rep)
+
+
 @pytest.mark.parametrize("n, l", [(3, 1), (4, 2)])
 def test_explicit_zero_coefficient_maps_to_the_wedge_point(n, l):
     d = desc(n, [Sphere(l)], [record(RecordKind.M, SphereSpec(l, {"nu1": 0}))])

@@ -330,6 +330,9 @@ def test_degree_map_multiplier_grid(l, d):
     f = degree_map(l, d)
     assert f.codomain.simplices == sphere_complex(l).simplices
     assert measured_degree(f) == d
+    # a polygon winding |d| times (a triangle for |d| <= 1), plus two
+    # poles per suspension
+    assert len(f.domain.vertices) == 3 * max(abs(d), 1) + 2 * (l - 1)
 
 
 def test_suspension_homology():
