@@ -168,6 +168,8 @@ def _expr_complex(expr):
     Carriers are listed in the same order the base ring marks its classes:
     left factor before right, recursively.  Each carrier maps the vertices
     of the standard sphere of the class's degree onto a full subcomplex.
+    Every core's vertices are 0 .. |K| - 1, so a product vertex (u, v) is
+    u * |K2| + v, as :func:`product_complex` numbers it.
     """
     if isinstance(expr, Sphere):
         K = sphere_complex(expr.k)
@@ -176,9 +178,10 @@ def _expr_complex(expr):
         K1, car1, b1 = _expr_complex(expr.left)
         K2, car2, b2 = _expr_complex(expr.right)
         P = product_complex(K1, K2)
-        carriers = [{u: (c[u], b2) for u in c} for c in car1]
-        carriers += [{u: (b1, c[u]) for u in c} for c in car2]
-        return P, carriers, (b1, b2)
+        m = len(K2.vertices)
+        carriers = [{u: c[u] * m + b2 for u in c} for c in car1]
+        carriers += [{u: b1 * m + c[u] for u in c} for c in car2]
+        return P, carriers, b1 * m + b2
     raise TierError("connected-sum cores are not supported")
 
 
@@ -193,11 +196,7 @@ def _base_complex(d: ReebDescriptor):
         for car in cars:
             count += 1
             carriers[f"nu{count}"] = {u: vmap[v] for u, v in car.items()}
-    return W, carriers, ("w",)
-
-
-def _sub(K: SimplicialComplex, vertices):
-    return K.restrict_full(sorted(set(vertices), key=K.rank.__getitem__))
+    return W, carriers, 0
 
 
 def simplicial_model(d: ReebDescriptor) -> SimplicialComplex:
@@ -213,6 +212,8 @@ def simplicial_model(d: ReebDescriptor) -> SimplicialComplex:
     Several spheres attach along their wedge: the sphere products meet in
     one connected-sum vertex that every section passes through, and it sits
     over the wedge point, so the identification locus stays connected.
+    The model's vertices are 0 .. |X| - 1: each gluing numbers the new
+    vertices after the old ones.
     """
     _require_valid(d)
     reason = tier2_obstruction(d)
@@ -221,20 +222,19 @@ def simplicial_model(d: ReebDescriptor) -> SimplicialComplex:
     n = d.n
     X, carriers, bp = _base_complex(d)
 
-    for ridx, rec in enumerate(d.records, start=1):
+    for rec in d.records:
         spheres = [s for s in rec.spheres if s.dim >= 1]
         if not spheres:
             E = sphere_complex(n)
-            E = E.relabeled({v: ("pt", ridx, v) for v in E.vertices})
             X, _, _ = glue_along(
-                X, _sub(X, [bp]), E, _sub(E, [("pt", ridx, 0)]), {bp: ("pt", ridx, 0)}
+                X, X.restrict_full([bp]), E, E.restrict_full([0]), {bp: 0}
             )
         else:
-            X = _attach_record(X, carriers, bp, n, ridx, spheres)
+            X = _attach_record(X, carriers, bp, n, spheres)
     return X
 
 
-def _attach_record(X, carriers, bp, n, ridx, spheres):
+def _attach_record(X, carriers, bp, n, spheres):
     """Attach one record's sphere products along a bouquet of its spheres.
 
     The sphere products are joined into one connected sum at a single
@@ -247,6 +247,10 @@ def _attach_record(X, carriers, bp, n, ridx, spheres):
     has one image.  The record attaches through a single mapping cylinder
     of that map.  The one shortcut: a lone sphere whose coefficient is +-1
     needs no cylinder, and its section lands on the carrier itself.
+
+    A section is its dome times vertex 0 of the fibre sphere, so dome
+    vertex u is vertex u * |fibre| of the sphere product.  Each gluing
+    numbers the new vertices after X's, so no vertex needs a tag.
     """
     direct = False
     elems = []
@@ -268,8 +272,10 @@ def _attach_record(X, carriers, bp, n, ridx, spheres):
 
     sections = []
     for dim, dome, _ in elems:
-        piece = product_complex(dome, sphere_complex(n - dim))
-        section = {u: (u, 0) for u in dome.vertices}
+        fibre = sphere_complex(n - dim)
+        piece = product_complex(dome, fibre)
+        m = len(fibre.vertices)
+        section = {u: u * m for u in dome.vertices}
         join = section[dome.vertices[0]]
         if not sections:
             E, w = piece, join
@@ -282,9 +288,6 @@ def _attach_record(X, carriers, bp, n, ridx, spheres):
             )
             section = {u: mL[v] for u, v in section.items()}
         sections.append(section)
-    fresh = {v: ("er", ridx, v) for v in E.vertices}
-    E = E.relabeled(fresh)
-    sections = [{u: fresh[v] for u, v in sec.items()} for sec in sections]
 
     if direct:
         landings = [elems[0][2]]
@@ -295,23 +298,20 @@ def _attach_record(X, carriers, bp, n, ridx, spheres):
             for v in dome.vertices:
                 if phi.setdefault(vmap[v], image[v]) != image[v]:
                     raise RuntimeError("bouquet vertex has two images in the base")
-        D = _sub(X, set(phi.values()))
+        D = X.restrict_full(phi.values())
         cyl, dlab, clab = mapping_cylinder(SimplicialMap(C, D, phi))
-        tag = {v: ("cy", ridx, v) for v in cyl.vertices}
-        cyl = cyl.relabeled(tag)
-        pair = {x: tag[clab[x]] for x in D.vertices}
         X, _, mL = glue_along(
-            X, _sub(X, pair.keys()), cyl, _sub(cyl, pair.values()), pair
+            X, D, cyl, cyl.restrict_full(clab.values()), clab
         )
         landings = [
-            {u: mL[tag[dlab[cv]]] for u, cv in vmap.items()} for vmap in wedge_maps
+            {u: mL[dlab[cv]] for u, cv in vmap.items()} for vmap in wedge_maps
         ]
 
     iso = {}
     for landing, section in zip(landings, sections):
         for u, v in section.items():
             iso[landing[u]] = v
-    X, _, _ = glue_along(X, _sub(X, iso.keys()), E, _sub(E, iso.values()), iso)
+    X, _, _ = glue_along(X, X.restrict_full(iso), E, E.restrict_full(iso.values()), iso)
     return X
 
 

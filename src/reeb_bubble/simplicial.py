@@ -2,10 +2,10 @@
 
 Everything here is exact: boundary matrices over the integers, homology by
 elementary divisors, cohomology rings by the Alexander-Whitney front/back
-rule on ordered simplices.  Complexes are immutable; vertex labels are
-arbitrary hashable values carrying an explicit total order, so derived
-complexes (products, cylinders, gluings) can use structured labels without
-relying on Python's comparison operators.
+rule on ordered simplices.  Complexes are immutable; vertices are ints
+ordered as integers, so every derived complex (product, wedge, cylinder,
+gluing) numbers the vertices it creates, and simplices are strictly
+increasing int tuples that sort and hash as plain tuples.
 """
 
 from __future__ import annotations
@@ -52,20 +52,19 @@ __all__ = [
 
 
 class SimplicialComplex:
-    """Downward-closed family of simplices over a totally ordered vertex set.
+    """Downward-closed family of simplices on integer vertices.
 
-    Simplices are stored as tuples sorted by vertex rank, never by the
-    labels' own comparison.
+    ``vertices`` are ints in strictly increasing order, and the integers'
+    order is the vertex order.  Simplices are strictly increasing tuples of
+    vertices.  ``check=True`` validates both and the closure under faces.
     """
 
-    __slots__ = ("vertices", "rank", "simplices", "_by_dim", "_index", "_chain")
+    __slots__ = ("vertices", "simplices", "_dim", "_by_dim", "_index", "_chain")
 
     def __init__(self, vertices, simplices, *, check=True):
         self.vertices = tuple(vertices)
-        self.rank = {v: i for i, v in enumerate(self.vertices)}
-        if len(self.rank) != len(self.vertices):
-            raise ValueError("duplicate vertex labels")
-        self.simplices = frozenset(tuple(s) for s in simplices)
+        self.simplices = frozenset(simplices)
+        self._dim = None
         self._by_dim = None
         self._index = None
         self._chain = None
@@ -73,18 +72,24 @@ class SimplicialComplex:
             self._validate()
 
     def _validate(self):
+        vs = self.vertices
+        for v in vs:
+            if type(v) is not int:
+                raise ValueError(f"vertex {v!r} is not an int")
+        if any(a >= b for a, b in zip(vs, vs[1:])):
+            raise ValueError("vertices are not strictly increasing")
+        known = set(vs)
         for s in self.simplices:
-            if not s:
-                raise ValueError("empty simplex")
-            ranks = [self.rank.get(v) for v in s]
-            if None in ranks:
+            if type(s) is not tuple or not s:
+                raise ValueError(f"simplex {s!r} is not a non-empty tuple")
+            if not known.issuperset(s):
                 raise ValueError(f"simplex {s} uses unknown vertex")
-            if any(a >= b for a, b in zip(ranks, ranks[1:])):
+            if any(a >= b for a, b in zip(s, s[1:])):
                 raise ValueError(f"simplex {s} not sorted by vertex order")
             for face in combinations(s, len(s) - 1):
                 if face and face not in self.simplices:
                     raise ValueError(f"missing face {face} of {s}")
-        for v in self.vertices:
+        for v in vs:
             if (v,) not in self.simplices:
                 raise ValueError(f"vertex {v} missing as a 0-simplex")
 
@@ -92,10 +97,9 @@ class SimplicialComplex:
     def from_facets(cls, vertices, facets):
         """Build the downward closure of the given facets."""
         vertices = tuple(vertices)
-        rank = {v: i for i, v in enumerate(vertices)}
         simplices = set((v,) for v in vertices)
         for f in facets:
-            f = tuple(sorted(f, key=rank.__getitem__))
+            f = tuple(sorted(f))
             for size in range(1, len(f) + 1):
                 simplices.update(combinations(f, size))
         return cls(vertices, simplices, check=False)
@@ -104,7 +108,9 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max((len(s) - 1 for s in self.simplices), default=-1)
+        if self._dim is None:
+            self._dim = max(map(len, self.simplices), default=0) - 1
+        return self._dim
 
     def simplices_of_dim(self, k: int) -> list[tuple]:
         if self._by_dim is None:
@@ -112,7 +118,7 @@ class SimplicialComplex:
             for s in self.simplices:
                 by_dim.setdefault(len(s) - 1, []).append(s)
             for group in by_dim.values():
-                group.sort(key=lambda s: tuple(self.rank[v] for v in s))
+                group.sort()
             self._by_dim = by_dim
         return self._by_dim.get(k, [])
 
@@ -123,23 +129,13 @@ class SimplicialComplex:
             self._index[k] = {s: i for i, s in enumerate(self.simplices_of_dim(k))}
         return self._index[k]
 
-    def sort_simplex(self, vs) -> tuple:
-        return tuple(sorted(vs, key=self.rank.__getitem__))
-
     def has(self, vs) -> bool:
-        return self.sort_simplex(vs) in self.simplices
-
-    def relabeled(self, mapping) -> "SimplicialComplex":
-        if len(set(mapping[v] for v in self.vertices)) != len(self.vertices):
-            raise ValueError("relabeling must be injective")
-        vertices = tuple(mapping[v] for v in self.vertices)
-        simplices = {tuple(mapping[v] for v in s) for s in self.simplices}
-        return SimplicialComplex(vertices, simplices, check=False)
+        return tuple(sorted(vs)) in self.simplices
 
     def restrict_full(self, vertex_subset) -> "SimplicialComplex":
         keep = set(vertex_subset)
         vertices = tuple(v for v in self.vertices if v in keep)
-        simplices = {s for s in self.simplices if all(v in keep for v in s)}
+        simplices = {s for s in self.simplices if keep.issuperset(s)}
         return SimplicialComplex(vertices, simplices, check=False)
 
     def counts(self) -> tuple[int, ...]:
@@ -167,19 +163,17 @@ class SimplicialMap:
     def chain_image(self, chain: dict) -> dict:
         """Push a chain forward; degenerate simplices die, reorderings sign."""
         out = {}
-        rank = self.codomain.rank
         for s, c in chain.items():
             image = [self.vertex_map[v] for v in s]
             if len(set(image)) != len(image):
                 continue
-            ranks = [rank[w] for w in image]
             inversions = sum(
                 1
-                for i in range(len(ranks))
-                for j in range(i + 1, len(ranks))
-                if ranks[i] > ranks[j]
+                for i in range(len(image))
+                for j in range(i + 1, len(image))
+                if image[i] > image[j]
             )
-            t = tuple(sorted(image, key=rank.__getitem__))
+            t = tuple(sorted(image))
             sign = -1 if inversions % 2 else 1
             out[t] = out.get(t, 0) + sign * c
         return {k: v for k, v in out.items() if v}
@@ -331,7 +325,8 @@ def homology_of_complex(K: SimplicialComplex, R: CoefficientRing) -> GradedModul
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
-    return sum((-1) ** k * c for k, c in enumerate(K.counts()))
+    # a simplex of even dimension has an odd number of vertices
+    return sum(1 if len(s) % 2 else -1 for s in K.simplices)
 
 
 # ---------------------------------------------------------------------------
@@ -365,28 +360,32 @@ def polygon_complex(m: int) -> SimplicialComplex:
 def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
     """Staircase triangulation of |K| x |L|.
 
-    Vertices are (k-vertex, l-vertex) pairs ordered lexicographically by
-    rank; facets are the monotone staircase chains through products of
-    maximal simplices.
+    The vertex (u, v) is numbered rank(u) * |L| + rank(v), where a rank is
+    a position in ``vertices``: the pairs in lexicographic order.  Facets
+    are the monotone staircase chains through products of maximal simplices.
     """
-    vertices = tuple((u, v) for u in K.vertices for v in L.vertices)
+    m = len(L.vertices)
+    k_rank = {u: i for i, u in enumerate(K.vertices)}
+    l_rank = {v: j for j, v in enumerate(L.vertices)}
     k_max = _maximal_simplices(K)
     l_max = _maximal_simplices(L)
     facets = []
     for s in k_max:
+        s = [k_rank[u] * m for u in s]
         for t in l_max:
+            t = [l_rank[v] for v in t]
             p, q = len(s) - 1, len(t) - 1
             for positions in combinations(range(p + q), p):
                 i = j = 0
-                chain = [(s[0], t[0])]
+                chain = [s[0] + t[0]]
                 for step in range(p + q):
                     if step in positions:
                         i += 1
                     else:
                         j += 1
-                    chain.append((s[i], t[j]))
-                facets.append(tuple(chain))
-    return SimplicialComplex.from_facets(vertices, facets)
+                    chain.append(s[i] + t[j])
+                facets.append(chain)
+    return SimplicialComplex.from_facets(range(len(K.vertices) * m), facets)
 
 
 def _maximal_simplices(K: SimplicialComplex) -> list[tuple]:
@@ -400,34 +399,36 @@ def _maximal_simplices(K: SimplicialComplex) -> list[tuple]:
 def wedge_complexes(complexes, basepoints=None):
     """Wedge at one chosen vertex per summand.
 
-    Returns (wedge, inclusion vertex maps).  The shared vertex is labeled
-    ("w",) and comes first in the order; empty input gives a single point.
+    Returns (wedge, inclusion vertex maps).  The shared vertex is 0, and
+    each summand's other vertices follow in order, summand by summand;
+    empty input gives a single point.
     """
     complexes = list(complexes)
     if basepoints is None:
         basepoints = [K.vertices[0] for K in complexes]
-    w = ("w",)
-    vertices = [w]
+    size = 1
     maps = []
+    simplices = {(0,)}
     for i, (K, bp) in enumerate(zip(complexes, basepoints)):
-        if bp not in K.rank:
+        if bp not in K.vertices:
             raise ValueError(f"basepoint {bp} not a vertex of summand {i}")
-        vmap = {v: (w if v == bp else ("s", i, v)) for v in K.vertices}
+        vmap = {}
+        for v in K.vertices:
+            if v == bp:
+                vmap[v] = 0
+            else:
+                vmap[v] = size
+                size += 1
         maps.append(vmap)
-        vertices.extend(vmap[v] for v in K.vertices if v != bp)
-    rank = {v: i for i, v in enumerate(vertices)}
-    simplices = {(w,)}
-    for K, vmap in zip(complexes, maps):
-        for s in K.simplices:
-            simplices.add(tuple(sorted((vmap[v] for v in s), key=rank.__getitem__)))
-    W = SimplicialComplex(tuple(vertices), simplices, check=False)
+        simplices.update(tuple(sorted([vmap[v] for v in s])) for s in K.simplices)
+    W = SimplicialComplex(range(size), simplices, check=False)
     return W, maps
 
 
-def suspension_complex(K: SimplicialComplex, poles=(("pole", 0), ("pole", 1))):
-    a, b = poles
-    if a in K.rank or b in K.rank or a == b:
-        raise ValueError("pole labels must be fresh and distinct")
+def suspension_complex(K: SimplicialComplex):
+    """Suspension of K; the two poles are numbered max + 1 and max + 2."""
+    a = K.vertices[-1] + 1 if K.vertices else 0
+    b = a + 1
     vertices = K.vertices + (a, b)
     simplices = set(K.simplices) | {(a,), (b,)}
     for s in K.simplices:
@@ -454,14 +455,15 @@ def connected_sum_with_maps(
 
     Facets are chosen away from the ``avoid`` vertex sets so distinguished
     subcomplexes (sections, basepoints) survive.  Returns the sum plus the
-    two vertex inclusion maps.  Any order-respecting identification of the
-    boundary spheres is accepted: for the closed manifolds this package
-    builds, both gluing orientations give the same homology and pairing
-    invariants.
+    two vertex inclusion maps.  K keeps its vertex numbers; L's vertices off
+    the identified sphere are numbered max(K) + 1, max(K) + 2, ... in L's
+    order.  Any order-respecting identification of the boundary spheres is
+    accepted: for the closed manifolds this package builds, both gluing
+    orientations give the same homology and pairing invariants.
 
     When ``join_K`` and ``join_L`` are given, the removed facets are chosen
     through those vertices and the identification matches them, so the two
-    named vertices become one vertex of the sum (labelled ``join_K``).
+    named vertices become one vertex of the sum (numbered ``join_K``).
     """
     avoid_K, avoid_L = set(avoid_K), set(avoid_L)
     if (join_K is None) != (join_L is None):
@@ -469,32 +471,22 @@ def connected_sum_with_maps(
     sigma = _pick_facet(K, dim, avoid_K, must=join_K)
     tau = _pick_facet(L, dim, avoid_L, must=join_L)
     if join_K is None:
-        ident = dict(zip(tau, sigma))
+        map_L = dict(zip(tau, sigma))
     else:
         rest_t = [v for v in tau if v != join_L]
         rest_s = [v for v in sigma if v != join_K]
-        ident = {join_L: join_K}
-        ident.update(zip(rest_t, rest_s))
-    kverts = set(K.vertices)
-    map_L = {}
+        map_L = {join_L: join_K}
+        map_L.update(zip(rest_t, rest_s))
+    start = size = K.vertices[-1] + 1
     for v in L.vertices:
-        if v in ident:
-            map_L[v] = ident[v]
-        else:
-            lab = ("s", v)
-            while lab in kverts:
-                lab = ("s", lab)
-            kverts.add(lab)
-            map_L[v] = lab
+        if v not in map_L:
+            map_L[v] = size
+            size += 1
     map_K = {v: v for v in K.vertices}
-    vertices = list(K.vertices) + [map_L[v] for v in L.vertices if v not in ident]
-    rank = {v: i for i, v in enumerate(vertices)}
-    simplices = set(K.simplices) - {sigma}
-    for s in L.simplices:
-        if s == tau:
-            continue
-        simplices.add(tuple(sorted((map_L[v] for v in s), key=rank.__getitem__)))
-    G = SimplicialComplex(tuple(vertices), simplices, check=False)
+    simplices = set(K.simplices)
+    simplices.remove(sigma)
+    simplices.update(tuple(sorted([map_L[v] for v in s])) for s in L.simplices if s != tau)
+    G = SimplicialComplex(K.vertices + tuple(range(start, size)), simplices, check=False)
     want = euler_characteristic(K) + euler_characteristic(L) - (1 + (-1) ** dim)
     got = euler_characteristic(G)
     if got != want:
@@ -503,39 +495,43 @@ def connected_sum_with_maps(
 
 
 def _pick_facet(K: SimplicialComplex, dim: int, avoid: set, must=None) -> tuple:
-    for s in K.simplices_of_dim(dim):
-        if must is not None and must not in s:
-            continue
-        if not avoid.intersection(s):
-            return s
-    where = " through the join vertex" if must is not None else ""
-    raise ValueError(f"no dimension-{dim} facet{where} clear of the avoid set")
+    """The least dimension-``dim`` simplex through ``must`` clear of ``avoid``."""
+    size = dim + 1
+    facet = min(
+        (
+            s
+            for s in K.simplices
+            if len(s) == size and (must is None or must in s) and avoid.isdisjoint(s)
+        ),
+        default=None,
+    )
+    if facet is None:
+        where = " through the join vertex" if must is not None else ""
+        raise ValueError(f"no dimension-{dim} facet{where} clear of the avoid set")
+    return facet
 
 
 def mapping_cylinder(f: SimplicialMap):
     """Ordered mapping cylinder of a simplicial map.
 
-    Domain vertices precede codomain vertices; for each domain simplex
-    v0..vk the prisms are the sets {v0..vi} u f({vi..vk}).  The result
-    contains disjoint full copies of domain and codomain and deformation
-    retracts to the codomain; the retraction is verified by comparing
-    integral homology on every call.
+    The domain's vertices are numbered 0 .. |K| - 1 and the codomain's
+    follow, each in order; ``dlab`` and ``clab`` are these numberings.  For
+    each domain simplex v0..vk the prisms are the sets {v0..vi} u f({vi..vk}).
+    The result contains disjoint full copies of domain and codomain and
+    deformation retracts to the codomain; the retraction is verified by
+    comparing integral homology on every call.
     """
     K, L = f.domain, f.codomain
-    dlab = {v: ("d", v) for v in K.vertices}
-    clab = {w: ("c", w) for w in L.vertices}
-    vertices = tuple(dlab[v] for v in K.vertices) + tuple(clab[w] for w in L.vertices)
-    facets = [tuple(clab[w] for w in s) for s in L.simplices]
-    crank = L.rank
+    nk = len(K.vertices)
+    dlab = {v: i for i, v in enumerate(K.vertices)}
+    clab = {w: nk + j for j, w in enumerate(L.vertices)}
+    facets = [[clab[w] for w in s] for s in L.simplices]
+    cmap = {v: clab[f.vertex_map[v]] for v in K.vertices}
     for s in K.simplices:
-        k = len(s) - 1
-        for i in range(k + 1):
-            front = tuple(dlab[v] for v in s[: i + 1])
-            back_labels = sorted(
-                {f.vertex_map[v] for v in s[i:]}, key=crank.__getitem__
-            )
-            facets.append(front + tuple(clab[w] for w in back_labels))
-    C = SimplicialComplex.from_facets(vertices, facets)
+        front = [dlab[v] for v in s]
+        for i in range(len(s)):
+            facets.append(front[: i + 1] + sorted({cmap[v] for v in s[i:]}))
+    C = SimplicialComplex.from_facets(range(nk + len(L.vertices)), facets)
     hc = homology_of_complex(C, CoefficientRing.integers())
     hl = homology_of_complex(L, CoefficientRing.integers())
     pad = max(hc.max_degree, hl.max_degree)
@@ -556,7 +552,9 @@ def glue_along(
     The identification must carry A's simplices exactly onto B's.  If the
     two sides share any simplex beyond the identified subcomplex the union
     would not be the intended pushout, so that situation raises (subdivide
-    first).  Returns (glued, K vertex map, L vertex map).
+    first).  K keeps its vertex numbers; L's vertices outside B are numbered
+    max(K) + 1, max(K) + 2, ... in L's order.  Returns (glued, K vertex
+    map, L vertex map).
     """
     _require_subcomplex(A, K, "A")
     _require_subcomplex(B, L, "B")
@@ -564,28 +562,28 @@ def glue_along(
         raise ValueError("iso must be a vertex bijection from A onto B")
     if len(set(iso.values())) != len(iso):
         raise ValueError("iso must be injective")
-    a_images = {tuple(sorted((iso[v] for v in s), key=B.rank.__getitem__)) for s in A.simplices}
+    a_images = {tuple(sorted([iso[v] for v in s])) for s in A.simplices}
     if a_images != B.simplices:
         raise ValueError("iso does not carry A's simplices onto B's")
-    inv = {b: a for a, b in iso.items()}
-    map_L = {w: (inv[w] if w in inv else ("g", w)) for w in L.vertices}
+    map_L = {b: a for a, b in iso.items()}
+    start = size = K.vertices[-1] + 1 if K.vertices else 0
+    for w in L.vertices:
+        if w not in map_L:
+            map_L[w] = size
+            size += 1
     map_K = {v: v for v in K.vertices}
     b_simplices = B.simplices
+    k_simplices = K.simplices
+    simplices = set(k_simplices)
     for s in L.simplices:
-        if s in b_simplices:
-            continue
-        if all(w in inv for w in s):
-            image = K.sort_simplex(inv[w] for w in s)
-            if image in K.simplices:
-                raise ValueError(
-                    f"simplex {s} outside B collides with {image} in K; subdivide before gluing"
-                )
-    vertices = list(K.vertices) + [map_L[w] for w in L.vertices if w not in inv]
-    rank = {v: i for i, v in enumerate(vertices)}
-    simplices = set(K.simplices)
-    for s in L.simplices:
-        simplices.add(tuple(sorted((map_L[w] for w in s), key=rank.__getitem__)))
-    G = SimplicialComplex(tuple(vertices), simplices, check=False)
+        # an image inside K uses identified vertices only: new ones exceed max(K)
+        image = tuple(sorted([map_L[w] for w in s]))
+        if s not in b_simplices and image in k_simplices:
+            raise ValueError(
+                f"simplex {s} outside B collides with {image} in K; subdivide before gluing"
+            )
+        simplices.add(image)
+    G = SimplicialComplex(K.vertices + tuple(range(start, size)), simplices, check=False)
     return G, map_K, map_L
 
 
@@ -665,13 +663,11 @@ def degree_map(l: int, d: int) -> SimplicialMap:
     for step in range(l - 1):
         # send one new pole over the fresh apex, the other into the old
         # sphere: the classical cone/base decomposition of the suspension
-        pa, pb = ("pole", step, 0), ("pole", step, 1)
+        dome = suspension_complex(f.domain)
         vmap = dict(f.vertex_map)
-        vmap[pa] = step + 3
-        vmap[pb] = 0
-        f = SimplicialMap(
-            suspension_complex(f.domain, (pa, pb)), sphere_complex(step + 2), vmap
-        )
+        vmap[dome.vertices[-2]] = step + 3
+        vmap[dome.vertices[-1]] = 0
+        f = SimplicialMap(dome, sphere_complex(step + 2), vmap)
     mu = measured_degree(f)
     if mu != d:
         raise RuntimeError(f"degree map for (l={l}, d={d}) measured {mu}")

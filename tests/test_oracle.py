@@ -4,6 +4,7 @@ frozen from the assembled models, never read back from the formula engine,
 and one test deliberately corrupts the engine to prove mismatches surface.
 """
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -18,7 +19,7 @@ from reeb_bubble import graded as graded_module
 from reeb_bubble import oracle as oracle_module
 from reeb_bubble import simplicial as simplicial_module
 from reeb_bubble.calculus import homology_of_descriptor
-from reeb_bubble.catalog import catalog_entry
+from reeb_bubble.catalog import catalog_entry, tier2_entries
 from reeb_bubble.coefficients import CoefficientRing
 from reeb_bubble.descriptor import (
     BaseSpec,
@@ -39,9 +40,21 @@ from reeb_bubble.oracle import (
     verify_descriptor,
 )
 from reeb_bubble.simplicial import (
+    SimplicialComplex,
+    SimplicialMap,
+    connected_sum_with_maps,
     cup_ring_of_complex,
+    degree_map,
     euler_characteristic,
+    full_simplex,
+    glue_along,
     homology_of_complex,
+    mapping_cylinder,
+    polygon_complex,
+    product_complex,
+    sphere_complex,
+    suspension_complex,
+    wedge_complexes,
 )
 
 Z = CoefficientRing.integers()
@@ -248,6 +261,51 @@ def test_unit_coefficient_records_glue_without_a_cylinder(name, simplices):
     # routing it through a mapping cylinder as well more than doubles these
     K = simplicial_model(catalog_entry(name).descriptor)
     assert len(K.simplices) == simplices
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("bouquet-two-circles", "a6c108d0791d5ccdb680e6778c7c3e549d3b97fbb0d81ce2a4d0b55039a21be1"),
+        ("bouquet-silent-wing", "2350d94f31c876a63640f066b4ec6276beba9990666c45208a8d427bd8f00e1a"),
+        ("circle-pair-doubled", "d32862d807b414c7da4a287b87afb4024a2c240c9d9ca3fb39daa3250445495d"),
+    ],
+    ids=["bouquet-two-circles", "bouquet-silent-wing", "circle-pair-doubled"],
+)
+def test_models_keep_their_simplices(name, digest):
+    # vertex i is the i-th vertex in the model's order: these digests of
+    # the sorted simplices pin the whole model, not only its size
+    K = simplicial_model(catalog_entry(name).descriptor)
+    assert K.vertices == tuple(range(len(K.vertices)))
+    assert hashlib.sha256(repr(sorted(K.simplices)).encode()).hexdigest() == digest
+
+
+def test_every_constructor_numbers_its_vertices_in_order():
+    # every constructor's output passes the full validation: int vertices
+    # in strictly increasing order, sorted simplices, closed under faces
+    S1, S2 = sphere_complex(1), sphere_complex(2)
+    torus = product_complex(S1, S1)
+    f = degree_map(2, 2)
+    edge = SimplicialComplex.from_facets((0, 1), [(0, 1)])
+    built = [
+        S2,
+        polygon_complex(5),
+        full_simplex(3),
+        torus,
+        product_complex(polygon_complex(4), full_simplex(1)),
+        wedge_complexes([S1, S2], basepoints=[2, 1])[0],
+        suspension_complex(S1),
+        connected_sum_with_maps(torus, torus, 2)[0],
+        connected_sum_with_maps(S2, S2, 2, join_K=0, join_L=3)[0],
+        mapping_cylinder(f)[0],
+        mapping_cylinder(SimplicialMap(S1, full_simplex(0), {v: 0 for v in S1.vertices}))[0],
+        glue_along(torus, torus.restrict_full([0]), S2, S2.restrict_full([2]), {0: 2})[0],
+        glue_along(edge, edge.restrict_full([1]), edge, edge.restrict_full([0]), {1: 0})[0],
+        f.domain,
+    ]
+    built += [simplicial_model(e.descriptor) for e in tier2_entries()]
+    for K in built:
+        SimplicialComplex(K.vertices, K.simplices, check=True)
 
 
 @pytest.mark.parametrize(

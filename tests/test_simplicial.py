@@ -65,7 +65,7 @@ def torus():
 
 
 def cone_complex(K, apex):
-    """Cone on K, the apex last in the vertex order."""
+    """Cone on K, the apex last in the vertex order: it must exceed max(K)."""
     simplices = set(K.simplices) | {(apex,)} | {s + (apex,) for s in K.simplices}
     return SimplicialComplex(K.vertices + (apex,), simplices, check=False)
 
@@ -89,6 +89,11 @@ def test_closure_validation():
         SimplicialComplex((0, 1, 2), {(0,), (1,), (2,), (0, 1, 2)})
     with pytest.raises(ValueError, match="not sorted"):
         SimplicialComplex((0, 1), {(0,), (1,), (1, 0)})
+    with pytest.raises(ValueError, match="not an int"):
+        SimplicialComplex((0, (1,)), {(0,), ((1,),)})
+    for vertices in ((1, 0), (0, 0)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SimplicialComplex(vertices, {(0,), (1,)})
 
 
 def test_boundary_squared_checked():
@@ -233,7 +238,8 @@ def test_connected_sum_needs_facets():
 
 def test_connected_sum_avoid_sets():
     T = torus()
-    section = [v for v in T.vertices if v[1] == 0]
+    # (u, 0) is vertex 3u of the product of two triangles
+    section = [v for v in T.vertices if v % 3 == 0]
     G, mk, ml = connected_sum_with_maps(T, torus(), 2, avoid_K=section)
     assert all(G.has([v]) for v in section)
     sub = G.restrict_full(section)
@@ -373,8 +379,8 @@ def test_cylinder_of_constant_is_contractible_to_point_target():
 
 def test_two_discs_glue_to_sphere():
     S1 = sphere_complex(1)
-    D1 = cone_complex(S1, ("a1",))
-    D2 = cone_complex(S1, ("a2",))
+    D1 = cone_complex(S1, 3)
+    D2 = cone_complex(S1, 4)
     bd1 = D1.restrict_full([0, 1, 2])
     bd2 = D2.restrict_full([0, 1, 2])
     G, _, _ = glue_along(D1, bd1, D2, bd2, {v: v for v in bd1.vertices})
@@ -392,7 +398,7 @@ def test_point_gluing_is_wedge():
 
 def test_glue_rejects_mismatched_subcomplexes():
     S1 = sphere_complex(1)
-    D = cone_complex(S1, ("a",))
+    D = cone_complex(S1, 3)
     bd = D.restrict_full([0, 1, 2])
     two_points = SimplicialComplex((0, 1), {(0,), (1,)})
     with pytest.raises(ValueError):
@@ -407,8 +413,8 @@ def test_glue_collision_guard():
 
 
 def _disjoint_union(K, L):
-    mk = {v: ("A", v) for v in K.vertices}
-    ml = {v: ("B", v) for v in L.vertices}
+    mk = {v: i for i, v in enumerate(K.vertices)}
+    ml = {v: len(mk) + i for i, v in enumerate(L.vertices)}
     vertices = [mk[v] for v in K.vertices] + [ml[v] for v in L.vertices]
     simplices = {tuple(mk[v] for v in s) for s in K.simplices}
     simplices |= {tuple(ml[v] for v in s) for s in L.simplices}
@@ -420,15 +426,15 @@ def _disjoint_union(K, L):
 def test_mayer_vietoris_bookkeeping(case):
     if case == "discs":
         S1 = sphere_complex(1)
-        K = cone_complex(S1, ("a1",))
-        L = cone_complex(S1, ("a2",))
+        K = cone_complex(S1, 3)
+        L = cone_complex(S1, 4)
         A = K.restrict_full([0, 1, 2])
         B = L.restrict_full([0, 1, 2])
         iso = {v: v for v in A.vertices}
     else:
         K = torus()
         L = torus()
-        section = [v for v in K.vertices if v[1] == 0]
+        section = [v for v in K.vertices if v % 3 == 0]
         A = K.restrict_full(section)
         B = L.restrict_full(section)
         iso = {v: v for v in A.vertices}
@@ -583,7 +589,7 @@ def test_mod_three_moore_space_refuses_torsion_cup_rings():
     # divide the torsion
     f = degree_map(1, 3)
     C, dlab, _ = mapping_cylinder(f)
-    cone = cone_complex(f.domain, ("apex",))
+    cone = cone_complex(f.domain, len(f.domain.vertices))
     G, _, _ = glue_along(
         C,
         C.restrict_full(dlab.values()),
