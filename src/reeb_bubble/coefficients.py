@@ -18,6 +18,10 @@ with torsion, where that reduction misses the Tor classes, is refused
 rather than computed another way.  Nothing here (or anywhere else in the
 package) touches floating point.
 
+Every matrix is a list of sparse columns, one ``{row: value}`` dict per
+column with no zero entries: the builders write a cell's boundary as its
+column, and the elimination reads those dicts without a transpose.
+
 Scalars are plain ``int`` for Z and Z/p (canonical residues 0..p-1) and
 ``fractions.Fraction`` for Q.
 """
@@ -92,15 +96,16 @@ class CoefficientRing:
 class ColumnReduction:
     """Kernel splitting and elementary divisors of an integer matrix.
 
-    Column operations drive the matrix to a form whose surviving nonzero
-    columns have full column rank while the rest vanish.  The transform
-    columns over the vanished slots are a saturated basis of the kernel
-    lattice; the matching rows of the inverse transform read off the
-    coordinate of a vector along each basis element (composing a kernel
-    column with its dual row gives the identity, and dual rows kill the
-    complement).  ``kernel_cols[i]`` pairs with ``kernel_dual_rows[i]``.
-    ``divisors`` lists the ``rank`` nonzero elementary divisors in chain
-    order, each dividing the next.
+    The matrix comes as ``cols`` sparse ``{row: value}`` columns, the one
+    matrix layout of the package.  Column operations drive it to a form
+    whose surviving nonzero columns have full column rank while the rest
+    vanish.  The transform columns over the vanished slots are a saturated
+    basis of the kernel lattice; the matching rows of the inverse transform
+    read off the coordinate of a vector along each basis element (composing
+    a kernel column with its dual row gives the identity, and dual rows
+    kill the complement).  ``kernel_cols[i]`` pairs with
+    ``kernel_dual_rows[i]``.  ``divisors`` lists the ``rank`` nonzero
+    elementary divisors in chain order, each dividing the next.
 
     ``pivots`` lists the retired (row, column) pivots in retirement order
     and ``retired[t]`` the column of pivot ``t`` as it was retired, a
@@ -136,20 +141,21 @@ class ColumnReduction:
         self.unit_rows = unit_rows
 
 
-def sparse_column_reduction(rows, cols: int, cleared=frozenset()) -> ColumnReduction:
+def sparse_column_reduction(columns, cleared=frozenset()) -> ColumnReduction:
     """Compute a :class:`ColumnReduction` of an integer matrix.
 
-    ``rows`` holds the matrix row-major; each row may be a dense list or a
-    sparse ``{col: value}`` dict.  The pivot row is the shortest live row,
-    taken from a lazy min-heap of row lengths that gets one new entry per
-    row whose support changed in a pivot step (Markowitz-style ordering);
-    in that row the pivot column has the smallest |value|, then the
-    shortest column.  Rows are cleared by nearest-quotient division, so
+    ``columns`` holds the matrix column by column, each a ``{row: value}``
+    dict with no zero entries; it is not modified, since each column the
+    reduction works on is copied once.  The pivot row is the shortest live
+    row, taken from a lazy min-heap of row lengths that gets one new entry
+    per row whose support changed in a pivot step (Markowitz-style
+    ordering); in that row the pivot column has the smallest |value|, then
+    the shortest column.  Rows are cleared by nearest-quotient division, so
     entries stay close to the gcd scale of the input instead of growing
     with Bezout coefficients.
 
-    The columns in ``cleared`` are left out: ``rows`` must hold no entry in
-    them, and they join neither the pivots nor the kernel (see
+    The columns in ``cleared`` are left out: they are neither copied nor
+    read, and they join neither the pivots nor the kernel (see
     :meth:`ChainComplexZ.reduction <reeb_bubble.simplicial.ChainComplexZ.reduction>`).
 
     This is the package's only integer elimination: the elementary
@@ -157,12 +163,10 @@ def sparse_column_reduction(rows, cols: int, cleared=frozenset()) -> ColumnReduc
     so homology, the cocycle solvers and the fundamental cycle all share
     one reduction per boundary matrix.
     """
-    acol: list[dict[int, int]] = [{} for _ in range(cols)]
-    for i, row in enumerate(rows):
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        for j, v in items:
-            if v:
-                acol[j][i] = v
+    cols = len(columns)
+    acol: list[dict[int, int]] = [
+        {} if j in cleared else dict(col) for j, col in enumerate(columns)
+    ]
     # a row's support is filled in column order, which fixes the order in
     # which its columns are visited and so the pivot sequence
     rowsupp: dict[int, set[int]] = {}
@@ -267,20 +271,14 @@ def sparse_column_reduction(rows, cols: int, cleared=frozenset()) -> ColumnReduc
     if any(acol[j] for j in kernel_idx):
         raise RuntimeError("active column left nonzero after reduction")
     kernel_cols = [vcol[j] for j in kernel_idx]
-    if kernel_cols:
-        # every row must vanish on every kernel vector
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for t, vec in enumerate(kernel_cols):
-            for j, x in vec.items():
-                by_col.setdefault(j, []).append((t, x))
-        for row in rows:
-            items = row.items() if isinstance(row, dict) else enumerate(row)
-            acc: dict[int, int] = {}
-            for j, v in items:
-                for t, x in by_col.get(j, ()):
-                    acc[t] = acc.get(t, 0) + x * v
-            if any(acc.values()):
-                raise RuntimeError("column reduction produced a non-kernel vector")
+    # the input columns must sum to zero along every kernel vector
+    for vec in kernel_cols:
+        acc: dict[int, int] = {}
+        for j, x in vec.items():
+            for i, v in columns[j].items():
+                acc[i] = acc.get(i, 0) + x * v
+        if any(acc.values()):
+            raise RuntimeError("column reduction produced a non-kernel vector")
     if len(unit_rows) == len(pivots):
         divisors = (1,) * len(pivots)
     else:
@@ -291,9 +289,9 @@ def sparse_column_reduction(rows, cols: int, cleared=frozenset()) -> ColumnReduc
     )
 
 
-def integer_elementary_divisors(rows, cols: int) -> tuple[int, ...]:
-    """Elementary divisors of an integer matrix (dense or dict rows)."""
-    return sparse_column_reduction(rows, cols).divisors
+def integer_elementary_divisors(columns) -> tuple[int, ...]:
+    """Elementary divisors of an integer matrix given by ``{row: value}`` columns."""
+    return sparse_column_reduction(columns).divisors
 
 
 def rank_over(ring: CoefficientRing, divisors: tuple[int, ...]) -> int:
@@ -308,10 +306,10 @@ def rank_over(ring: CoefficientRing, divisors: tuple[int, ...]) -> int:
     return len(divisors)
 
 
-def field_reduce(ring: CoefficientRing, rows, cols: int) -> int:
-    """Rank over Q or Z/p of a matrix given by ``{col: value}`` rows.
+def field_reduce(ring: CoefficientRing, columns) -> int:
+    """Rank over Q or Z/p of a matrix given by ``{row: value}`` columns.
 
-    Computed by the one integer elimination: over Q each row is first
+    Computed by the one integer elimination: over Q each column is first
     scaled by the lcm of its denominators (which leaves the rank alone),
     over Z/p the residues are read as integers, and :func:`rank_over`
     counts the elementary divisors that the field sees.  Over Z the rank
@@ -326,11 +324,11 @@ def field_reduce(ring: CoefficientRing, rows, cols: int) -> int:
         raise RingMismatchError("field_reduce needs Q or Z/p; got Z")
     if ring.kind == "Q":
         scaled = []
-        for row in rows:
-            scale = lcm(*(v.denominator for v in row.values()))
-            scaled.append({j: int(v * scale) for j, v in row.items()})
-        rows = scaled
-    return rank_over(ring, sparse_column_reduction(rows, cols).divisors)
+        for col in columns:
+            scale = lcm(*(v.denominator for v in col.values()))
+            scaled.append({i: int(v * scale) for i, v in col.items()})
+        columns = scaled
+    return rank_over(ring, sparse_column_reduction(columns).divisors)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +372,7 @@ def _pivot_divisors(pivots, retired) -> tuple[int, ...]:
     Each unit pivot splits off as a divisor 1 once
     :func:`clear_unit_pivots` has cleared its row in the non-unit columns.
     The kept columns' pivot block has determinant D, the product of their
-    pivots, so their row lattice in Z^s contains D·Z^s and
+    pivots, so every elementary divisor of the kept columns divides D and
     :func:`smith_normal_form` finishes modulo D.
     """
     kept = clear_unit_pivots(pivots, retired)
@@ -382,28 +380,29 @@ def _pivot_divisors(pivots, retired) -> tuple[int, ...]:
     modulus = 1
     for pr, k in kept:
         modulus *= k[pr]
-    residue: dict[int, dict[int, int]] = {}
-    for t, (_, k) in enumerate(kept):
-        for i, v in k.items():
-            v %= modulus
-            if v:
-                residue.setdefault(i, {})[t] = v
-    return ones + smith_normal_form(list(residue.values()), len(kept), modulus)
+    return ones + smith_normal_form([k for _, k in kept], modulus)
 
 
-def smith_normal_form(rows, cols: int, modulus: int) -> tuple[int, ...]:
-    """Elementary divisors of the lattice ``span(rows) + modulus·Z^cols``.
+def smith_normal_form(columns, modulus: int) -> tuple[int, ...]:
+    """Elementary divisors modulo ``modulus`` of a matrix of ``{row: value}`` columns.
 
-    The residue step of :func:`_pivot_divisors`.  Transform-free: a reduced
-    row Hermite basis and the reduced Hermite basis of its transpose are
-    taken in turn, all modulo ``modulus``, until the basis is diagonal
-    (Kannan & Bachem 1979, with the modular arithmetic of Hafner &
-    McCurley 1991); gcd/lcm swaps then restore the divisibility chain.
-    Every entry stays below ``modulus``.  Returns ``cols`` divisors in
-    chain order, each dividing ``modulus``; rows may be dense lists or
-    ``{col: value}`` dicts.
+    The residue step of :func:`_pivot_divisors`: one divisor per column,
+    gcd(d_i, modulus) for the i-th elementary divisor d_i (0 past the
+    rank), which are the elementary divisors of the lattice spanned by the
+    matrix's rows and ``modulus·Z^len(columns)``.  Transform-free: a
+    reduced row Hermite basis of that lattice and the reduced Hermite basis
+    of its transpose are taken in turn, all modulo ``modulus``, until the
+    basis is diagonal (Kannan & Bachem 1979, with the modular arithmetic of
+    Hafner & McCurley 1991); gcd/lcm swaps then restore the divisibility
+    chain.  Every entry stays below ``modulus``.  Returns the divisors in
+    chain order, each dividing ``modulus``.
     """
-    basis = _hermite_mod(rows, cols, modulus)
+    cols = len(columns)
+    rows: dict[int, dict[int, int]] = {}
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
+    basis = _hermite_mod(rows.values(), cols, modulus)
     while any(len(h) > 1 for h in basis):
         transposed: list[dict[int, int]] = [{} for _ in range(cols)]
         for t, h in enumerate(basis):
@@ -431,8 +430,7 @@ def _hermite_mod(rows, cols: int, modulus: int) -> list[dict[int, int]]:
     """
     queues: list[list[dict[int, int]]] = [[] for _ in range(cols)]
     for row in rows:
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        r = {j: v % modulus for j, v in items if v % modulus}
+        r = {j: v % modulus for j, v in row.items() if v % modulus}
         if r:
             queues[min(r)].append(r)
     basis: list[dict[int, int]] = []

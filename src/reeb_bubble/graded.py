@@ -501,29 +501,26 @@ class PairingInvariants:
     form_divisors: tuple[int, ...] | None = None
 
 
-def _invariants_of_matrix(ring: CoefficientRing, rows: list[dict]):
-    """Rank, and over Z the elementary divisors, of ``{column: value}`` rows.
+def _invariants_of_matrix(ring: CoefficientRing, columns: list[dict]):
+    """Rank, and over Z the elementary divisors, of ``{row: value}`` columns.
 
-    ``rows`` holds only nonzero rows.  Just the block of used columns is
-    reduced: dropping zero rows and columns changes neither the rank nor
-    the nonzero elementary divisors.
+    ``columns`` holds only the nonzero columns: dropping zero columns
+    changes neither the rank nor the nonzero elementary divisors.
     """
-    if not rows:
+    if not columns:
         return 0, (() if ring.kind == "Z" else None)
-    used = {j: k for k, j in enumerate(sorted({j for row in rows for j in row}))}
-    block = [{used[j]: v for j, v in row.items()} for row in rows]
     if ring.kind == "Z":
-        divisors = integer_elementary_divisors(block, len(used))
+        divisors = integer_elementary_divisors(columns)
         return len(divisors), divisors
-    return field_reduce(ring, block, len(used)), None
+    return field_reduce(ring, columns), None
 
 
 def pairing_invariants(A: PresentedGradedRing, p: int, q: int) -> PairingInvariants:
     """Invariants of the multiplication H^p x H^q -> H^{p+q} of ``A``.
 
-    Both matrices are read off the product table as ``{column: value}``
-    rows; the table holds no zero entries, so only the rows that occur are
-    built and no dense matrix is allocated.  The map has one row per
+    Both matrices are read off the product table as ``{row: value}``
+    columns; the table holds no zero entries, so only the nonzero columns
+    are built and no dense matrix is allocated.  The map has one row per
     target class and one column per basis pair; the form has one row per
     (H^q class, target class) pair and one column per H^p class.
     """
@@ -533,19 +530,24 @@ def pairing_invariants(A: PresentedGradedRing, p: int, q: int) -> PairingInvaria
     Q = A.degree_basis(q)
     T = A.degree_basis(p + q)
     tindex = {e.id: i for i, e in enumerate(T)}
-    nq, nt = len(Q), len(T)
+    nt = len(T)
 
-    map_rows: dict[int, dict] = {}
-    form_rows: dict[int, dict] = {}
-    for i, a in enumerate(P):
+    map_cols: list[dict] = []
+    form_cols: list[dict] = []
+    for a in P:
+        form = {}
         for j, b in enumerate(Q):
-            for ic, c in A.products.get((a.id, b.id), {}).items():
-                t = tindex[ic]
-                map_rows.setdefault(t, {})[i * nq + j] = c
-                form_rows.setdefault(j * nt + t, {})[i] = c
+            product = A.products.get((a.id, b.id))
+            if product:
+                col = {tindex[ic]: c for ic, c in product.items()}
+                map_cols.append(col)
+                for t, c in col.items():
+                    form[j * nt + t] = c
+        if form:
+            form_cols.append(form)
 
-    map_rank, map_div = _invariants_of_matrix(A.ring, list(map_rows.values()))
-    form_rank, form_div = _invariants_of_matrix(A.ring, list(form_rows.values()))
+    map_rank, map_div = _invariants_of_matrix(A.ring, map_cols)
+    form_rank, form_div = _invariants_of_matrix(A.ring, form_cols)
     return PairingInvariants(
         p, q, A.ring.label, map_rank, form_rank, map_div, form_div
     )

@@ -30,7 +30,6 @@ from .descriptor import (
 )
 from .graded import (
     ConnSum,
-    GradedModule,
     PresentedGradedRing,
     Product,
     Sphere,
@@ -55,7 +54,6 @@ from .simplicial import (
 
 __all__ = [
     "TierError",
-    "chain_model",
     "assemble_chain_complex",
     "simplicial_model",
     "tier2_obstruction",
@@ -117,20 +115,13 @@ def _assemble(d: ReebDescriptor, base: PresentedGradedRing) -> ChainComplexZ:
                     vec[("w", target)] = -value
             diff[cone] = vec
 
-    boundaries: list = [[]]
+    boundaries: list = [[{} for _ in labels[0]]]
     for k in range(1, n + 1):
         index = {lab: i for i, lab in enumerate(labels[k - 1])}
-        rows = [{} for _ in labels[k - 1]]
-        for col, lab in enumerate(labels[k]):
-            for low, c in diff.get(lab, {}).items():
-                rows[index[low]][col] = c
-        boundaries.append(rows)
+        boundaries.append(
+            [{index[low]: c for low, c in diff.get(lab, {}).items()} for lab in labels[k]]
+        )
     return ChainComplexZ(labels, boundaries)
-
-
-def chain_model(d: ReebDescriptor, R: CoefficientRing) -> GradedModule:
-    """Tier-1 homology: SNF of the assembled complex, no bookkeeping."""
-    return homology_of_chain_complex(assemble_chain_complex(d), R)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "homology_of_complex",
     "euler_characteristic",
     "sphere_complex",
-    "full_simplex",
     "polygon_complex",
     "product_complex",
     "wedge_complexes",
@@ -185,14 +184,16 @@ class SimplicialMap:
 
 
 class ChainComplexZ:
-    """Integer chain complex: ordered bases and row-sparse boundary matrices.
+    """Integer chain complex: ordered bases and column-sparse boundary matrices.
 
     ``boundaries[k]`` maps degree-k chains into degree k-1.  It is a list
-    of rows indexed by ``bases[k-1]``; each row is a ``{column: value}``
-    dict over the columns ``range(len(bases[k]))``, holding no zero
-    entries.  The constructor takes dense rows or dict rows and stores
-    dicts, so no consumer ever reads a dense matrix.  Composition of
-    consecutive boundaries is checked to vanish exactly.
+    of columns, one per cell of ``bases[k]``: the boundary of that cell as
+    a ``{row: value}`` dict over the rows ``range(len(bases[k-1]))``,
+    holding no zero entries.  This is the layout the builders write and
+    :func:`~reeb_bubble.coefficients.sparse_column_reduction` reads, so
+    the constructor keeps the caller's columns without copying them.  It
+    always checks the row indices; with ``check=True`` it also rejects
+    zero entries and checks that consecutive boundaries compose to zero.
 
     Each boundary is eliminated at most once, from the top degree down,
     with clearing (the "twist" of Chen & Kerber, 2011): :meth:`reduction`
@@ -219,35 +220,31 @@ class ChainComplexZ:
         self._products = {}
         if len(boundaries) != len(self.bases):
             raise ValueError("need one boundary matrix per degree")
-        self.boundaries = []
         for k, m in enumerate(boundaries):
-            want_rows = len(self.bases[k - 1]) if k > 0 else 0
-            if len(m) != want_rows:
-                raise ValueError(f"boundary {k} has {len(m)} rows, want {want_rows}")
-            cols = len(self.bases[k])
-            rows = []
-            for row in m:
-                items = row.items() if isinstance(row, dict) else enumerate(row)
-                entries = {j: v for j, v in items if v}
-                if entries and (min(entries) < 0 or max(entries) >= cols):
-                    raise ValueError(
-                        f"boundary {k} has a column index outside range({cols})"
-                    )
-                rows.append(entries)
-            self.boundaries.append(rows)
+            if len(m) != len(self.bases[k]):
+                raise ValueError(
+                    f"boundary {k} has {len(m)} columns, want {len(self.bases[k])}"
+                )
+            rows = len(self.bases[k - 1]) if k > 0 else 0
+            for col in m:
+                if col and (min(col) < 0 or max(col) >= rows):
+                    raise ValueError(f"boundary {k} has a row index outside range({rows})")
+        self.boundaries = boundaries
         if check:
             self._check_dd()
 
     def _check_dd(self):
-        for k in range(1, len(self.boundaries) - 1):
-            b = self.boundaries[k + 1]
-            for row in self.boundaries[k]:
+        for k, m in enumerate(self.boundaries):
+            below = self.boundaries[k - 1] if k > 0 else ()
+            for col in m:
+                if not all(col.values()):
+                    raise ValueError(f"boundary {k} has a zero entry")
                 acc: dict[int, int] = {}
-                for t, v in row.items():
-                    for j, w in b[t].items():
-                        acc[j] = acc.get(j, 0) + v * w
+                for t, v in col.items():
+                    for i, w in below[t].items():
+                        acc[i] = acc.get(i, 0) + v * w
                 if any(acc.values()):
-                    raise ValueError(f"boundary squared nonzero at degree {k + 1}")
+                    raise ValueError(f"boundary squared nonzero at degree {k}")
 
     @property
     def max_degree(self) -> int:
@@ -268,15 +265,10 @@ class ChainComplexZ:
         """
         red = self._reductions.get(k)
         if red is None:
-            rows = self.boundaries[k]
-            cleared = ()
+            cleared = frozenset()
             if k < self.max_degree and self.dim_at(k) and self.dim_at(k + 1):
                 cleared = self.reduction(k + 1).unit_rows
-            if cleared:
-                rows = [{j: v for j, v in row.items() if j not in cleared} for row in rows]
-            red = self._reductions[k] = sparse_column_reduction(
-                rows, self.dim_at(k), cleared
-            )
+            red = self._reductions[k] = sparse_column_reduction(self.boundaries[k], cleared)
         return red
 
     def boundary_divisors(self, k: int) -> tuple[int, ...]:
@@ -291,15 +283,16 @@ def chain_complex_of(K: SimplicialComplex) -> ChainComplexZ:
         return K._chain
     top = K.dim
     bases = [K.simplices_of_dim(k) for k in range(top + 1)]
-    boundaries = [[]]
+    boundaries = [[{} for _ in bases[0]]]
     for k in range(1, top + 1):
         index = K.index_of(k - 1)
-        rows = [{} for _ in bases[k - 1]]
-        for j, s in enumerate(bases[k]):
-            # the faces of a simplex are distinct, so each entry is set once
-            for i in range(len(s)):
-                rows[index[s[:i] + s[i + 1 :]]][j] = -1 if i % 2 else 1
-        boundaries.append(rows)
+        # the faces of a simplex are distinct, so each entry is set once
+        boundaries.append(
+            [
+                {index[s[:i] + s[i + 1 :]]: -1 if i % 2 else 1 for i in range(len(s))}
+                for s in bases[k]
+            ]
+        )
     cx = ChainComplexZ(bases, boundaries, check=False)
     K._chain = cx
     return cx
@@ -332,13 +325,6 @@ def euler_characteristic(K: SimplicialComplex) -> int:
 # ---------------------------------------------------------------------------
 # basic constructors
 # ---------------------------------------------------------------------------
-
-
-def full_simplex(k: int) -> SimplicialComplex:
-    if k < 0:
-        raise ValueError("dimension must be >= 0")
-    vs = tuple(range(k + 1))
-    return SimplicialComplex.from_facets(vs, [vs])
 
 
 def sphere_complex(k: int) -> SimplicialComplex:
@@ -699,9 +685,9 @@ class _DegreeSolver:
     a complex with torsion are refused (see :func:`cup_ring_of_complex`).
     """
 
-    def __init__(self, reps, next_rows, cycles, kappa, kappa_duals):
+    def __init__(self, reps, next_cols, cycles, kappa, kappa_duals):
         self.reps = reps
-        self._next_rows = next_rows
+        self._next_cols = next_cols
         self._cycles = cycles
         self._kappa = kappa
         self._kappa_duals = kappa_duals
@@ -713,13 +699,12 @@ class _DegreeSolver:
     def coordinates(self, vec):
         """Integer coordinates of a cocycle along ``reps``; raises
         ``RuntimeError`` when ``vec`` is not a cocycle."""
-        image: dict[int, int] = {}
-        for t, x in enumerate(vec):
-            if x:
-                for c, v in self._next_rows[t].items():
-                    image[c] = image.get(c, 0) + x * v
-        if any(image.values()):
-            raise RuntimeError("cochain is not a cocycle: it does not kill the next boundary")
+        for col in self._next_cols:
+            s = 0
+            for t, v in col.items():
+                s += v * vec[t]
+            if s:
+                raise RuntimeError("cochain is not a cocycle: it does not kill the next boundary")
         y = {}
         for i, col in enumerate(self._cycles):
             s = 0
@@ -748,24 +733,24 @@ def _build_integral_solver(cx: ChainComplexZ, k: int, expected_rank: int) -> _De
     duals = red.kernel_dual_rows
     if k < cx.max_degree:
         above = cx.reduction(k + 1)
-        next_rows = cx.boundaries[k + 1]
+        next_cols = cx.boundaries[k + 1]
         torsion = clear_unit_pivots(above.pivots, above.retired)
         units = [
             (r, b) for (r, _), b in zip(above.pivots, above.retired) if r in above.unit_rows
         ]
     else:
-        next_rows, torsion, units = [{}] * nk, [], []
-    # the non-unit boundaries read along the cleared kernel; classes are
-    # the values on it that kill them
+        next_cols, torsion, units = [], [], []
+    # the non-unit boundaries read along the cleared kernel, one relation
+    # row each; classes are the values on it that kill them
     relations = []
-    for _, b in torsion:
+    for d in duals:
         rel = {}
-        for j, d in enumerate(duals):
+        for r, (_, b) in enumerate(torsion):
             s = sum(v * d.get(t, 0) for t, v in b.items())
             if s:
-                rel[j] = s
+                rel[r] = s
         relations.append(rel)
-    classes = sparse_column_reduction(relations, len(duals))
+    classes = sparse_column_reduction(relations)
     reps = []
     for ka in classes.kernel_cols:
         vec = [0] * nk
@@ -782,7 +767,7 @@ def _build_integral_solver(cx: ChainComplexZ, k: int, expected_rank: int) -> _De
             f"degree {k}: found {len(reps)} cohomology classes, rank {expected_rank} expected"
         )
     solver = _DegreeSolver(
-        reps, next_rows, red.kernel_cols, classes.kernel_cols, classes.kernel_dual_rows
+        reps, next_cols, red.kernel_cols, classes.kernel_cols, classes.kernel_dual_rows
     )
     for a, rep in enumerate(reps):
         coords = solver.coordinates(rep)

@@ -32,9 +32,10 @@ from reeb_bubble.descriptor import (
     validate,
 )
 from reeb_bubble.graded import compare_invariants, pairing_invariants
-from reeb_bubble.oracle import assemble_chain_complex, chain_model, verify_descriptor
+from reeb_bubble.oracle import assemble_chain_complex, verify_descriptor
 from reeb_bubble.simplicial import (
     ChainComplexZ,
+    homology_of_chain_complex,
     homology_of_complex,
     product_complex,
     sphere_complex,
@@ -86,7 +87,7 @@ def test_criterion_1_oracle_equivalence():
                     assert all(abs(v) <= 3 for _, v in s.coefficients), e.name
             for R in RINGS:
                 expected = homology_of_descriptor(d, R)
-                measured = chain_model(d, R)
+                measured = homology_of_chain_complex(assemble_chain_complex(d), R)
                 top = max(expected.max_degree, measured.max_degree)
                 assert expected.padded(top) == measured.padded(top), (e.name, R.label)
             assert homology_of_descriptor(d, Z).is_free, e.name
@@ -171,7 +172,7 @@ def test_criterion_5_model_spaces():
     with budget(30):
         def both(d, R=Z):
             expected = homology_of_descriptor(d, R)
-            measured = chain_model(d, R)
+            measured = homology_of_chain_complex(assemble_chain_complex(d), R)
             top = max(expected.max_degree, measured.max_degree)
             assert expected.padded(top) == measured.padded(top)
             return expected.free_ranks

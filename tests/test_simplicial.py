@@ -8,6 +8,7 @@ generated instances.
 
 import pytest
 from field_reference import field_kernel, field_rank
+from helpers import full_simplex, transpose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,6 @@ from reeb_bubble.simplicial import (
     cup_ring_of_complex,
     degree_map,
     euler_characteristic,
-    full_simplex,
     glue_along,
     homology_of_chain_complex,
     homology_of_complex,
@@ -62,6 +62,11 @@ def rp2():
 
 def torus():
     return product_complex(sphere_complex(1), sphere_complex(1))
+
+
+def _from_rows(bases, matrices):
+    # each boundary written as rows over the cells of bases[k], handed over as columns
+    return ChainComplexZ(bases, [transpose(m, len(b)) for m, b in zip(matrices, bases)])
 
 
 def cone_complex(K, apex):
@@ -101,54 +106,77 @@ def test_boundary_squared_checked():
     ChainComplexZ(cx.bases, cx.boundaries)  # re-validates
     for rows in ([[1]], [{0: 1}]):
         with pytest.raises(ValueError, match="squared"):
-            ChainComplexZ([["a"], ["b"], ["c"]], [[], rows, rows])
+            _from_rows([["a"], ["b"], ["c"]], [[], rows, rows])
     # a 2-simplex whose boundary misses one sign: d(d) picks up 2 * vertex
     bases = [[0, 1, 2], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
     d1 = [{0: -1, 1: -1}, {0: 1, 2: -1}, {1: 1, 2: 1}]
-    ChainComplexZ(bases, [[], d1, [{0: 1}, {0: -1}, {0: 1}]])
+    _from_rows(bases, [[], d1, [{0: 1}, {0: -1}, {0: 1}]])
     with pytest.raises(ValueError, match="squared"):
-        ChainComplexZ(bases, [[], d1, [{0: 1}, {0: 1}, {0: 1}]])
+        _from_rows(bases, [[], d1, [{0: 1}, {0: 1}, {0: 1}]])
 
 
 @pytest.mark.parametrize(
     "make", [torus, rp2, lambda: sphere_complex(3)], ids=["torus", "rp2", "s3"]
 )
-def test_dense_and_dict_rows_store_equal_boundaries(make):
+def test_boundary_columns_are_checked_and_cleared(make):
     cx = chain_complex_of(make())
-    dense = [
-        [[row.get(j, 0) for j in range(cx.dim_at(k))] for row in m]
-        for k, m in enumerate(cx.boundaries)
-    ]
-    from_dense = ChainComplexZ(cx.bases, dense)
-    from_dicts = ChainComplexZ(cx.bases, cx.boundaries)
-    assert from_dense.boundaries == from_dicts.boundaries == cx.boundaries
-    for m in from_dense.boundaries:
-        for row in m:
-            assert isinstance(row, dict) and all(row.values())
-    # the stored rows are copies, not the caller's objects
-    assert from_dicts.boundaries[1] is not cx.boundaries[1]
-    assert from_dicts.boundaries[1][0] is not cx.boundaries[1][0]
+    bases, boundaries, top = cx.bases, cx.boundaries, cx.max_degree
+    # the columns chain_complex_of wrote are kept, not copied, and pass every check
+    assert ChainComplexZ(bases, boundaries).boundaries is boundaries
+
+    def with_first(k, col):
+        return boundaries[:k] + [[col] + boundaries[k][1:]] + boundaries[k + 1 :]
+
+    # a row index outside range(len(bases[k - 1])) is rejected on both paths
+    for k in range(top + 1):
+        rows = cx.dim_at(k - 1)
+        for bad in ({rows: 1}, {-1: 1}):
+            for check in (True, False):
+                with pytest.raises(ValueError, match="row index"):
+                    ChainComplexZ(bases, with_first(k, bad), check=check)
+    # one flipped sign in a top column breaks d(d) = 0; so does a zero entry
+    col = dict(boundaries[top][0])
+    col[min(col)] *= -1
+    with pytest.raises(ValueError, match="squared"):
+        ChainComplexZ(bases, with_first(top, col))
+    ChainComplexZ(bases, with_first(top, col), check=False)
+    col[min(col)] = 0
+    with pytest.raises(ValueError, match="zero entry"):
+        ChainComplexZ(bases, with_first(top, col))
+    # a cleared column joins neither the pivots nor the kernel, and the
+    # rest reduces as if it were zero
+    for k in range(1, top):
+        cleared = cx.reduction(k + 1).unit_rows
+        red = cx.reduction(k)
+        assert cleared
+        assert not cleared & {j for _, j in red.pivots}
+        assert not any(cleared & vec.keys() for vec in red.kernel_cols)
+        assert red.rank + len(red.kernel_cols) == cx.dim_at(k) - len(cleared)
+        zero_cols = [{} if j in cleared else c for j, c in enumerate(boundaries[k])]
+        zeroed = sparse_column_reduction(zero_cols)
+        assert zeroed.pivots == red.pivots
+        assert [v for v in zeroed.kernel_cols if v.keys() - cleared] == red.kernel_cols
 
 
 def test_boundary_column_index_checked():
     bases = [["a", "b"], ["e"]]
-    ChainComplexZ(bases, [[], [{0: 1}, {0: -1}]])
-    for bad in ({1: 1}, {-1: 1}, [0, 1]):
-        with pytest.raises(ValueError, match="column index"):
-            ChainComplexZ(bases, [[], [{0: 1}, bad]])
+    ChainComplexZ(bases, [[{}, {}], [{0: 1, 1: -1}]])
+    for bad in ({2: 1}, {-1: 1}, {0: 1, 1: -1, 2: 1}):
+        with pytest.raises(ValueError, match="row index"):
+            ChainComplexZ(bases, [[{}, {}], [bad]])
 
 
 def test_only_unit_pivot_rows_are_cleared():
     # d2(x) = 2e + f retires row e with pivot 2; e is not a unit pivot row,
     # so d1 = [1, -2] keeps it and stays onto Z.  Clearing it as well would
     # leave [-2] and a false Z/2 in H_0.
-    cx = ChainComplexZ([["v"], ["e", "f"], ["x"]], [[], [[1, -2]], [[2], [1]]])
+    cx = _from_rows([["v"], ["e", "f"], ["x"]], [[], [[1, -2]], [[2], [1]]])
     above = cx.reduction(2)
     assert above.pivots == [(0, 0)] and above.unit_rows == set()
     assert cx.boundary_divisors(1) == (1,)
     assert homology_of_chain_complex(cx, Z).torsion == ((), (), ())
     # with d2(x) = e + 2f the unit pivot row e is cleared out of d1 = [2, -1]
-    cx = ChainComplexZ([["v"], ["e", "f"], ["x"]], [[], [[2, -1]], [[1], [2]]])
+    cx = _from_rows([["v"], ["e", "f"], ["x"]], [[], [[2, -1]], [[1], [2]]])
     assert cx.reduction(2).unit_rows == {0}
     assert cx.reduction(1).pivots == [(0, 1)] and cx.reduction(1).kernel_cols == []
     assert cx.boundary_divisors(1) == (1,)
@@ -318,7 +346,7 @@ def test_cleared_reductions_keep_divisors_and_cocycles(K):
     # check whenever a cup ring can be built
     cx = chain_complex_of(K)
     for k in range(1, cx.max_degree + 1):
-        whole = sparse_column_reduction(cx.boundaries[k], cx.dim_at(k))
+        whole = sparse_column_reduction(cx.boundaries[k])
         assert cx.boundary_divisors(k) == whole.divisors, k
     if homology_of_complex(K, Z).rank(0) == 1:
         ring = cup_ring_of_complex(K, Q)
@@ -466,7 +494,8 @@ def test_mayer_vietoris_bookkeeping(case):
     def _combined_rank(A, U, f1, f2, k):
         dom_cx = chain_complex_of(A)
         cod_cx = chain_complex_of(U)
-        cycles = field_kernel(Q, dom_cx.boundaries[k] if k > 0 else [], dom_cx.dim_at(k))
+        rows = transpose(dom_cx.boundaries[k], dom_cx.dim_at(k - 1)) if k > 0 else []
+        cycles = field_kernel(Q, rows, dom_cx.dim_at(k))
         if not cycles:
             return 0
         index = {s: i for i, s in enumerate(cod_cx.bases[k])}
@@ -486,7 +515,7 @@ def test_mayer_vietoris_bookkeeping(case):
             m = cod_cx.boundaries[k + 1]
             for j in range(cod_cx.dim_at(k + 1)):
                 boundaries.append(
-                    [Q.convert(m[i].get(j, 0)) for i in range(cod_cx.dim_at(k))]
+                    [Q.convert(m[j].get(i, 0)) for i in range(cod_cx.dim_at(k))]
                 )
         return field_rank(Q, boundaries + vecs, cod_cx.dim_at(k)) - field_rank(
             Q, boundaries, cod_cx.dim_at(k)
