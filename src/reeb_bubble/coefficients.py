@@ -4,12 +4,22 @@ Everything in this package bottoms out in one integer elimination,
 :func:`sparse_column_reduction`, over every coefficient ring: homology and
 field ranks read its elementary divisors (over Z/p, the divisors prime to
 p), cohomology coordinates read its saturated kernel lattice, the dual
-rows that give coordinates along it and its retired pivot columns, and no
-routine builds unimodular transforms of its own.  Chain complexes reduce
-their boundaries from the top degree down and leave out of each one the
-columns that the next one's unit pivots clear (see
-``simplicial.ChainComplexZ``): the divisors are unchanged, and the kernel
-shrinks to the part the boundaries above do not already span.
+rows that give coordinates along it and its retired columns, and no
+routine builds unimodular transforms of its own.
+
+The reduction splits its retired columns once, and every reader takes the
+split from the returned :class:`ColumnReduction`: the ``units`` (pivot 1)
+and the ``residue`` (the other retired columns, cleared on every unit
+pivot row).  The divisors are one 1 per unit followed by the residue's,
+which :func:`smith_normal_form` finishes modulo D, the product of the
+residue's pivots.  The residue is small: at most 1 column on the
+benchmark's ``tier2-small`` models, at most 2 with D of at most 4 bits on
+``catalog``.  Chain complexes reduce their boundaries from the top degree
+down and leave out of each one the columns named by the next one's unit
+pivot rows (see ``simplicial.ChainComplexZ``): the divisors are
+unchanged, and the kernel shrinks to the part the boundaries above do not
+already span.  The cocycle solvers read the units and residue of the
+boundary above, which span its image.
 
 There is no elimination over a field.  It is not needed because every
 space this package models is torsion-free, so field cohomology is
@@ -94,51 +104,42 @@ class CoefficientRing:
 
 
 class ColumnReduction:
-    """Kernel splitting and elementary divisors of an integer matrix.
+    """Kernel splitting, elementary divisors and split pivots of an integer matrix.
 
-    The matrix comes as ``cols`` sparse ``{row: value}`` columns, the one
-    matrix layout of the package.  Column operations drive it to a form
-    whose surviving nonzero columns have full column rank while the rest
-    vanish.  The transform columns over the vanished slots are a saturated
-    basis of the kernel lattice; the matching rows of the inverse transform
-    read off the coordinate of a vector along each basis element (composing
-    a kernel column with its dual row gives the identity, and dual rows
-    kill the complement).  ``kernel_cols[i]`` pairs with
-    ``kernel_dual_rows[i]``.  ``divisors`` lists the ``rank`` nonzero
-    elementary divisors in chain order, each dividing the next.
+    The matrix comes as sparse ``{row: value}`` columns, the one matrix
+    layout of the package.  Column operations drive it to a form whose
+    surviving nonzero columns have full column rank while the rest vanish.
+    The transform columns over the vanished slots are a saturated basis of
+    the kernel lattice; the matching rows of the inverse transform read off
+    the coordinate of a vector along each basis element (composing a kernel
+    column with its dual row gives the identity, and dual rows kill the
+    complement).  ``kernel_cols[i]`` pairs with ``kernel_dual_rows[i]``.
+    ``divisors`` lists the ``rank`` nonzero elementary divisors in chain
+    order, each dividing the next.
 
-    ``pivots`` lists the retired (row, column) pivots in retirement order
-    and ``retired[t]`` the column of pivot ``t`` as it was retired, a
-    ``{row: value}`` dict with a positive value on its pivot row.  Row
-    ``pivots[t][0]`` is zero in every column retired after ``t``, so the
-    retired columns, which span the column lattice, are triangular on
-    their pivot rows.  ``unit_rows`` is the set of pivot rows whose pivot
-    is 1.  Columns left out of the reduction (``cleared``) belong to
-    neither the pivots nor the kernel.
+    The retired (surviving) columns span the column lattice and are
+    triangular on their pivot rows: a pivot row is zero in every column
+    retired after it, and each pivot is positive.  They come split once,
+    here, for every reader.  ``units`` maps the pivot row of each retired
+    column with pivot 1 to that column, in retirement order.  ``residue``
+    lists ``(pivot row, column)`` for the other retired columns, in
+    retirement order, each cleared on every unit pivot row by column
+    operations with the unit columns (so the pivots stay as they were).
+    Units and residue together still span the column lattice; the divisors
+    are one 1 per unit followed by the divisors of the residue.  Columns
+    left out of the reduction (``cleared``) belong to neither the split nor
+    the kernel.
     """
 
-    __slots__ = (
-        "cols",
-        "rank",
-        "kernel_cols",
-        "kernel_dual_rows",
-        "divisors",
-        "pivots",
-        "retired",
-        "unit_rows",
-    )
+    __slots__ = ("rank", "kernel_cols", "kernel_dual_rows", "divisors", "units", "residue")
 
-    def __init__(
-        self, cols, rank, kernel_cols, kernel_dual_rows, divisors, pivots, retired, unit_rows
-    ):
-        self.cols = cols
+    def __init__(self, rank, kernel_cols, kernel_dual_rows, divisors, units, residue):
         self.rank = rank
         self.kernel_cols = kernel_cols
         self.kernel_dual_rows = kernel_dual_rows
         self.divisors = divisors
-        self.pivots = pivots
-        self.retired = retired
-        self.unit_rows = unit_rows
+        self.units = units
+        self.residue = residue
 
 
 def sparse_column_reduction(columns, cleared=frozenset()) -> ColumnReduction:
@@ -154,14 +155,16 @@ def sparse_column_reduction(columns, cleared=frozenset()) -> ColumnReduction:
     entries stay close to the gcd scale of the input instead of growing
     with Bezout coefficients.
 
-    The columns in ``cleared`` are left out: they are neither copied nor
-    read, and they join neither the pivots nor the kernel (see
+    The columns whose indices are in ``cleared`` are left out: they are
+    neither copied nor read, and they join neither the retired columns nor
+    the kernel (see
     :meth:`ChainComplexZ.reduction <reeb_bubble.simplicial.ChainComplexZ.reduction>`).
 
-    This is the package's only integer elimination: the elementary
-    divisors are read off the retired pivots (see :func:`_pivot_divisors`),
-    so homology, the cocycle solvers and the fundamental cycle all share
-    one reduction per boundary matrix.
+    This is the package's only integer elimination: the retired columns
+    are split into units and residue once (see :class:`ColumnReduction`),
+    and the elementary divisors are read off that split, so homology, the
+    cocycle solvers and the fundamental cycle all share one reduction per
+    boundary matrix.
     """
     cols = len(columns)
     acol: list[dict[int, int]] = [
@@ -187,11 +190,10 @@ def sparse_column_reduction(columns, cleared=frozenset()) -> ColumnReduction:
     touched: set[int] = set()  # rows whose support changed in this step
 
     active = set(range(cols))
-    if cleared:
-        active -= cleared
-    pivots: list[tuple[int, int]] = []  # (row, column) in retirement order
-    retired: list[dict[int, int]] = []
-    unit_rows: set[int] = set()
+    active.difference_update(cleared)
+    # retired columns by pivot row, split on the pivot, in retirement order
+    units: dict[int, dict[int, int]] = {}
+    residue: list[tuple[int, dict[int, int]]] = []
     while heap:
         length, pr = heappop(heap)
         supp = rowsupp.get(pr)
@@ -262,10 +264,10 @@ def sparse_column_reduction(columns, cleared=frozenset()) -> ColumnReduction:
                 heappush(heap, (len(supp), i))
         touched.clear()
         active.discard(pc)
-        pivots.append((pr, pc))
-        retired.append(col)
         if a == 1:
-            unit_rows.add(pr)
+            units[pr] = col
+        else:
+            residue.append((pr, col))
 
     kernel_idx = sorted(active)
     if any(acol[j] for j in kernel_idx):
@@ -279,13 +281,18 @@ def sparse_column_reduction(columns, cleared=frozenset()) -> ColumnReduction:
                 acc[i] = acc.get(i, 0) + x * v
         if any(acc.values()):
             raise RuntimeError("column reduction produced a non-kernel vector")
-    if len(unit_rows) == len(pivots):
-        divisors = (1,) * len(pivots)
-    else:
-        divisors = _pivot_divisors(pivots, retired)
+    divisors = (1,) * len(units)
+    if residue:
+        # the residue's pivot block has determinant D, the product of its
+        # pivots, so its elementary divisors divide D
+        _clear_unit_pivots(units, residue)
+        modulus = 1
+        for pr, col in residue:
+            modulus *= col[pr]
+        divisors += smith_normal_form([col for _, col in residue], modulus)
     kernel_dual_rows = [vinv[j] for j in kernel_idx]
     return ColumnReduction(
-        cols, len(pivots), kernel_cols, kernel_dual_rows, divisors, pivots, retired, unit_rows
+        len(units) + len(residue), kernel_cols, kernel_dual_rows, divisors, units, residue
     )
 
 
@@ -309,8 +316,9 @@ def rank_over(ring: CoefficientRing, divisors: tuple[int, ...]) -> int:
 def field_reduce(ring: CoefficientRing, columns) -> int:
     """Rank over Q or Z/p of a matrix given by ``{row: value}`` columns.
 
-    Computed by the one integer elimination: over Q each column is first
-    scaled by the lcm of its denominators (which leaves the rank alone),
+    Computed by the one integer elimination: over Q each row is first
+    scaled by the lcm of its denominators (which leaves the rank alone and
+    the entries no larger than that row needs),
     over Z/p the residues are read as integers, and :func:`rank_over`
     counts the elementary divisors that the field sees.  Over Z the rank
     forgets the divisors that are the invariant there, so Z raises
@@ -323,11 +331,14 @@ def field_reduce(ring: CoefficientRing, columns) -> int:
     if not ring.is_field:
         raise RingMismatchError("field_reduce needs Q or Z/p; got Z")
     if ring.kind == "Q":
-        scaled = []
+        scale: dict[int, int] = {}
         for col in columns:
-            scale = lcm(*(v.denominator for v in col.values()))
-            scaled.append({i: int(v * scale) for i, v in col.items()})
-        columns = scaled
+            for i, v in col.items():
+                scale[i] = lcm(scale.get(i, 1), v.denominator)
+        columns = [
+            {i: v.numerator * (scale[i] // v.denominator) for i, v in col.items()}
+            for col in columns
+        ]
     return rank_over(ring, sparse_column_reduction(columns).divisors)
 
 
@@ -336,25 +347,21 @@ def field_reduce(ring: CoefficientRing, columns) -> int:
 # ---------------------------------------------------------------------------
 
 
-def clear_unit_pivots(pivots, retired) -> list[tuple[int, dict[int, int]]]:
-    """The non-unit retired columns, cleared on every unit pivot row.
+def _clear_unit_pivots(units, residue) -> None:
+    """Clear every unit pivot row in the residue columns, in place.
 
-    ``pivots`` and ``retired`` are those of a :class:`ColumnReduction`.  A
-    retired column is never touched again, and row ``pr`` is zero in every
-    column retired after ``pc``; so the pivot rows form a lower-triangular
-    block with the positive pivots on its diagonal.  Walking the pivots in
-    order, a unit pivot clears its row in the non-unit columns kept so far
-    (a column operation with the unit column, which is zero in every
-    earlier pivot row: no diagonal changes and no cleared row is
-    refilled).  Returns ``(pivot row, cleared column)`` pairs in retirement
-    order; the retired columns are not modified.
+    ``units`` and ``residue`` are the split retired columns of
+    :func:`sparse_column_reduction`.  A retired column is never touched
+    again, and its pivot row is zero in every column retired after it; so
+    the pivot rows form a lower-triangular block with the positive pivots
+    on its diagonal.  Walking the units in retirement order, each clears
+    its row in the residue columns retired before it (a column operation
+    with the unit column, which is zero in every earlier pivot row: no
+    diagonal changes and no cleared row is refilled); residue columns
+    retired after it are zero on its row already.
     """
-    kept: list[tuple[int, dict[int, int]]] = []
-    for (pr, _), col in zip(pivots, retired):
-        if col[pr] != 1:
-            kept.append((pr, dict(col)))
-            continue
-        for _, k in kept:
+    for pr, col in units.items():
+        for _, k in residue:
             x = k.get(pr)
             if x:
                 for i, v in col.items():
@@ -363,31 +370,13 @@ def clear_unit_pivots(pivots, retired) -> list[tuple[int, dict[int, int]]]:
                         k[i] = nv
                     else:
                         del k[i]
-    return kept
-
-
-def _pivot_divisors(pivots, retired) -> tuple[int, ...]:
-    """Elementary divisors of the retired columns of a column reduction.
-
-    Each unit pivot splits off as a divisor 1 once
-    :func:`clear_unit_pivots` has cleared its row in the non-unit columns.
-    The kept columns' pivot block has determinant D, the product of their
-    pivots, so every elementary divisor of the kept columns divides D and
-    :func:`smith_normal_form` finishes modulo D.
-    """
-    kept = clear_unit_pivots(pivots, retired)
-    ones = (1,) * (len(pivots) - len(kept))
-    modulus = 1
-    for pr, k in kept:
-        modulus *= k[pr]
-    return ones + smith_normal_form([k for _, k in kept], modulus)
 
 
 def smith_normal_form(columns, modulus: int) -> tuple[int, ...]:
     """Elementary divisors modulo ``modulus`` of a matrix of ``{row: value}`` columns.
 
-    The residue step of :func:`_pivot_divisors`: one divisor per column,
-    gcd(d_i, modulus) for the i-th elementary divisor d_i (0 past the
+    The residue step of :func:`sparse_column_reduction`: one divisor per
+    column, gcd(d_i, modulus) for the i-th elementary divisor d_i (0 past the
     rank), which are the elementary divisors of the lattice spanned by the
     matrix's rows and ``modulus·Z^len(columns)``.  Transform-free: a
     reduced row Hermite basis of that lattice and the reduced Hermite basis

@@ -16,7 +16,6 @@ from itertools import combinations
 from .coefficients import (
     CoefficientRing,
     ColumnReduction,
-    clear_unit_pivots,
     rank_over,
     sparse_column_reduction,
 )
@@ -257,9 +256,10 @@ class ChainComplexZ:
         """Column reduction of the k-th boundary matrix, cleared, computed once.
 
         Reductions run from the top degree down: every unit pivot row of
-        ``reduction(k + 1)`` names a column of the k-th boundary that is
-        left out (cleared).  The divisors stay those of the whole matrix,
-        and the kernel is the cleared kernel (see the class docstring).
+        ``reduction(k + 1)``, a key of its ``units``, names a column of the
+        k-th boundary that is left out (cleared).  The divisors stay those
+        of the whole matrix, and the kernel is the cleared kernel (see the
+        class docstring).
         The top degree is reduced whole.  Degree 0 reduces the zero map
         out of degree 0.
         """
@@ -267,7 +267,7 @@ class ChainComplexZ:
         if red is None:
             cleared = frozenset()
             if k < self.max_degree and self.dim_at(k) and self.dim_at(k + 1):
-                cleared = self.reduction(k + 1).unit_rows
+                cleared = self.reduction(k + 1).units
             red = self._reductions[k] = sparse_column_reduction(self.boundaries[k], cleared)
         return red
 
@@ -669,25 +669,33 @@ class _DegreeSolver:
     """Basis and coordinates for one integral cohomology degree k.
 
     Works in the cleared splitting of the chain group (see
-    :class:`ChainComplexZ`): the k-cycles are the unit boundaries b_t of
-    the next degree plus the cleared kernel z_j, whose dual rows d_j read
-    coordinates along it.  A cocycle kills every b_t, so it is seen through
-    its values ``y`` on the z_j.  The remaining (non-unit) boundaries, with
-    their unit-pivot entries cleared, lie in the span of the z_j; ``y``
+    :class:`ChainComplexZ`), read off the split that the next degree's
+    :class:`~reeb_bubble.coefficients.ColumnReduction` carries: the
+    k-cycles are its ``units`` b_t plus the cleared kernel z_j, whose dual
+    rows d_j read coordinates along it.  A cocycle kills every b_t, so it
+    is seen through its values ``y`` on the z_j.  The ``residue`` columns,
+    cleared on every unit pivot row, lie in the span of the z_j; ``y``
     must kill them read along the d_j, and the class basis ``kappa`` is a
     saturated basis of that kernel, with dual rows of its own.  With no
-    non-unit boundary the relations are empty and ``kappa`` is the
-    identity.  The coordinate along class ``a`` is the dual row of
-    ``kappa[a]`` applied to ``y``, an integer dot product, checked by
-    rebuilding ``y``.  Only the free part of integral cohomology is seen:
-    torsion classes vanish on every cycle, and the Tor classes of Z/p
-    cohomology reduce from no integral cocycle.  So Z and Z/p cup rings of
-    a complex with torsion are refused (see :func:`cup_ring_of_complex`).
+    residue the relations are empty and ``kappa`` is the identity.
+
+    A cochain is a cocycle when it kills the units and the residue, which
+    span the image of the next boundary: they span the lattice of its kept
+    columns, and a cleared cell's boundary is an integral combination of
+    kept ones by the unit columns' triangularity one degree up.  So the
+    test reads one column per pivot, not one per (k+1)-cell.  The
+    coordinate along class ``a`` is the dual row of ``kappa[a]`` applied
+    to ``y``, an integer dot product, checked by rebuilding ``y``.
+
+    Only the free part of integral cohomology is seen: torsion classes
+    vanish on every cycle, and the Tor classes of Z/p cohomology reduce
+    from no integral cocycle.  So Z and Z/p cup rings of a complex with
+    torsion are refused (see :func:`cup_ring_of_complex`).
     """
 
-    def __init__(self, reps, next_cols, cycles, kappa, kappa_duals):
+    def __init__(self, reps, image, cycles, kappa, kappa_duals):
         self.reps = reps
-        self._next_cols = next_cols
+        self._image = image
         self._cycles = cycles
         self._kappa = kappa
         self._kappa_duals = kappa_duals
@@ -699,7 +707,7 @@ class _DegreeSolver:
     def coordinates(self, vec):
         """Integer coordinates of a cocycle along ``reps``; raises
         ``RuntimeError`` when ``vec`` is not a cocycle."""
-        for col in self._next_cols:
+        for col in self._image:
             s = 0
             for t, v in col.items():
                 s += v * vec[t]
@@ -733,19 +741,15 @@ def _build_integral_solver(cx: ChainComplexZ, k: int, expected_rank: int) -> _De
     duals = red.kernel_dual_rows
     if k < cx.max_degree:
         above = cx.reduction(k + 1)
-        next_cols = cx.boundaries[k + 1]
-        torsion = clear_unit_pivots(above.pivots, above.retired)
-        units = [
-            (r, b) for (r, _), b in zip(above.pivots, above.retired) if r in above.unit_rows
-        ]
+        units, residue = above.units, above.residue
     else:
-        next_cols, torsion, units = [], [], []
-    # the non-unit boundaries read along the cleared kernel, one relation
-    # row each; classes are the values on it that kill them
+        units, residue = {}, []
+    # the residue read along the cleared kernel, one relation row per
+    # column; classes are the values on it that kill them
     relations = []
     for d in duals:
         rel = {}
-        for r, (_, b) in enumerate(torsion):
+        for r, (_, b) in enumerate(residue):
             s = sum(v * d.get(t, 0) for t, v in b.items())
             if s:
                 rel[r] = s
@@ -759,15 +763,16 @@ def _build_integral_solver(cx: ChainComplexZ, k: int, expected_rank: int) -> _De
                 vec[t] += coef * val
         # extend over the cleared cells, latest pivot first, so that the
         # cochain kills every unit boundary (b[r] == 1 and vec[r] is still 0)
-        for r, b in reversed(units):
+        for r, b in reversed(units.items()):
             vec[r] = -sum(v * vec[t] for t, v in b.items())
         reps.append(vec)
     if len(reps) != expected_rank:
         raise RuntimeError(
             f"degree {k}: found {len(reps)} cohomology classes, rank {expected_rank} expected"
         )
+    image = [*units.values(), *(b for _, b in residue)]
     solver = _DegreeSolver(
-        reps, next_cols, red.kernel_cols, classes.kernel_cols, classes.kernel_dual_rows
+        reps, image, red.kernel_cols, classes.kernel_cols, classes.kernel_dual_rows
     )
     for a, rep in enumerate(reps):
         coords = solver.coordinates(rep)

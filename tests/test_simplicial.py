@@ -12,6 +12,7 @@ from helpers import full_simplex, transpose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reeb_bubble.catalog import tier2_entries
 from reeb_bubble.coefficients import CoefficientRing, sparse_column_reduction
 from reeb_bubble.graded import (
     ConnSum,
@@ -22,6 +23,7 @@ from reeb_bubble.graded import (
     gcps_cohomology,
     pairing_invariants,
 )
+from reeb_bubble.oracle import simplicial_model
 from reeb_bubble.simplicial import (
     ChainComplexZ,
     _build_integral_solver,
@@ -143,18 +145,19 @@ def test_boundary_columns_are_checked_and_cleared(make):
     col[min(col)] = 0
     with pytest.raises(ValueError, match="zero entry"):
         ChainComplexZ(bases, with_first(top, col))
-    # a cleared column joins neither the pivots nor the kernel, and the
-    # rest reduces as if it were zero
+    # a cleared column joins neither the retired columns nor the kernel,
+    # and the rest reduces as if it were zero: the same units and residue,
+    # pivot rows, columns and retirement order alike
     for k in range(1, top):
-        cleared = cx.reduction(k + 1).unit_rows
+        cleared = cx.reduction(k + 1).units.keys()
         red = cx.reduction(k)
         assert cleared
-        assert not cleared & {j for _, j in red.pivots}
         assert not any(cleared & vec.keys() for vec in red.kernel_cols)
         assert red.rank + len(red.kernel_cols) == cx.dim_at(k) - len(cleared)
         zero_cols = [{} if j in cleared else c for j, c in enumerate(boundaries[k])]
         zeroed = sparse_column_reduction(zero_cols)
-        assert zeroed.pivots == red.pivots
+        assert list(zeroed.units.items()) == list(red.units.items())
+        assert zeroed.residue == red.residue
         assert [v for v in zeroed.kernel_cols if v.keys() - cleared] == red.kernel_cols
 
 
@@ -172,14 +175,39 @@ def test_only_unit_pivot_rows_are_cleared():
     # leave [-2] and a false Z/2 in H_0.
     cx = _from_rows([["v"], ["e", "f"], ["x"]], [[], [[1, -2]], [[2], [1]]])
     above = cx.reduction(2)
-    assert above.pivots == [(0, 0)] and above.unit_rows == set()
+    assert above.units == {} and above.residue == [(0, {0: 2, 1: 1})]
     assert cx.boundary_divisors(1) == (1,)
     assert homology_of_chain_complex(cx, Z).torsion == ((), (), ())
     # with d2(x) = e + 2f the unit pivot row e is cleared out of d1 = [2, -1]
     cx = _from_rows([["v"], ["e", "f"], ["x"]], [[], [[2, -1]], [[1], [2]]])
-    assert cx.reduction(2).unit_rows == {0}
-    assert cx.reduction(1).pivots == [(0, 1)] and cx.reduction(1).kernel_cols == []
+    assert cx.reduction(2).units == {0: {0: 1, 1: 2}}
+    # only column f = [-1] is reduced, retired with its sign flipped
+    below = cx.reduction(1)
+    assert below.units == {0: {0: 1}} and below.residue == [] and below.kernel_cols == []
     assert cx.boundary_divisors(1) == (1,)
+
+
+_SPLIT_CASES = [("torus", torus), ("rp2", rp2), ("s3", lambda: sphere_complex(3))] + [
+    (e.name, lambda d=e.descriptor: simplicial_model(d)) for e in tier2_entries()
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in _SPLIT_CASES], ids=[n for n, _ in _SPLIT_CASES])
+def test_units_and_residue_span_each_boundary(make):
+    # the cocycle solvers test against the units and residue alone, so they
+    # must span the lattice of every column of the boundary, cleared ones
+    # included: adding the boundary to them changes no divisor, and they
+    # have the boundary's divisors on their own
+    cx = chain_complex_of(make())
+    for k in range(1, cx.max_degree + 1):
+        red = cx.reduction(k)
+        assert all(col[r] == 1 for r, col in red.units.items())
+        for r, col in red.residue:
+            assert col[r] > 1 and not red.units.keys() & col.keys()
+        image = [*red.units.values(), *(col for _, col in red.residue)]
+        assert len(image) == red.rank
+        both = sparse_column_reduction(image + list(cx.boundaries[k])).divisors
+        assert both == sparse_column_reduction(image).divisors == red.divisors, k
 
 
 def test_simplicial_map_validation():
@@ -697,6 +725,29 @@ def test_integral_coordinates_reject_non_cocycles():
         with pytest.raises(RuntimeError, match="not a cocycle"):
             solver.coordinates([1 if t == e else 0 for t in range(n)])
     assert [solver.coordinates(rep) for rep in solver.reps] == [[1, 0], [0, 1]]
+
+
+def test_integral_coordinates_test_the_residue_columns():
+    # RP^2's second boundary keeps one residue column (H_1 = Z/2).  A
+    # cochain built as the solver builds its classes kills every unit
+    # column; unless it also kills the residue it is no cocycle, and the
+    # cocycle test must say so before the class lattice is read
+    cx = chain_complex_of(rp2())
+    above = cx.reduction(2)
+    assert [col[r] for r, col in above.residue] == [2]
+    solver = _build_integral_solver(cx, 1, 0)
+    raised = 0
+    for d in cx.reduction(1).kernel_dual_rows:
+        vec = [d.get(t, 0) for t in range(cx.dim_at(1))]
+        for r, b in reversed(above.units.items()):
+            vec[r] = -sum(v * vec[t] for t, v in b.items())
+        if any(sum(v * vec[t] for t, v in b.items()) for _, b in above.residue):
+            with pytest.raises(RuntimeError, match="not a cocycle"):
+                solver.coordinates(vec)
+            raised += 1
+        else:
+            assert solver.coordinates(vec) == []
+    assert raised
 
 
 def test_integral_product_table_cached_per_top_degree():
