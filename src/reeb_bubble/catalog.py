@@ -22,7 +22,6 @@ from .descriptor import (
     base_sphere_classes,
 )
 from .graded import ConnSum, Product, Sphere
-from .oracle import tier2_obstruction
 
 
 @dataclass(frozen=True)
@@ -30,11 +29,6 @@ class CatalogEntry:
     name: str
     summary: str
     descriptor: ReebDescriptor
-
-    @property
-    def tier(self) -> int:
-        """Highest verification tier the instance supports."""
-        return 2 if tier2_obstruction(self.descriptor) is None else 1
 
 
 def _desc(n, handles, records):
@@ -242,17 +236,6 @@ def _build_entries():
 
 
 ENTRIES: tuple[CatalogEntry, ...] = _build_entries()
-
-
-def catalog_entry(name: str) -> CatalogEntry:
-    for e in ENTRIES:
-        if e.name == name:
-            return e
-    raise KeyError(f"no catalog entry named {name!r}")
-
-
-def tier2_entries() -> tuple[CatalogEntry, ...]:
-    return tuple(e for e in ENTRIES if e.tier == 2)
 
 
 # ---------------------------------------------------------------------------

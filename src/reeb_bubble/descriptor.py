@@ -98,10 +98,6 @@ class SphereSpec:
             seen.add(k)
         object.__setattr__(self, "coefficients", pairs)
 
-    @property
-    def coefficient_map(self) -> dict[str, int]:
-        return dict(self.coefficients)
-
 
 @dataclass(frozen=True)
 class BubblingRecord:

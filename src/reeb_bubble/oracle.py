@@ -160,34 +160,32 @@ def _expr_complex(expr):
     left factor before right, recursively.  Each carrier maps the vertices
     of the standard sphere of the class's degree onto a full subcomplex.
     Every core's vertices are 0 .. |K| - 1, so a product vertex (u, v) is
-    u * |K2| + v, as :func:`product_complex` numbers it.
+    u * |K2| + v, as :func:`product_complex` numbers it.  Every core's
+    basepoint is vertex 0, (0, 0) in a product, so a left factor's carrier
+    lands on K1 x {0} and a right factor's on {0} x K2 unchanged.
     """
     if isinstance(expr, Sphere):
         K = sphere_complex(expr.k)
-        return K, [{v: v for v in K.vertices}], K.vertices[0]
+        return K, [{v: v for v in K.vertices}]
     if isinstance(expr, Product):
-        K1, car1, b1 = _expr_complex(expr.left)
-        K2, car2, b2 = _expr_complex(expr.right)
-        P = product_complex(K1, K2)
+        K1, car1 = _expr_complex(expr.left)
+        K2, car2 = _expr_complex(expr.right)
         m = len(K2.vertices)
-        carriers = [{u: c[u] * m + b2 for u in c} for c in car1]
-        carriers += [{u: b1 * m + c[u] for u in c} for c in car2]
-        return P, carriers, b1 * m + b2
+        carriers = [{u: v * m for u, v in c.items()} for c in car1] + car2
+        return product_complex(K1, K2), carriers
     raise TierError("connected-sum cores are not supported")
 
 
 def _base_complex(d: ReebDescriptor):
+    """The wedge of the base cores at their vertex 0, which is the model's
+    vertex 0, and the carriers of the classes, named nu1, nu2, ..."""
     pieces = [_expr_complex(h) for h in d.base.handles]
-    W, maps = wedge_complexes(
-        [K for K, _, _ in pieces], [b for _, _, b in pieces]
-    )
+    W, maps = wedge_complexes([K for K, _ in pieces])
     carriers = {}
-    count = 0
-    for (K, cars, _), vmap in zip(pieces, maps):
+    for (_, cars), vmap in zip(pieces, maps):
         for car in cars:
-            count += 1
-            carriers[f"nu{count}"] = {u: vmap[v] for u, v in car.items()}
-    return W, carriers, 0
+            carriers[f"nu{len(carriers) + 1}"] = {u: vmap[v] for u, v in car.items()}
+    return W, carriers
 
 
 def simplicial_model(d: ReebDescriptor) -> SimplicialComplex:
@@ -211,21 +209,19 @@ def simplicial_model(d: ReebDescriptor) -> SimplicialComplex:
     if reason is not None:
         raise TierError(f"{reason}; use tier 1")
     n = d.n
-    X, carriers, bp = _base_complex(d)
+    X, carriers = _base_complex(d)
 
     for rec in d.records:
         spheres = [s for s in rec.spheres if s.dim >= 1]
         if not spheres:
             E = sphere_complex(n)
-            X, _, _ = glue_along(
-                X, X.restrict_full([bp]), E, E.restrict_full([0]), {bp: 0}
-            )
+            X, _ = glue_along(X, X.restrict_full([0]), E, E.restrict_full([0]), {0: 0})
         else:
-            X = _attach_record(X, carriers, bp, n, spheres)
+            X = _attach_record(X, carriers, n, spheres)
     return X
 
 
-def _attach_record(X, carriers, bp, n, spheres):
+def _attach_record(X, carriers, n, spheres):
     """Attach one record's sphere products along a bouquet of its spheres.
 
     The sphere products are joined into one connected sum at a single
@@ -233,11 +229,12 @@ def _attach_record(X, carriers, bp, n, spheres):
     through w, so the sections form a wedge of spheres inside the sum.  The
     abstract wedge of the sphere domains maps to the base: a sphere with a
     live target by its degree map onto the carrier, one without constantly
-    to the wedge point.  Each domain's first vertex goes to codomain vertex
-    0 and each carrier sends that to the wedge point, so the wedge vertex
-    has one image.  The record attaches through a single mapping cylinder
-    of that map.  The one shortcut: a lone sphere whose coefficient is +-1
-    needs no cylinder, and its section lands on the carrier itself.
+    to the wedge point, vertex 0.  Each domain's first vertex goes to
+    codomain vertex 0 and each carrier sends that to the wedge point, so
+    the wedge vertex has one image.  The record attaches through a single
+    mapping cylinder of that map.  The one shortcut: a lone sphere whose
+    coefficient is +-1 needs no cylinder, and its section lands on the
+    carrier itself.
 
     A section is its dome times vertex 0 of the fibre sphere, so dome
     vertex u is vertex u * |fibre| of the sphere product.  Each gluing
@@ -258,7 +255,7 @@ def _attach_record(X, carriers, bp, n, spheres):
             image = {v: carriers[target][w] for v, w in f.vertex_map.items()}
         else:
             dome = sphere_complex(s.dim)
-            image = {v: bp for v in dome.vertices}
+            image = {v: 0 for v in dome.vertices}
         elems.append((s.dim, dome, image))
 
     sections = []
@@ -272,7 +269,7 @@ def _attach_record(X, carriers, bp, n, spheres):
             E, w = piece, join
         else:
             placed = set().union(*(sec.values() for sec in sections))
-            E, _, mL = connected_sum_with_maps(
+            E, mL = connected_sum_with_maps(
                 E, piece, n,
                 avoid_K=placed - {w}, avoid_L=set(section.values()) - {join},
                 join_K=w, join_L=join,
@@ -291,9 +288,7 @@ def _attach_record(X, carriers, bp, n, spheres):
                     raise RuntimeError("bouquet vertex has two images in the base")
         D = X.restrict_full(phi.values())
         cyl, dlab, clab = mapping_cylinder(SimplicialMap(C, D, phi))
-        X, _, mL = glue_along(
-            X, D, cyl, cyl.restrict_full(clab.values()), clab
-        )
+        X, mL = glue_along(X, D, cyl, cyl.restrict_full(clab.values()), clab)
         landings = [
             {u: mL[dlab[cv]] for u, cv in vmap.items()} for vmap in wedge_maps
         ]
@@ -302,7 +297,7 @@ def _attach_record(X, carriers, bp, n, spheres):
     for landing, section in zip(landings, sections):
         for u, v in section.items():
             iso[landing[u]] = v
-    X, _, _ = glue_along(X, X.restrict_full(iso), E, E.restrict_full(iso.values()), iso)
+    X, _ = glue_along(X, X.restrict_full(iso), E, E.restrict_full(iso.values()), iso)
     return X
 
 
@@ -374,6 +369,23 @@ def _module_witnesses(kind, expected, got):
     return out
 
 
+def _ring_witness(d: ReebDescriptor, base_z, R, K) -> str | None:
+    """Why the formula ring and the cup ring of the model K differ over R,
+    or None when their pairing invariants agree."""
+    try:
+        formula_ring = _ring_presentation(d, R, base_z).ring
+    except (RuntimeError, ValueError) as exc:
+        # a failed self-check of the formula ring, such as graded commutativity
+        return f"formula: {exc}"
+    try:
+        measured = cup_ring_of_complex(K, R, top_degree=d.n)
+    except (RuntimeError, ValueError) as exc:
+        # a failed self-check, or a refusal (torsion, no connectivity)
+        return f"tier-2 oracle: {exc}"
+    verdict = compare_invariants(formula_ring, measured)
+    return None if verdict.is_consistent else f"ring invariants: {verdict.witness}"
+
+
 def verify_descriptor(
     d: ReebDescriptor, rings, tier="auto"
 ) -> VerificationReport:
@@ -386,7 +398,10 @@ def verify_descriptor(
     mismatch.  A failed self-check inside the measured cup ring (a
     ``RuntimeError``), or its refusal of the measured complex (a
     ``ValueError``: torsion, or no connectivity), is recorded as a
-    ``tier-2 oracle`` witness on that ring, not raised.
+    ``tier-2 oracle`` witness on that ring, not raised; a formula ring that
+    fails its own checks gives a ``formula`` witness, and that ring is not
+    compared.  A ring's homology matches when it has no witness before the
+    ring check.
 
     The descriptor is validated once and its integral base ring built once
     per call; that ring serves tier-1 assembly, every ring's expected
@@ -407,7 +422,6 @@ def verify_descriptor(
     else:
         _require_valid(d)
         K = None
-    n = d.n
     Z = CoefficientRing.integers()
     base_z = base_cohomology(d.base, Z)
     cx = _assemble(d, base_z)
@@ -425,21 +439,12 @@ def verify_descriptor(
         if K is not None:
             tier2 = homology_of_complex(K, R)
             witnesses += _module_witnesses("tier-2 homology", expected, tier2)
-        # read before the ring witnesses: an oracle message may say "homology"
-        homology_match = not any("homology" in w for w in witnesses)
+        homology_match = not witnesses
         if K is not None:
-            formula_ring = _ring_presentation(d, R, base_z).ring
-            try:
-                measured = cup_ring_of_complex(K, R, top_degree=n)
-            except (RuntimeError, ValueError) as exc:
-                # a failed self-check, or a refusal (torsion, no connectivity)
-                ring_match = False
-                witnesses.append(f"tier-2 oracle: {exc}")
-            else:
-                verdict = compare_invariants(formula_ring, measured)
-                ring_match = verdict.is_consistent
-                if not ring_match:
-                    witnesses.append(f"ring invariants: {verdict.witness}")
+            witness = _ring_witness(d, base_z, R, K)
+            ring_match = witness is None
+            if witness:
+                witnesses.append(witness)
         verdicts.append(
             RingVerdict(
                 ring_label=R.label,

@@ -5,7 +5,10 @@ elementary divisors, cohomology rings by the Alexander-Whitney front/back
 rule on ordered simplices.  Complexes are immutable; vertices are ints
 ordered as integers, so every derived complex (product, wedge, cylinder,
 gluing) numbers the vertices it creates, and simplices are strictly
-increasing int tuples that sort and hash as plain tuples.
+increasing int tuples that sort and hash as plain tuples.  Every gluing,
+wedges and connected sums included, is a pushout through
+:func:`glue_along`, which keeps K's vertex numbers and numbers L's new
+vertices after them.
 """
 
 from __future__ import annotations
@@ -385,29 +388,21 @@ def _maximal_simplices(K: SimplicialComplex) -> list[tuple]:
 def wedge_complexes(complexes, basepoints=None):
     """Wedge at one chosen vertex per summand.
 
-    Returns (wedge, inclusion vertex maps).  The shared vertex is 0, and
-    each summand's other vertices follow in order, summand by summand;
-    empty input gives a single point.
+    Returns (wedge, inclusion vertex maps).  Starting from the point 0,
+    each summand is glued on at its basepoint by :func:`glue_along`, so the
+    shared vertex is 0 and each summand's other vertices follow in order,
+    summand by summand; empty input gives the single point.
     """
     complexes = list(complexes)
     if basepoints is None:
         basepoints = [K.vertices[0] for K in complexes]
-    size = 1
+    W = point = SimplicialComplex((0,), {(0,)}, check=False)
     maps = []
-    simplices = {(0,)}
     for i, (K, bp) in enumerate(zip(complexes, basepoints)):
         if bp not in K.vertices:
             raise ValueError(f"basepoint {bp} not a vertex of summand {i}")
-        vmap = {}
-        for v in K.vertices:
-            if v == bp:
-                vmap[v] = 0
-            else:
-                vmap[v] = size
-                size += 1
+        W, vmap = glue_along(W, point, K, K.restrict_full([bp]), {0: bp})
         maps.append(vmap)
-        simplices.update(tuple(sorted([vmap[v] for v in s])) for s in K.simplices)
-    W = SimplicialComplex(range(size), simplices, check=False)
     return W, maps
 
 
@@ -440,12 +435,14 @@ def connected_sum_with_maps(
     """Connected sum: drop one facet from each, identify the boundary spheres.
 
     Facets are chosen away from the ``avoid`` vertex sets so distinguished
-    subcomplexes (sections, basepoints) survive.  Returns the sum plus the
-    two vertex inclusion maps.  K keeps its vertex numbers; L's vertices off
-    the identified sphere are numbered max(K) + 1, max(K) + 2, ... in L's
-    order.  Any order-respecting identification of the boundary spheres is
-    accepted: for the closed manifolds this package builds, both gluing
-    orientations give the same homology and pairing invariants.
+    subcomplexes (sections, basepoints) survive.  The two punctured
+    complexes are glued along the boundaries of the dropped facets by
+    :func:`glue_along`, which returns the sum and L's vertex map: K keeps
+    its vertex numbers, and L's vertices off the identified sphere are
+    numbered max(K) + 1, max(K) + 2, ... in L's order.  Any order-respecting
+    identification of the boundary spheres is accepted: for the closed
+    manifolds this package builds, both gluing orientations give the same
+    homology and pairing invariants.
 
     When ``join_K`` and ``join_L`` are given, the removed facets are chosen
     through those vertices and the identification matches them, so the two
@@ -457,27 +454,24 @@ def connected_sum_with_maps(
     sigma = _pick_facet(K, dim, avoid_K, must=join_K)
     tau = _pick_facet(L, dim, avoid_L, must=join_L)
     if join_K is None:
-        map_L = dict(zip(tau, sigma))
+        iso = dict(zip(sigma, tau))
     else:
-        rest_t = [v for v in tau if v != join_L]
-        rest_s = [v for v in sigma if v != join_K]
-        map_L = {join_L: join_K}
-        map_L.update(zip(rest_t, rest_s))
-    start = size = K.vertices[-1] + 1
-    for v in L.vertices:
-        if v not in map_L:
-            map_L[v] = size
-            size += 1
-    map_K = {v: v for v in K.vertices}
-    simplices = set(K.simplices)
-    simplices.remove(sigma)
-    simplices.update(tuple(sorted([map_L[v] for v in s])) for s in L.simplices if s != tau)
-    G = SimplicialComplex(K.vertices + tuple(range(start, size)), simplices, check=False)
+        iso = {join_K: join_L}
+        iso.update(zip([v for v in sigma if v != join_K], [v for v in tau if v != join_L]))
+    # every simplex on tau's vertices is a face of tau, so the collision
+    # guard of glue_along cannot fire
+    G, map_L = glue_along(
+        SimplicialComplex(K.vertices, K.simplices - {sigma}, check=False),
+        SimplicialComplex.from_facets(sigma, combinations(sigma, dim)),
+        SimplicialComplex(L.vertices, L.simplices - {tau}, check=False),
+        SimplicialComplex.from_facets(tau, combinations(tau, dim)),
+        iso,
+    )
     want = euler_characteristic(K) + euler_characteristic(L) - (1 + (-1) ** dim)
     got = euler_characteristic(G)
     if got != want:
         raise RuntimeError(f"connected sum Euler characteristic {got}, expected {want}")
-    return G, map_K, map_L
+    return G, map_L
 
 
 def _pick_facet(K: SimplicialComplex, dim: int, avoid: set, must=None) -> tuple:
@@ -539,8 +533,8 @@ def glue_along(
     two sides share any simplex beyond the identified subcomplex the union
     would not be the intended pushout, so that situation raises (subdivide
     first).  K keeps its vertex numbers; L's vertices outside B are numbered
-    max(K) + 1, max(K) + 2, ... in L's order.  Returns (glued, K vertex
-    map, L vertex map).
+    max(K) + 1, max(K) + 2, ... in L's order.  Returns (glued, L vertex
+    map).  Every wedge and connected sum of this module is built here.
     """
     _require_subcomplex(A, K, "A")
     _require_subcomplex(B, L, "B")
@@ -557,7 +551,6 @@ def glue_along(
         if w not in map_L:
             map_L[w] = size
             size += 1
-    map_K = {v: v for v in K.vertices}
     b_simplices = B.simplices
     k_simplices = K.simplices
     simplices = set(k_simplices)
@@ -570,7 +563,7 @@ def glue_along(
             )
         simplices.add(image)
     G = SimplicialComplex(K.vertices + tuple(range(start, size)), simplices, check=False)
-    return G, map_K, map_L
+    return G, map_L
 
 
 def _require_subcomplex(A: SimplicialComplex, K: SimplicialComplex, name: str):

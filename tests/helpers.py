@@ -1,4 +1,5 @@
-"""Shared test helpers: matrix literals in the package's layout, the full simplex.
+"""Shared test helpers: matrix literals in the package's layout, the full
+simplex, catalog lookups.
 
 The package stores every matrix as a list of ``{row: value}`` columns.
 Tests write small matrices as dense row-major literals and hand them over
@@ -6,6 +7,8 @@ through :func:`transpose`, which also turns boundary columns back into
 the rows that the dense references in ``*_reference.py`` read.
 """
 
+from reeb_bubble.catalog import ENTRIES, CatalogEntry
+from reeb_bubble.oracle import tier2_obstruction
 from reeb_bubble.simplicial import SimplicialComplex
 
 
@@ -31,3 +34,15 @@ def full_simplex(k: int) -> SimplicialComplex:
         raise ValueError("dimension must be >= 0")
     vs = tuple(range(k + 1))
     return SimplicialComplex.from_facets(vs, [vs])
+
+
+def catalog_entry(name: str) -> CatalogEntry:
+    for e in ENTRIES:
+        if e.name == name:
+            return e
+    raise KeyError(f"no catalog entry named {name!r}")
+
+
+def tier2_entries() -> tuple[CatalogEntry, ...]:
+    """The catalog instances that have a simplicial model."""
+    return tuple(e for e in ENTRIES if tier2_obstruction(e.descriptor) is None)

@@ -9,6 +9,8 @@ or a frozen small constant such as a Betti table of a named model space.
 import json
 import time
 
+from helpers import catalog_entry, tier2_entries
+
 from reeb_bubble.calculus import (
     cohomology_ring_of_descriptor,
     homology_of_descriptor,
@@ -17,11 +19,9 @@ from reeb_bubble.calculus import (
 )
 from reeb_bubble.catalog import (
     ENTRIES,
-    catalog_entry,
     plan_descriptor,
     random_descriptors,
     random_plans,
-    tier2_entries,
 )
 from reeb_bubble.coefficients import CoefficientRing
 from reeb_bubble.descriptor import (

@@ -284,7 +284,7 @@ def test_plan_example():
     assert d.base.handles == (Sphere(2),)
     assert len(d.records) == 1
     (sph,) = d.records[0].spheres
-    assert sph.dim == 2 and sph.coefficient_map == {"nu1": 3}
+    assert sph.dim == 2 and dict(sph.coefficients) == {"nu1": 3}
     rep = cohomology_ring_of_descriptor(d, Z)
     assert rep.homology.free_ranks == (1, 0, 2, 0, 1)
     assert rep.ring.product("nu1", "b1.1") == {"t1": 3}

@@ -244,7 +244,7 @@ def test_parse_full_document():
     d = parse_descriptor(text)
     assert d.n == 4
     assert len(d.base.handles) == 3
-    assert d.records[0].spheres[0].coefficient_map == {"nu1": 2, "nu3": -1}
+    assert dict(d.records[0].spheres[0].coefficients) == {"nu1": 2, "nu3": -1}
     assert d.records[1].kind is RecordKind.NORMAL_S
     assert validate(d) == []
 

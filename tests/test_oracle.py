@@ -10,7 +10,7 @@ import random
 from collections import Counter
 
 import pytest
-from helpers import full_simplex
+from helpers import catalog_entry, full_simplex, tier2_entries
 from test_simplicial import rp2
 
 from reeb_bubble import calculus as calculus_module
@@ -20,7 +20,7 @@ from reeb_bubble import graded as graded_module
 from reeb_bubble import oracle as oracle_module
 from reeb_bubble import simplicial as simplicial_module
 from reeb_bubble.calculus import homology_of_descriptor
-from reeb_bubble.catalog import catalog_entry, tier2_entries
+from reeb_bubble.cli import main as cli_main
 from reeb_bubble.coefficients import CoefficientRing
 from reeb_bubble.descriptor import (
     BaseSpec,
@@ -269,8 +269,18 @@ def test_unit_coefficient_records_glue_without_a_cylinder(name, simplices):
         ("bouquet-two-circles", "a6c108d0791d5ccdb680e6778c7c3e549d3b97fbb0d81ce2a4d0b55039a21be1"),
         ("bouquet-silent-wing", "2350d94f31c876a63640f066b4ec6276beba9990666c45208a8d427bd8f00e1a"),
         ("circle-pair-doubled", "d32862d807b414c7da4a287b87afb4024a2c240c9d9ca3fb39daa3250445495d"),
+        # two connected sums and a three-dome bouquet
+        ("bouquet-three-spheres", "e30331a72fe4f350a604d14c7d97cf9a57d56c8d5314740fc226487823ccccfb"),
+        # a product core in the base wedge
+        ("torus-core-bubble", "a7eddd934a0eb0e4244bddee5015fac5da7585eab1cefb11d4f625de726edbb0"),
     ],
-    ids=["bouquet-two-circles", "bouquet-silent-wing", "circle-pair-doubled"],
+    ids=[
+        "bouquet-two-circles",
+        "bouquet-silent-wing",
+        "circle-pair-doubled",
+        "bouquet-three-spheres",
+        "torus-core-bubble",
+    ],
 )
 def test_models_keep_their_simplices(name, digest):
     # vertex i is the i-th vertex in the model's order: these digests of
@@ -278,6 +288,27 @@ def test_models_keep_their_simplices(name, digest):
     K = simplicial_model(catalog_entry(name).descriptor)
     assert K.vertices == tuple(range(len(K.vertices)))
     assert hashlib.sha256(repr(sorted(K.simplices)).encode()).hexdigest() == digest
+
+
+def test_constructors_off_the_models_keep_their_simplices():
+    # the connected sum without join vertices and a wedge at basepoints
+    # other than vertex 0, which no model builds
+    S1, S2 = sphere_complex(1), sphere_complex(2)
+    torus = product_complex(S1, S1)
+    for K, size, digest in [
+        (
+            connected_sum_with_maps(torus, torus, 2)[0],
+            15,
+            "06ff6f159ad2932e763a9dc1bb942a84cbe6b78f649651495d9f21d231e4ecf6",
+        ),
+        (
+            wedge_complexes([S1, S2], basepoints=[2, 1])[0],
+            6,
+            "bf800a08e75b1877a3e1b5800f984d2bff375c8850fd1ca24f013972eee5ecd1",
+        ),
+    ]:
+        assert K.vertices == tuple(range(size))
+        assert hashlib.sha256(repr(sorted(K.simplices)).encode()).hexdigest() == digest
 
 
 def test_every_constructor_numbers_its_vertices_in_order():
@@ -531,6 +562,28 @@ def test_oracle_self_check_failure_becomes_witness(monkeypatch):
         assert v.homology_match
         assert v.ring_match is False
         assert v.witnesses == ("tier-2 oracle: degree 1: dual basis check failed",)
+
+
+def test_formula_failure_becomes_witness(monkeypatch, capsys):
+    # a formula ring that fails its own checks is a verdict on that ring,
+    # in the report and in the catalog, not an exception
+    message = "graded commutativity fails on (nu1,b1.1)"
+
+    def failing(d, R, base):
+        raise ValueError(message)
+
+    monkeypatch.setattr("reeb_bubble.oracle._ring_presentation", failing)
+    rep = verify_descriptor(catalog_entry("circle-pair-doubled").descriptor, RINGS)
+    assert rep.tier == 2
+    assert not rep.ok
+    for v in rep.verdicts:
+        assert v.homology_match
+        assert v.ring_match is False
+        assert v.witnesses == (f"formula: {message}",)
+    assert cli_main(["catalog", "--only", "circle-pair"]) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH circle-pair-doubled" in out
+    assert f"formula: {message}" in out
 
 
 def test_oracle_refusal_becomes_witness(monkeypatch):

@@ -8,11 +8,10 @@ generated instances.
 
 import pytest
 from field_reference import field_kernel, field_rank
-from helpers import full_simplex, transpose
+from helpers import full_simplex, tier2_entries, transpose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reeb_bubble.catalog import tier2_entries
 from reeb_bubble.coefficients import CoefficientRing, sparse_column_reduction
 from reeb_bubble.graded import (
     ConnSum,
@@ -296,7 +295,7 @@ def test_connected_sum_avoid_sets():
     T = torus()
     # (u, 0) is vertex 3u of the product of two triangles
     section = [v for v in T.vertices if v % 3 == 0]
-    G, mk, ml = connected_sum_with_maps(T, torus(), 2, avoid_K=section)
+    G, _ = connected_sum_with_maps(T, torus(), 2, avoid_K=section)
     assert all(G.has([v]) for v in section)
     sub = G.restrict_full(section)
     assert homology_of_complex(sub, Z).free_ranks == (1, 1)
@@ -439,7 +438,7 @@ def test_two_discs_glue_to_sphere():
     D2 = cone_complex(S1, 4)
     bd1 = D1.restrict_full([0, 1, 2])
     bd2 = D2.restrict_full([0, 1, 2])
-    G, _, _ = glue_along(D1, bd1, D2, bd2, {v: v for v in bd1.vertices})
+    G, _ = glue_along(D1, bd1, D2, bd2, {v: v for v in bd1.vertices})
     assert homology_of_complex(G, Z).free_ranks == (1, 0, 1)
 
 
@@ -448,7 +447,7 @@ def test_point_gluing_is_wedge():
     S2c = sphere_complex(2)
     ptA = T.restrict_full([T.vertices[0]])
     ptB = S2c.restrict_full([0])
-    G, _, _ = glue_along(T, ptA, S2c, ptB, {T.vertices[0]: 0})
+    G, _ = glue_along(T, ptA, S2c, ptB, {T.vertices[0]: 0})
     assert homology_of_complex(G, Z).free_ranks == (1, 2, 2)
 
 
@@ -494,7 +493,7 @@ def test_mayer_vietoris_bookkeeping(case):
         A = K.restrict_full(section)
         B = L.restrict_full(section)
         iso = {v: v for v in A.vertices}
-    G, mapK, mapL = glue_along(K, A, L, B, iso)
+    G, _ = glue_along(K, A, L, B, iso)
 
     U, mk, ml = _disjoint_union(K, L)
     # A -> K u L via both inclusions
@@ -647,7 +646,7 @@ def test_mod_three_moore_space_refuses_torsion_cup_rings():
     f = degree_map(1, 3)
     C, dlab, _ = mapping_cylinder(f)
     cone = cone_complex(f.domain, len(f.domain.vertices))
-    G, _, _ = glue_along(
+    G, _ = glue_along(
         C,
         C.restrict_full(dlab.values()),
         cone,
