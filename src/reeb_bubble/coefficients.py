@@ -7,19 +7,28 @@ p), cohomology coordinates read its saturated kernel lattice, the dual
 rows that give coordinates along it and its retired columns, and no
 routine builds unimodular transforms of its own.
 
-The reduction splits its retired columns once, and every reader takes the
-split from the returned :class:`ColumnReduction`: the ``units`` (pivot 1)
-and the ``residue`` (the other retired columns, cleared on every unit
-pivot row).  The divisors are one 1 per unit followed by the residue's,
-which :func:`smith_normal_form` finishes modulo D, the product of the
-residue's pivots.  The residue is small: at most 1 column on the
-benchmark's ``tier2-small`` models, at most 2 with D of at most 4 bits on
-``catalog``.  Chain complexes reduce their boundaries from the top degree
-down and leave out of each one the columns named by the next one's unit
-pivot rows (see ``simplicial.ChainComplexZ``): the divisors are
-unchanged, and the kernel shrinks to the part the boundaries above do not
-already span.  The cocycle solvers read the units and residue of the
-boundary above, which span its image.
+The reduction works column by column on each column's lowest nonzero row,
+subtracting exact multiples of earlier columns, as persistent homology
+does; every boundary of the tier-2 models of the catalog and of the
+generators' pools reduces that way.  A matrix on which a step is not
+exact (a pivot that does not divide the entry, as in the pairing matrices
+of formula rings) is reduced instead by a Markowitz loop that keeps its
+entries small.  Either way the reduction splits its retired columns once,
+listed in triangular order, and every reader takes the split from the
+returned :class:`ColumnReduction`: the ``units`` (pivot 1) and the
+``residue`` (the other retired columns, cleared on every unit pivot row).
+The divisors are one 1 per unit followed by the residue's, which
+:func:`smith_normal_form` finishes modulo D, the product of the residue's
+pivots.  The residue is small: empty on every tier-2 model boundary of
+the benchmark's ``tier2-small`` and ``catalog`` workloads, and over all
+their calls (pairing matrices included) at most 1 column on
+``tier2-small`` and at most 2 with D of at most 4 bits on ``catalog``.
+Chain complexes reduce their boundaries from the top degree down and
+leave out of each one the columns named by the next one's unit pivot rows
+(see ``simplicial.ChainComplexZ``): the divisors are unchanged, and the
+kernel shrinks to the part the boundaries above do not already span.  The
+cocycle solvers read the units and residue of the boundary above, which
+span its image.
 
 There is no elimination over a field.  It is not needed because every
 space this package models is torsion-free, so field cohomology is
@@ -117,14 +126,17 @@ class ColumnReduction:
     ``divisors`` lists the ``rank`` nonzero elementary divisors in chain
     order, each dividing the next.
 
-    The retired (surviving) columns span the column lattice and are
-    triangular on their pivot rows: a pivot row is zero in every column
-    retired after it, and each pivot is positive.  They come split once,
-    here, for every reader.  ``units`` maps the pivot row of each retired
-    column with pivot 1 to that column, in retirement order.  ``residue``
-    lists ``(pivot row, column)`` for the other retired columns, in
-    retirement order, each cleared on every unit pivot row by column
-    operations with the unit columns (so the pivots stay as they were).
+    The retired (surviving) columns span the column lattice, each pivot is
+    positive, and they are listed in an order that makes them triangular on
+    their pivot rows: a pivot row is zero in every column listed after it.
+    That order is descending pivot row when every step was exact (see
+    :func:`sparse_column_reduction`), retirement order otherwise.  They come
+    split once, here, for every reader.  ``units`` maps the pivot row of
+    each retired column with pivot 1 to that column, in that order.
+    ``residue`` lists ``(pivot row, column)`` for the other retired columns,
+    in that order, each cleared on every unit pivot row by column
+    operations with the unit columns (so the pivots stay as they were); the
+    triangular order holds for the units followed by the residue.
     Units and residue together still span the column lattice; the divisors
     are one 1 per unit followed by the divisors of the residue.  Columns
     left out of the reduction (``cleared``) belong to neither the split nor
@@ -146,14 +158,17 @@ def sparse_column_reduction(columns, cleared=frozenset()) -> ColumnReduction:
     """Compute a :class:`ColumnReduction` of an integer matrix.
 
     ``columns`` holds the matrix column by column, each a ``{row: value}``
-    dict with no zero entries; it is not modified, since each column the
-    reduction works on is copied once.  The pivot row is the shortest live
-    row, taken from a lazy min-heap of row lengths that gets one new entry
-    per row whose support changed in a pivot step (Markowitz-style
-    ordering); in that row the pivot column has the smallest |value|, then
-    the shortest column.  Rows are cleared by nearest-quotient division, so
-    entries stay close to the gcd scale of the input instead of growing
-    with Bezout coefficients.
+    dict with no zero entries; it is not modified, since a column is copied
+    before the reduction first changes it.  The columns are reduced left
+    to right by their lowest (largest-index) nonzero row, the pivot rule of
+    persistent homology (Chen & Kerber, "Persistent homology computation
+    with a twist", 2011; Bauer, "Ripser", 2021): while that row is the pivot
+    row of an earlier column whose pivot divides the entry, the exact
+    multiple of that column is subtracted.  Every boundary of the tier-2
+    models reduces this way, with no row supports and no heap.  The first
+    step that is not exact (the pivot does not divide the entry) sends the
+    whole matrix to :func:`_markowitz_reduction`, whose pivot rule keeps
+    the entries small where division fails; only the input decides.
 
     The columns whose indices are in ``cleared`` are left out: they are
     neither copied nor read, and they join neither the retired columns nor
@@ -165,6 +180,118 @@ def sparse_column_reduction(columns, cleared=frozenset()) -> ColumnReduction:
     and the elementary divisors are read off that split, so homology, the
     cocycle solvers and the fundamental cycle all share one reduction per
     boundary matrix.
+    """
+    reduced = _lowest_pivot_reduction(columns, cleared)
+    if reduced is None:
+        reduced = _markowitz_reduction(columns, cleared)
+    kernel_cols, kernel_dual_rows, units, residue = reduced
+    # the input columns must sum to zero along every kernel vector
+    for vec in kernel_cols:
+        acc: dict[int, int] = {}
+        for j, x in vec.items():
+            for i, v in columns[j].items():
+                acc[i] = acc.get(i, 0) + x * v
+        if any(acc.values()):
+            raise RuntimeError("column reduction produced a non-kernel vector")
+    divisors = (1,) * len(units)
+    if residue:
+        # the residue's pivot block has determinant D, the product of its
+        # pivots, so its elementary divisors divide D
+        _clear_unit_pivots(units, residue)
+        modulus = 1
+        for pr, col in residue:
+            modulus *= col[pr]
+        divisors += smith_normal_form([col for _, col in residue], modulus)
+    return ColumnReduction(
+        len(units) + len(residue), kernel_cols, kernel_dual_rows, divisors, units, residue
+    )
+
+
+def _lowest_pivot_reduction(columns, cleared):
+    """Kernel columns, their dual rows, units and residue by lowest pivot rows.
+
+    Returns ``None`` as soon as a step is not exact.  A column that empties
+    joins the kernel; otherwise it retires on its lowest row, and no later
+    column touches it.  Only retired columns are ever subtracted, so the
+    inverse transform changes only in their rows, which no reader takes:
+    the dual row of kernel column j is e_j.  The transform is kept only for
+    columns a step changed (an untouched column's is e_j).  The retired
+    columns are listed by pivot row, descending, each made positive on it;
+    a column has no entry past its pivot row, so every pivot row is zero in
+    the columns listed after it.  A listed unit that no step changed is the
+    input's own dict.
+    """
+    retired: dict[int, tuple[int, dict[int, int]]] = {}  # pivot row -> (index, column)
+    transforms: dict[int, dict[int, int]] = {}
+    kernel_cols: list[dict[int, int]] = []
+    kernel_dual_rows: list[dict[int, int]] = []
+    for j, col in enumerate(columns):
+        if j in cleared:
+            continue
+        if not col:
+            kernel_cols.append({j: 1})
+            kernel_dual_rows.append({j: 1})
+            continue
+        r = max(col)
+        owner = retired.get(r)
+        if owner is None:
+            retired[r] = (j, col)
+            continue
+        col = dict(col)
+        vec = {j: 1}
+        while True:
+            i, pivot_col = owner
+            q, rem = divmod(col[r], pivot_col[r])
+            if rem:
+                return None
+            # column j -= q * column i, and the same on the transform
+            for t, v in pivot_col.items():
+                nv = col.get(t, 0) - q * v
+                if nv:
+                    col[t] = nv
+                else:
+                    del col[t]
+            for t, v in (transforms.get(i) or {i: 1}).items():
+                nv = vec.get(t, 0) - q * v
+                if nv:
+                    vec[t] = nv
+                else:
+                    del vec[t]
+            if not col:
+                kernel_cols.append(vec)
+                kernel_dual_rows.append({j: 1})
+                break
+            r = max(col)
+            owner = retired.get(r)
+            if owner is None:
+                retired[r] = (j, col)
+                transforms[j] = vec
+                break
+    units: dict[int, dict[int, int]] = {}
+    residue: list[tuple[int, dict[int, int]]] = []
+    for r in sorted(retired, reverse=True):
+        col = retired[r][1]
+        if col[r] < 0:
+            col = {t: -v for t, v in col.items()}
+        if col[r] == 1:
+            units[r] = col
+        else:
+            # the residue is cleared in place, so it holds no input column
+            residue.append((r, dict(col)))
+    return kernel_cols, kernel_dual_rows, units, residue
+
+
+def _markowitz_reduction(columns, cleared):
+    """Kernel columns, their dual rows, units and residue by Markowitz pivots.
+
+    The pivot row is the shortest live row, taken from a lazy min-heap of
+    row lengths that gets one new entry per row whose support changed in a
+    pivot step; in that row the pivot column has the smallest |value|, then
+    the shortest column.  Rows are cleared by nearest-quotient division, so
+    entries stay close to the gcd scale of the input instead of growing
+    with Bezout coefficients.  The retired columns are listed in retirement
+    order: a retired column is never touched again, so its pivot row is
+    zero in every column retired after it.
     """
     cols = len(columns)
     acol: list[dict[int, int]] = [
@@ -191,7 +318,6 @@ def sparse_column_reduction(columns, cleared=frozenset()) -> ColumnReduction:
 
     active = set(range(cols))
     active.difference_update(cleared)
-    # retired columns by pivot row, split on the pivot, in retirement order
     units: dict[int, dict[int, int]] = {}
     residue: list[tuple[int, dict[int, int]]] = []
     while heap:
@@ -272,28 +398,7 @@ def sparse_column_reduction(columns, cleared=frozenset()) -> ColumnReduction:
     kernel_idx = sorted(active)
     if any(acol[j] for j in kernel_idx):
         raise RuntimeError("active column left nonzero after reduction")
-    kernel_cols = [vcol[j] for j in kernel_idx]
-    # the input columns must sum to zero along every kernel vector
-    for vec in kernel_cols:
-        acc: dict[int, int] = {}
-        for j, x in vec.items():
-            for i, v in columns[j].items():
-                acc[i] = acc.get(i, 0) + x * v
-        if any(acc.values()):
-            raise RuntimeError("column reduction produced a non-kernel vector")
-    divisors = (1,) * len(units)
-    if residue:
-        # the residue's pivot block has determinant D, the product of its
-        # pivots, so its elementary divisors divide D
-        _clear_unit_pivots(units, residue)
-        modulus = 1
-        for pr, col in residue:
-            modulus *= col[pr]
-        divisors += smith_normal_form([col for _, col in residue], modulus)
-    kernel_dual_rows = [vinv[j] for j in kernel_idx]
-    return ColumnReduction(
-        len(units) + len(residue), kernel_cols, kernel_dual_rows, divisors, units, residue
-    )
+    return [vcol[j] for j in kernel_idx], [vinv[j] for j in kernel_idx], units, residue
 
 
 def integer_elementary_divisors(columns) -> tuple[int, ...]:
@@ -351,14 +456,14 @@ def _clear_unit_pivots(units, residue) -> None:
     """Clear every unit pivot row in the residue columns, in place.
 
     ``units`` and ``residue`` are the split retired columns of
-    :func:`sparse_column_reduction`.  A retired column is never touched
-    again, and its pivot row is zero in every column retired after it; so
-    the pivot rows form a lower-triangular block with the positive pivots
-    on its diagonal.  Walking the units in retirement order, each clears
-    its row in the residue columns retired before it (a column operation
-    with the unit column, which is zero in every earlier pivot row: no
-    diagonal changes and no cleared row is refilled); residue columns
-    retired after it are zero on its row already.
+    :func:`sparse_column_reduction`, each in the listed order, in which a
+    pivot row is zero in every column listed after it; so the pivot rows
+    form a lower-triangular block with the positive pivots on its diagonal.
+    Walking the units in that order, each clears its row in the residue
+    columns listed before it (a column operation with the unit column,
+    which is zero in every earlier pivot row: no diagonal changes and no
+    cleared row is refilled); residue columns listed after it are zero on
+    its row already.
     """
     for pr, col in units.items():
         for _, k in residue:

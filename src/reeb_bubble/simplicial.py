@@ -260,9 +260,13 @@ class ChainComplexZ:
 
         Reductions run from the top degree down: every unit pivot row of
         ``reduction(k + 1)``, a key of its ``units``, names a column of the
-        k-th boundary that is left out (cleared).  The divisors stay those
-        of the whole matrix, and the kernel is the cleared kernel (see the
-        class docstring).
+        k-th boundary that is left out (cleared).  Where every step is
+        exact, as on every boundary of the tier-2 models, the boundary is
+        reduced by lowest pivot rows (see
+        :func:`~reeb_bubble.coefficients.sparse_column_reduction`), so those
+        are the lowest rows of the unit columns, listed descending.
+        The divisors stay those of the whole matrix, and the kernel is the
+        cleared kernel (see the class docstring).
         The top degree is reduced whole.  Degree 0 reduces the zero map
         out of degree 0.
         """
@@ -754,8 +758,9 @@ def _build_integral_solver(cx: ChainComplexZ, k: int, expected_rank: int) -> _De
         for i, coef in ka.items():
             for t, val in duals[i].items():
                 vec[t] += coef * val
-        # extend over the cleared cells, latest pivot first, so that the
-        # cochain kills every unit boundary (b[r] == 1 and vec[r] is still 0)
+        # extend over the cleared cells, last listed unit first: a unit is
+        # zero on the pivot rows listed before it, so the cochain then kills
+        # every unit boundary (b[r] == 1 and vec[r] is still 0)
         for r, b in reversed(units.items()):
             vec[r] = -sum(v * vec[t] for t, v in b.items())
         reps.append(vec)

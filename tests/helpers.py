@@ -1,5 +1,5 @@
-"""Shared test helpers: matrix literals in the package's layout, the full
-simplex, catalog lookups.
+"""Shared test helpers: matrix literals in the package's layout, the split
+of a column reduction, the full simplex, catalog lookups.
 
 The package stores every matrix as a list of ``{row: value}`` columns.
 Tests write small matrices as dense row-major literals and hand them over
@@ -26,6 +26,27 @@ def transpose(vectors, n: int) -> list[dict]:
             if v:
                 out[j][i] = v
     return out
+
+
+def check_split(red) -> None:
+    """Assert the invariants of a column reduction's ``units`` and ``residue``.
+
+    Every unit is 1 on its pivot row and every residue pivot exceeds 1;
+    together they hold ``rank`` columns; the residue is zero on every unit
+    row; and listed in order (units, then residue) the columns are
+    triangular: each pivot row is zero in every column listed after it.
+    The cocycle solvers extend cochains over the unit rows in that order.
+    """
+    assert all(col[r] == 1 for r, col in red.units.items())
+    assert all(col[r] > 1 for r, col in red.residue)
+    assert len(red.units) + len(red.residue) == red.rank
+    for _, col in red.residue:
+        assert not red.units.keys() & col.keys()
+    listed = [*red.units.items(), *red.residue]
+    position = {r: p for p, (r, _) in enumerate(listed)}
+    for p, (r, col) in enumerate(listed):
+        # a column is nonzero only on pivot rows listed at or after it
+        assert all(position.get(t, p) >= p for t in col), (p, r)
 
 
 def full_simplex(k: int) -> SimplicialComplex:

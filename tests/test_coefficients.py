@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from divisor_reference import determinantal_divisors, modular_lattice_divisors
 from field_reference import field_rank, field_row_reduce
-from helpers import transpose
+from helpers import check_split, transpose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -193,6 +193,7 @@ def _check_column_reduction(rows, n):
     assert columns == before
     rank = field_rank(Q, rows, n)
     assert red.rank == rank
+    check_split(red)
     # field_reduce agrees on rows of fractions: row i divided by i + 2
     fractions = [[Fraction(v, i + 2) for v in row] for i, row in enumerate(rows)]
     assert field_reduce(Q, transpose(fractions, n)) == rank
@@ -247,6 +248,18 @@ def test_sparse_column_reduction_on_small_non_unit_matrices():
         _check_column_reduction(rows, n)
         divisors = determinantal_divisors(rows, n)
         assert integer_elementary_divisors(transpose(rows, n)) == divisors
+
+
+def test_sparse_column_reduction_falls_back_on_a_non_exact_step():
+    # 2 does not divide 3, so no exact step empties the second column; the
+    # Markowitz loop reduces the matrix instead
+    red = sparse_column_reduction([{0: 2}, {0: 3}])
+    assert red.divisors == (1,)
+    check_split(red)
+    (kernel,) = red.kernel_cols
+    assert kernel in ({0: 3, 1: -2}, {0: -3, 1: 2})
+    (dual,) = red.kernel_dual_rows
+    assert sum(v * kernel.get(t, 0) for t, v in dual.items()) == 1
 
 
 def test_ring_labels_and_conversion():

@@ -8,7 +8,7 @@ generated instances.
 
 import pytest
 from field_reference import field_kernel, field_rank
-from helpers import full_simplex, tier2_entries, transpose
+from helpers import check_split, full_simplex, tier2_entries, transpose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -169,18 +169,18 @@ def test_boundary_column_index_checked():
 
 
 def test_only_unit_pivot_rows_are_cleared():
-    # d2(x) = 2e + f retires row e with pivot 2; e is not a unit pivot row,
-    # so d1 = [1, -2] keeps it and stays onto Z.  Clearing it as well would
-    # leave [-2] and a false Z/2 in H_0.
-    cx = _from_rows([["v"], ["e", "f"], ["x"]], [[], [[1, -2]], [[2], [1]]])
+    # d2(x) = e + 2f retires its lowest row f with pivot 2; f is not a unit
+    # pivot row, so d1 = [2, -1] keeps it and stays onto Z.  Clearing it as
+    # well would leave [2] and a false Z/2 in H_0.
+    cx = _from_rows([["v"], ["e", "f"], ["x"]], [[], [[2, -1]], [[1], [2]]])
     above = cx.reduction(2)
-    assert above.units == {} and above.residue == [(0, {0: 2, 1: 1})]
+    assert above.units == {} and above.residue == [(1, {0: 1, 1: 2})]
     assert cx.boundary_divisors(1) == (1,)
     assert homology_of_chain_complex(cx, Z).torsion == ((), (), ())
-    # with d2(x) = e + 2f the unit pivot row e is cleared out of d1 = [2, -1]
-    cx = _from_rows([["v"], ["e", "f"], ["x"]], [[], [[2, -1]], [[1], [2]]])
-    assert cx.reduction(2).units == {0: {0: 1, 1: 2}}
-    # only column f = [-1] is reduced, retired with its sign flipped
+    # with d2(x) = 2e + f the unit pivot row f is cleared out of d1 = [-1, 2]
+    cx = _from_rows([["v"], ["e", "f"], ["x"]], [[], [[-1, 2]], [[2], [1]]])
+    assert cx.reduction(2).units == {1: {0: 2, 1: 1}}
+    # only column e = [-1] is reduced, retired with its sign flipped
     below = cx.reduction(1)
     assert below.units == {0: {0: 1}} and below.residue == [] and below.kernel_cols == []
     assert cx.boundary_divisors(1) == (1,)
@@ -200,11 +200,8 @@ def test_units_and_residue_span_each_boundary(make):
     cx = chain_complex_of(make())
     for k in range(1, cx.max_degree + 1):
         red = cx.reduction(k)
-        assert all(col[r] == 1 for r, col in red.units.items())
-        for r, col in red.residue:
-            assert col[r] > 1 and not red.units.keys() & col.keys()
+        check_split(red)
         image = [*red.units.values(), *(col for _, col in red.residue)]
-        assert len(image) == red.rank
         both = sparse_column_reduction(image + list(cx.boundaries[k])).divisors
         assert both == sparse_column_reduction(image).divisors == red.divisors, k
 
