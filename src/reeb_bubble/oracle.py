@@ -49,6 +49,7 @@ from .simplicial import (
     mapping_cylinder,
     product_complex,
     sphere_complex,
+    sphere_product,
     wedge_complexes,
 )
 
@@ -172,6 +173,8 @@ def _expr_complex(expr):
         K2, car2 = _expr_complex(expr.right)
         m = len(K2.vertices)
         carriers = [{u: v * m for u, v in c.items()} for c in car1] + car2
+        if isinstance(expr.left, Sphere) and isinstance(expr.right, Sphere):
+            return sphere_product(expr.left.k, expr.right.k), carriers
         return product_complex(K1, K2), carriers
     raise TierError("connected-sum cores are not supported")
 
@@ -238,7 +241,8 @@ def _attach_record(X, carriers, n, spheres):
 
     A section is its dome times vertex 0 of the fibre sphere, so dome
     vertex u is vertex u * |fibre| of the sphere product.  Each gluing
-    numbers the new vertices after X's, so no vertex needs a tag.
+    numbers the new vertices after X's, so no vertex needs a tag.  Only a
+    degree map's dome times its fibre is not a shared standard piece.
     """
     direct = False
     elems = []
@@ -246,23 +250,21 @@ def _attach_record(X, carriers, n, spheres):
         live = [(t, v) for t, v in s.coefficients if v]
         if live and abs(live[0][1]) == 1 and len(spheres) == 1:
             direct = True
-            dome = sphere_complex(s.dim)
+            dome, piece = sphere_complex(s.dim), sphere_product(s.dim, n - s.dim)
             image = carriers[live[0][0]]
         elif live:
             target, value = live[0]
             f = degree_map(s.dim, value)
-            dome = f.domain
+            dome, piece = f.domain, product_complex(f.domain, sphere_complex(n - s.dim))
             image = {v: carriers[target][w] for v, w in f.vertex_map.items()}
         else:
-            dome = sphere_complex(s.dim)
+            dome, piece = sphere_complex(s.dim), sphere_product(s.dim, n - s.dim)
             image = {v: 0 for v in dome.vertices}
-        elems.append((s.dim, dome, image))
+        elems.append((s.dim, dome, image, piece))
 
     sections = []
-    for dim, dome, _ in elems:
-        fibre = sphere_complex(n - dim)
-        piece = product_complex(dome, fibre)
-        m = len(fibre.vertices)
+    for dim, dome, _, piece in elems:
+        m = n - dim + 2  # the fibre's vertices
         section = {u: u * m for u in dome.vertices}
         join = section[dome.vertices[0]]
         if not sections:
@@ -280,9 +282,9 @@ def _attach_record(X, carriers, n, spheres):
     if direct:
         landings = [elems[0][2]]
     else:
-        C, wedge_maps = wedge_complexes([dome for _, dome, _ in elems])
+        C, wedge_maps = wedge_complexes([dome for _, dome, _, _ in elems])
         phi = {}
-        for vmap, (_, dome, image) in zip(wedge_maps, elems):
+        for vmap, (_, dome, image, _) in zip(wedge_maps, elems):
             for v in dome.vertices:
                 if phi.setdefault(vmap[v], image[v]) != image[v]:
                     raise RuntimeError("bouquet vertex has two images in the base")

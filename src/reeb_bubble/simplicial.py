@@ -9,12 +9,19 @@ increasing int tuples that sort and hash as plain tuples.  Every gluing,
 wedges and connected sums included, is a pushout through
 :func:`glue_along`, which keeps K's vertex numbers and numbers L's new
 vertices after them.
+
+Minimal spheres, their products in pairs and degree maps are standard
+pieces: each is built once per process and shared, read-only.  Per-simplex
+work runs in set and iterator built-ins: boundary faces are zipped from
+vertex columns, and a gluing relabels and tests its simplices in bulk.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
+from types import MappingProxyType
 
 from .coefficients import (
     CoefficientRing,
@@ -35,6 +42,7 @@ __all__ = [
     "sphere_complex",
     "polygon_complex",
     "product_complex",
+    "sphere_product",
     "wedge_complexes",
     "connected_sum_with_maps",
     "suspension_complex",
@@ -127,7 +135,8 @@ class SimplicialComplex:
         if self._index is None:
             self._index = {}
         if k not in self._index:
-            self._index[k] = {s: i for i, s in enumerate(self.simplices_of_dim(k))}
+            basis = self.simplices_of_dim(k)
+            self._index[k] = dict(zip(basis, range(len(basis))))
         return self._index[k]
 
     def has(self, vs) -> bool:
@@ -194,7 +203,8 @@ class ChainComplexZ:
     holding no zero entries.  This is the layout the builders write and
     :func:`~reeb_bubble.coefficients.sparse_column_reduction` reads, so
     the constructor keeps the caller's columns without copying them.  It
-    always checks the row indices; with ``check=True`` it also rejects
+    always checks the row indices, on one set union per boundary; with
+    ``check=True`` it also rejects
     zero entries and checks that consecutive boundaries compose to zero.
 
     Each boundary is eliminated at most once, from the top degree down,
@@ -211,15 +221,17 @@ class ChainComplexZ:
     cleared.  Cup rings over every ring read the one integral product
     table cached here per top degree (the integral solvers that build it
     are not kept), so a Z/p cup ring of a complex with torsion, whose Tor
-    classes no integral cocycle carries, is refused.
+    classes no integral cocycle carries, is refused; their integral
+    homology is cached here too.
     """
 
-    __slots__ = ("bases", "boundaries", "_reductions", "_products")
+    __slots__ = ("bases", "boundaries", "_reductions", "_products", "_integral_homology")
 
     def __init__(self, bases, boundaries, *, check=True):
         self.bases = [list(b) for b in bases]
         self._reductions = {}
         self._products = {}
+        self._integral_homology = None
         if len(boundaries) != len(self.bases):
             raise ValueError("need one boundary matrix per degree")
         for k, m in enumerate(boundaries):
@@ -228,9 +240,9 @@ class ChainComplexZ:
                     f"boundary {k} has {len(m)} columns, want {len(self.bases[k])}"
                 )
             rows = len(self.bases[k - 1]) if k > 0 else 0
-            for col in m:
-                if col and (min(col) < 0 or max(col) >= rows):
-                    raise ValueError(f"boundary {k} has a row index outside range({rows})")
+            used = set().union(*m)
+            if used and (min(used) < 0 or max(used) >= rows):
+                raise ValueError(f"boundary {k} has a row index outside range({rows})")
         self.boundaries = boundaries
         if check:
             self._check_dd()
@@ -278,11 +290,20 @@ class ChainComplexZ:
             red = self._reductions[k] = sparse_column_reduction(self.boundaries[k], cleared)
         return red
 
-    def boundary_divisors(self, k: int) -> tuple[int, ...]:
-        """Elementary divisors of the k-th boundary matrix."""
+    def boundary_split(self, k: int) -> tuple[int, tuple[int, ...]]:
+        """The k-th boundary's elementary divisors as (number of 1s from unit
+        pivots, the residue's divisors); see ``ColumnReduction``."""
         if k <= 0 or k > self.max_degree or not self.dim_at(k) or not self.dim_at(k - 1):
-            return ()
-        return self.reduction(k).divisors
+            return 0, ()
+        red = self.reduction(k)
+        return len(red.units), red.divisors[len(red.units) :]
+
+
+def _faces(simplices):
+    """Per position i, the faces without vertex i of equal-length simplices,
+    in order, zipped from their vertex columns."""
+    columns = list(zip(*simplices))
+    return [zip(*columns[:i], *columns[i + 1 :]) for i in range(len(columns))]
 
 
 def chain_complex_of(K: SimplicialComplex) -> ChainComplexZ:
@@ -292,32 +313,29 @@ def chain_complex_of(K: SimplicialComplex) -> ChainComplexZ:
     bases = [K.simplices_of_dim(k) for k in range(top + 1)]
     boundaries = [[{} for _ in bases[0]]]
     for k in range(1, top + 1):
-        index = K.index_of(k - 1)
+        index = K.index_of(k - 1).__getitem__
+        rows = zip(*(map(index, faces) for faces in _faces(bases[k])))
         # the faces of a simplex are distinct, so each entry is set once
-        boundaries.append(
-            [
-                {index[s[:i] + s[i + 1 :]]: -1 if i % 2 else 1 for i in range(len(s))}
-                for s in bases[k]
-            ]
-        )
+        signs = [(-1) ** i for i in range(k + 1)]
+        boundaries.append(list(map(dict, map(zip, rows, repeat(signs)))))
     cx = ChainComplexZ(bases, boundaries, check=False)
     K._chain = cx
     return cx
 
 
 def homology_of_chain_complex(cx: ChainComplexZ, R: CoefficientRing) -> GradedModule:
-    top = cx.max_degree
-    divisors = [cx.boundary_divisors(k) for k in range(top + 1)] + [()]
-    ranks = []
-    torsion = []
-    for k in range(top + 1):
-        rk, rk1 = rank_over(R, divisors[k]), rank_over(R, divisors[k + 1])
-        ranks.append(cx.dim_at(k) - rk - rk1)
-        if R.kind == "Z":
-            torsion.append(tuple(d for d in divisors[k + 1] if d > 1))
-        else:
-            torsion.append(())
-    return GradedModule(R, tuple(ranks), tuple(torsion))
+    # a unit pivot is a divisor 1, of rank one over every ring, so only
+    # the residue's divisors are read ring by ring
+    splits = [cx.boundary_split(k) for k in range(cx.max_degree + 2)]
+    ranks = [units + rank_over(R, residue) for units, residue in splits]
+    return GradedModule(
+        R,
+        tuple(cx.dim_at(k) - ranks[k] - ranks[k + 1] for k in range(cx.max_degree + 1)),
+        tuple(
+            tuple(d for d in residue if d > 1) if R.kind == "Z" else ()
+            for _, residue in splits[1:]
+        ),
+    )
 
 
 def homology_of_complex(K: SimplicialComplex, R: CoefficientRing) -> GradedModule:
@@ -326,7 +344,7 @@ def homology_of_complex(K: SimplicialComplex, R: CoefficientRing) -> GradedModul
 
 def euler_characteristic(K: SimplicialComplex) -> int:
     # a simplex of even dimension has an odd number of vertices
-    return sum(1 if len(s) % 2 else -1 for s in K.simplices)
+    return sum(c if n % 2 else -c for n, c in Counter(map(len, K.simplices)).items())
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +352,36 @@ def euler_characteristic(K: SimplicialComplex) -> int:
 # ---------------------------------------------------------------------------
 
 
+_PIECE_BOUND = 12  # covers the catalog, the pools and a coefficient-12 verify
+_PIECES: dict = {}
+
+
+def _shared(key, build):
+    """The standard piece ``build()`` named by ``key``, a name and ints:
+    shared while no int exceeds ``_PIECE_BOUND`` in size, else fresh."""
+    piece = _PIECES.get(key)
+    if piece is None:
+        piece = build()
+        if max(map(abs, key[1:])) <= _PIECE_BOUND:
+            _PIECES[key] = piece
+    return piece
+
+
 def sphere_complex(k: int) -> SimplicialComplex:
-    """Boundary of the (k+1)-simplex: the minimal k-sphere."""
+    """Boundary of the (k+1)-simplex: the minimal k-sphere, shared."""
     if k < 0:
         raise ValueError("dimension must be >= 0")
     vs = tuple(range(k + 2))
-    return SimplicialComplex.from_facets(vs, combinations(vs, k + 1))
+    return _shared(
+        ("sphere", k), lambda: SimplicialComplex.from_facets(vs, combinations(vs, k + 1))
+    )
+
+
+def sphere_product(a: int, b: int) -> SimplicialComplex:
+    """``product_complex(sphere_complex(a), sphere_complex(b))``, shared."""
+    return _shared(
+        ("product", a, b), lambda: product_complex(sphere_complex(a), sphere_complex(b))
+    )
 
 
 def polygon_complex(m: int) -> SimplicialComplex:
@@ -382,11 +424,13 @@ def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialCom
 
 
 def _maximal_simplices(K: SimplicialComplex) -> list[tuple]:
-    out = []
-    for s in sorted(K.simplices, key=len, reverse=True):
-        if not any(set(s) < set(t) for t in out):
-            out.append(s)
-    return out
+    """The simplices that are no codimension-one face of another, which in
+    a complex closed under faces are the maximal ones: linear time."""
+    faces = set()
+    for k in range(1, K.dim + 1):
+        for column in _faces(K.simplices_of_dim(k)):
+            faces.update(column)
+    return sorted(K.simplices - faces)
 
 
 def wedge_complexes(complexes, basepoints=None):
@@ -539,6 +583,8 @@ def glue_along(
     first).  K keeps its vertex numbers; L's vertices outside B are numbered
     max(K) + 1, max(K) + 2, ... in L's order.  Returns (glued, L vertex
     map).  Every wedge and connected sum of this module is built here.
+    B lands on A, so only L's simplices outside B are relabelled, in one
+    pass, and tested for collisions in one set operation.
     """
     _require_subcomplex(A, K, "A")
     _require_subcomplex(B, L, "B")
@@ -550,23 +596,18 @@ def glue_along(
     if a_images != B.simplices:
         raise ValueError("iso does not carry A's simplices onto B's")
     map_L = {b: a for a, b in iso.items()}
-    start = size = K.vertices[-1] + 1 if K.vertices else 0
-    for w in L.vertices:
-        if w not in map_L:
-            map_L[w] = size
-            size += 1
-    b_simplices = B.simplices
-    k_simplices = K.simplices
-    simplices = set(k_simplices)
-    for s in L.simplices:
-        # an image inside K uses identified vertices only: new ones exceed max(K)
-        image = tuple(sorted([map_L[w] for w in s]))
-        if s not in b_simplices and image in k_simplices:
-            raise ValueError(
-                f"simplex {s} outside B collides with {image} in K; subdivide before gluing"
-            )
-        simplices.add(image)
-    G = SimplicialComplex(K.vertices + tuple(range(start, size)), simplices, check=False)
+    start = K.vertices[-1] + 1 if K.vertices else 0
+    new = tuple(range(start, start + len(L.vertices) - len(iso)))
+    map_L.update(zip([w for w in L.vertices if w not in map_L], new))
+    relabel = map_L.__getitem__
+    images = {tuple(sorted(map(relabel, s))) for s in L.simplices - B.simplices}
+    # an image inside K uses identified vertices only: new ones exceed max(K)
+    if not images.isdisjoint(K.simplices):
+        clash = min(images & K.simplices)
+        raise ValueError(
+            f"a simplex of L outside B collides with {clash} in K; subdivide before gluing"
+        )
+    G = SimplicialComplex(K.vertices + new, K.simplices | images, check=False)
     return G, map_L
 
 
@@ -631,17 +672,23 @@ def degree_map(l: int, d: int) -> SimplicialMap:
     suspension reverses the orientation the winding induces, so the polygon
     winds by d for odd l and by -d for even l.  The chain-level multiplier,
     measured against the canonical fundamental cycles, is verified to equal
-    d on every call.  Polygon vertex 0, the domain's first vertex, lies over
-    codomain vertex 0.
+    d when the map is built.  Polygon vertex 0, the domain's first vertex,
+    lies over codomain vertex 0.  A standard piece: built and measured once
+    per process for each l, |d| <= 12, then shared with a read-only
+    ``vertex_map``.
     """
     if l < 1:
         raise ValueError("degree maps need l >= 1")
+    return _shared(("degree", l, d), lambda: _build_degree_map(l, d))
+
+
+def _build_degree_map(l: int, d: int) -> SimplicialMap:
     winding = d if l % 2 else -d
     m = 3 * max(abs(d), 1)
     f = SimplicialMap(
         polygon_complex(m),
         sphere_complex(1),
-        {i: _winding_pattern(winding, i) for i in range(m)},
+        MappingProxyType({i: _winding_pattern(winding, i) for i in range(m)}),
     )
     for step in range(l - 1):
         # send one new pole over the fresh apex, the other into the old
@@ -650,7 +697,7 @@ def degree_map(l: int, d: int) -> SimplicialMap:
         vmap = dict(f.vertex_map)
         vmap[dome.vertices[-2]] = step + 3
         vmap[dome.vertices[-1]] = 0
-        f = SimplicialMap(dome, sphere_complex(step + 2), vmap)
+        f = SimplicialMap(dome, sphere_complex(step + 2), MappingProxyType(vmap))
     mu = measured_degree(f)
     if mu != d:
         raise RuntimeError(f"degree map for (l={l}, d={d}) measured {mu}")
@@ -840,7 +887,9 @@ def cup_ring_of_complex(
     top = dim if top_degree is None else top_degree
     if top < 0:
         raise ValueError("top degree must be >= 0")
-    homz = homology_of_chain_complex(cx, CoefficientRing.integers())
+    homz = cx._integral_homology
+    if homz is None:
+        homz = cx._integral_homology = homology_of_chain_complex(cx, CoefficientRing.integers())
     if homz.rank(0) != 1:
         raise ValueError("cup rings require a connected complex")
     reach = min(top, dim)

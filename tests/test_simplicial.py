@@ -12,7 +12,8 @@ from helpers import check_split, full_simplex, tier2_entries, transpose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reeb_bubble.coefficients import CoefficientRing, sparse_column_reduction
+from reeb_bubble.catalog import ENTRIES
+from reeb_bubble.coefficients import CoefficientRing, rank_over, sparse_column_reduction
 from reeb_bubble.graded import (
     ConnSum,
     Product,
@@ -22,10 +23,12 @@ from reeb_bubble.graded import (
     gcps_cohomology,
     pairing_invariants,
 )
-from reeb_bubble.oracle import simplicial_model
+from reeb_bubble.oracle import assemble_chain_complex, simplicial_model
 from reeb_bubble.simplicial import (
+    _PIECE_BOUND,
     ChainComplexZ,
     _build_integral_solver,
+    _maximal_simplices,
     SimplicialComplex,
     SimplicialMap,
     chain_complex_of,
@@ -41,6 +44,7 @@ from reeb_bubble.simplicial import (
     polygon_complex,
     product_complex,
     sphere_complex,
+    sphere_product,
     suspension_complex,
     top_cycle,
     wedge_complexes,
@@ -74,6 +78,21 @@ def cone_complex(K, apex):
     """Cone on K, the apex last in the vertex order: it must exceed max(K)."""
     simplices = set(K.simplices) | {(apex,)} | {s + (apex,) for s in K.simplices}
     return SimplicialComplex(K.vertices + (apex,), simplices, check=False)
+
+
+def moore_three():
+    """A degree-3 circle map's cylinder with a cone on its domain: H_1 = Z/3."""
+    f = degree_map(1, 3)
+    C, dlab, _ = mapping_cylinder(f)
+    cone = cone_complex(f.domain, len(f.domain.vertices))
+    G, _ = glue_along(
+        C,
+        C.restrict_full(dlab.values()),
+        cone,
+        cone.restrict_full(f.domain.vertices),
+        {dlab[v]: v for v in f.domain.vertices},
+    )
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +194,7 @@ def test_only_unit_pivot_rows_are_cleared():
     cx = _from_rows([["v"], ["e", "f"], ["x"]], [[], [[2, -1]], [[1], [2]]])
     above = cx.reduction(2)
     assert above.units == {} and above.residue == [(1, {0: 1, 1: 2})]
-    assert cx.boundary_divisors(1) == (1,)
+    assert cx.reduction(1).divisors == (1,)
     assert homology_of_chain_complex(cx, Z).torsion == ((), (), ())
     # with d2(x) = 2e + f the unit pivot row f is cleared out of d1 = [-1, 2]
     cx = _from_rows([["v"], ["e", "f"], ["x"]], [[], [[-1, 2]], [[2], [1]]])
@@ -183,7 +202,72 @@ def test_only_unit_pivot_rows_are_cleared():
     # only column e = [-1] is reduced, retired with its sign flipped
     below = cx.reduction(1)
     assert below.units == {0: {0: 1}} and below.residue == [] and below.kernel_cols == []
-    assert cx.boundary_divisors(1) == (1,)
+    assert cx.reduction(1).divisors == (1,)
+
+
+def _sliced_boundaries(K):
+    """Bases sorted per dimension and boundary columns found by slicing
+    each simplex: the reference for the column-wise assembly."""
+    bases = [sorted(s for s in K.simplices if len(s) == k + 1) for k in range(K.dim + 1)]
+    columns = [[[] for _ in bases[0]]]
+    for k in range(1, K.dim + 1):
+        index = {s: i for i, s in enumerate(bases[k - 1])}
+        columns.append(
+            [[(index[s[:i] + s[i + 1 :]], (-1) ** i) for i in range(k + 1)] for s in bases[k]]
+        )
+    return bases, columns
+
+
+@pytest.mark.parametrize("entry", tier2_entries(), ids=lambda e: e.name)
+def test_boundary_columns_match_face_slicing(entry):
+    # entries and their order, column by column
+    K = simplicial_model(entry.descriptor)
+    cx = chain_complex_of(K)
+    got = [[list(col.items()) for col in m] for m in cx.boundaries]
+    assert (cx.bases, got) == _sliced_boundaries(K)
+
+
+def _divisor_scan_homology(cx, R):
+    """Ranks and torsion read off every divisor of each whole boundary."""
+    top = cx.max_degree
+    divisors = [
+        sparse_column_reduction(cx.boundaries[k]).divisors
+        if k and cx.dim_at(k) and cx.dim_at(k - 1)
+        else ()
+        for k in range(top + 1)
+    ] + [()]
+    ranks = tuple(
+        cx.dim_at(k) - rank_over(R, divisors[k]) - rank_over(R, divisors[k + 1])
+        for k in range(top + 1)
+    )
+    torsion = tuple(
+        tuple(d for d in divisors[k + 1] if d > 1) if R.kind == "Z" else ()
+        for k in range(top + 1)
+    )
+    return ranks, torsion
+
+
+_READOUT_CASES = [
+    ("torus", lambda: chain_complex_of(torus())),
+    ("rp2", lambda: chain_complex_of(rp2())),
+    ("suspended-rp2", lambda: chain_complex_of(suspension_complex(rp2()))),
+    ("moore-three", lambda: chain_complex_of(moore_three())),
+    ("rp2-x-circle", lambda: chain_complex_of(product_complex(rp2(), sphere_complex(1)))),
+] + [
+    (f"tier1-{e.name}", lambda d=e.descriptor: assemble_chain_complex(d)) for e in ENTRIES
+] + [
+    (f"tier2-{e.name}", lambda d=e.descriptor: chain_complex_of(simplicial_model(d)))
+    for e in tier2_entries()[:6]
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in _READOUT_CASES], ids=[n for n, _ in _READOUT_CASES])
+def test_homology_readout_matches_divisor_scan(make):
+    # units count once over every ring; only the residue's divisors are read
+    cx = make()
+    for R in (Z, Q, Z2, Z3):
+        h = homology_of_chain_complex(cx, R)
+        assert (h.free_ranks, h.torsion) == _divisor_scan_homology(cx, R), R.label
 
 
 _SPLIT_CASES = [("torus", torus), ("rp2", rp2), ("s3", lambda: sphere_complex(3))] + [
@@ -371,7 +455,7 @@ def test_cleared_reductions_keep_divisors_and_cocycles(K):
     cx = chain_complex_of(K)
     for k in range(1, cx.max_degree + 1):
         whole = sparse_column_reduction(cx.boundaries[k])
-        assert cx.boundary_divisors(k) == whole.divisors, k
+        assert cx.reduction(k).divisors == whole.divisors, k
     if homology_of_complex(K, Z).rank(0) == 1:
         ring = cup_ring_of_complex(K, Q)
         assert ring.free_ranks() == homology_of_complex(K, Q).free_ranks
@@ -391,6 +475,52 @@ def test_degree_map_multiplier_grid(l, d):
     # a polygon winding |d| times (a triangle for |d| <= 1), plus two
     # poles per suspension
     assert len(f.domain.vertices) == 3 * max(abs(d), 1) + 2 * (l - 1)
+
+
+def test_standard_pieces_are_shared_and_read_only():
+    assert sphere_complex(3) is sphere_complex(3)
+    assert sphere_product(1, 2) is sphere_product(1, 2)
+    fresh = product_complex(sphere_complex(1), sphere_complex(2))
+    assert sphere_product(1, 2).simplices == fresh.simplices
+    for l in (1, 2, 3):
+        for d in (-3, -2, -1, 1, 2, 3):
+            f = degree_map(l, d)
+            assert degree_map(l, d) is f
+            # measured when built; measuring the shared map again agrees
+            assert measured_degree(degree_map(l, d)) == d
+    with pytest.raises(TypeError):
+        degree_map(2, 2).vertex_map[0] = 1
+    # past the bound each call builds, and measures, a map of its own
+    d = _PIECE_BOUND + 1
+    assert degree_map(1, d) is not degree_map(1, d)
+    assert measured_degree(degree_map(1, d)) == d
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sphere_complex(0),
+        lambda: sphere_complex(3),
+        torus,
+        lambda: product_complex(torus(), sphere_complex(1)),
+        lambda: sphere_product(2, 1),
+        lambda: suspension_complex(polygon_complex(5)),
+        lambda: suspension_complex(suspension_complex(polygon_complex(4))),
+        lambda: mapping_cylinder(degree_map(1, 2))[0],
+        lambda: mapping_cylinder(degree_map(2, -3))[0],
+        lambda: wedge_complexes([sphere_complex(2), sphere_complex(1)])[0],
+        lambda: SimplicialComplex.from_facets(range(5), [(0, 1, 2), (2, 3), (4,)]),
+    ],
+    ids=[
+        "s0", "s3", "torus", "torus-x-s1", "s2-x-s1", "suspended-pentagon",
+        "twice-suspended-square", "cylinder-1-2", "cylinder-2-minus-3",
+        "s2-wedge-s1", "mixed-facets",
+    ],
+)
+def test_maximal_simplices_match_brute_force(make):
+    K = make()
+    brute = {s for s in K.simplices if not any(set(s) < set(t) for t in K.simplices)}
+    assert _maximal_simplices(K) == sorted(brute)
 
 
 def test_suspension_homology():
@@ -640,16 +770,7 @@ def test_mod_three_moore_space_refuses_torsion_cup_rings():
     # a degree-3 circle map's cylinder with a cone on its domain has
     # H_1 = Z/3; every ring but Q is refused, Z/2 too, though 2 does not
     # divide the torsion
-    f = degree_map(1, 3)
-    C, dlab, _ = mapping_cylinder(f)
-    cone = cone_complex(f.domain, len(f.domain.vertices))
-    G, _ = glue_along(
-        C,
-        C.restrict_full(dlab.values()),
-        cone,
-        cone.restrict_full(f.domain.vertices),
-        {dlab[v]: v for v in f.domain.vertices},
-    )
+    G = moore_three()
     assert homology_of_complex(G, Z).torsion_at(1) == (3,)
     assert homology_of_complex(G, Z3).free_ranks == (1, 1, 1)
     for R in (Z, Z2, Z3):
