@@ -8,14 +8,16 @@ rows that give coordinates along it and its retired columns, and no
 routine builds unimodular transforms of its own.
 
 The reduction works column by column on each column's lowest nonzero row,
-subtracting exact multiples of earlier columns, as persistent homology
-does; every boundary of the tier-2 models of the catalog and of the
-generators' pools reduces that way.  A matrix on which a step is not
-exact (a pivot that does not divide the entry, as in the pairing matrices
-of formula rings) is reduced instead by a Markowitz loop that keeps its
-entries small.  Either way the reduction splits its retired columns once,
-listed in triangular order, and every reader takes the split from the
-returned :class:`ColumnReduction`: the ``units`` (pivot 1) and the
+subtracting exact multiples of earlier columns with pivot ±1, as
+persistent homology does.  A column whose lowest entry is not ±1 waits on
+that row; after the pass the waiting rows are cut from the last row up,
+by Euclid steps among the columns waiting there where no unit column took
+the row.  Every boundary of the tier-2 models of the catalog and of the
+generators' pools reduces without a Euclid step; the pairing matrices of
+formula rings take a few.  The reduction splits its retired columns once,
+listed by descending pivot row, which makes them triangular, and every
+reader takes the split from the returned :class:`ColumnReduction`: the
+``units`` (pivot 1) and the
 ``residue`` (the other retired columns, cleared on every unit pivot row).
 The divisors are one 1 per unit followed by the residue's, which
 :func:`smith_normal_form` finishes modulo D, the product of the residue's
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import gcd, lcm
 
 
@@ -127,11 +129,9 @@ class ColumnReduction:
     order, each dividing the next.
 
     The retired (surviving) columns span the column lattice, each pivot is
-    positive, and they are listed in an order that makes them triangular on
-    their pivot rows: a pivot row is zero in every column listed after it.
-    That order is descending pivot row when every step was exact (see
-    :func:`sparse_column_reduction`), retirement order otherwise.  They come
-    split once, here, for every reader.  ``units`` maps the pivot row of
+    positive and the lowest nonzero entry of its column, and they are
+    listed by descending pivot row, so each pivot row is zero in every
+    column listed after it.  They come split once, here, for every reader.  ``units`` maps the pivot row of
     each retired column with pivot 1 to that column, in that order.
     ``residue`` lists ``(pivot row, column)`` for the other retired columns,
     in that order, each cleared on every unit pivot row by column
@@ -159,21 +159,30 @@ def sparse_column_reduction(columns, cleared=frozenset()) -> ColumnReduction:
 
     ``columns`` holds the matrix column by column, each a ``{row: value}``
     dict with no zero entries; it is not modified, since a column is copied
-    before the reduction first changes it.  The columns are reduced left
-    to right by their lowest (largest-index) nonzero row, the pivot rule of
-    persistent homology (Chen & Kerber, "Persistent homology computation
-    with a twist", 2011; Bauer, "Ripser", 2021): while that row is the pivot
-    row of an earlier column whose pivot divides the entry, the exact
-    multiple of that column is subtracted.  Every boundary of the tier-2
-    models reduces this way, with no row supports and no heap.  The first
-    step that is not exact (the pivot does not divide the entry) sends the
-    whole matrix to :func:`_markowitz_reduction`, whose pivot rule keeps
-    the entries small where division fails; only the input decides.
-
-    The columns whose indices are in ``cleared`` are left out: they are
-    neither copied nor read, and they join neither the retired columns nor
-    the kernel (see
+    before the reduction first changes it.  The columns whose indices are
+    in ``cleared`` are neither copied nor read, and they join neither the
+    retired columns nor the kernel (see
     :meth:`ChainComplexZ.reduction <reeb_bubble.simplicial.ChainComplexZ.reduction>`).
+
+    The columns are reduced left to right by their lowest (largest-index)
+    nonzero row, the pivot rule of persistent homology (Chen & Kerber,
+    "Persistent homology computation with a twist", 2011; Bauer, "Ripser",
+    2021): while that row belongs to an earlier column with pivot ±1, the
+    exact multiple of that column is subtracted.  A column that empties
+    joins the kernel, one whose lowest entry is ±1 on a free row retires
+    there, and one whose lowest entry is not ±1 waits on that row.  Then
+    the waiting rows are cut from the last row up (see :func:`_cut_rows`)
+    and the cut columns go back through the same rule, which only moves
+    them to lower rows; so no retired column is touched again, and every
+    owner a column meets has pivot ±1.  Every boundary of the tier-2 models
+    of the catalog and of the generators' pools reduces without a cut.
+
+    Outside a cut only retired columns are subtracted, which changes the
+    inverse transform only in their rows, and no reader takes those: the
+    dual row of kernel column j is e_j unless j lost a cut's pivot.  A
+    transform is kept only for a column that a step changed or that waited
+    (an untouched column's is e_j).  The kernel is listed in the order its
+    columns empty, which is column order when nothing waited.
 
     This is the package's only integer elimination: the retired columns
     are split into units and residue once (see :class:`ColumnReduction`),
@@ -181,10 +190,67 @@ def sparse_column_reduction(columns, cleared=frozenset()) -> ColumnReduction:
     cocycle solvers and the fundamental cycle all share one reduction per
     boundary matrix.
     """
-    reduced = _lowest_pivot_reduction(columns, cleared)
-    if reduced is None:
-        reduced = _markowitz_reduction(columns, cleared)
-    kernel_cols, kernel_dual_rows, units, residue = reduced
+    retired: dict[int, tuple[int, dict[int, int]]] = {}  # pivot row -> (index, column)
+    transforms: dict[int, dict[int, int]] = {}
+    kernel_cols: list[dict[int, int]] = []
+    kernel_dual_rows: list[dict[int, int]] = []
+    waiting = heap = None  # row -> [(index, column, transform)]; the rows, negated
+    todo = enumerate(columns)
+    while todo is not None:
+        for j, col in todo:
+            if j in cleared:
+                continue
+            if not col:
+                kernel_cols.append({j: 1})
+                kernel_dual_rows.append({j: 1})
+                continue
+            r = max(col)
+            x = col[r]
+            owner = retired.get(r)
+            if owner is None and (x == 1 or x == -1):
+                retired[r] = (j, col)
+                continue
+            col = dict(col)
+            vec = transforms.get(j) or {j: 1}
+            while owner is not None:
+                i, pivot_col = owner
+                # column j -= q * column i, and the same on the transform;
+                # the owner's pivot is ±1, so q = x / pivot = x * pivot
+                q = x * pivot_col[r]
+                for t, v in pivot_col.items():
+                    nv = col.get(t, 0) - q * v
+                    if nv:
+                        col[t] = nv
+                    else:
+                        del col[t]
+                for t, v in (transforms.get(i) or {i: 1}).items():
+                    nv = vec.get(t, 0) - q * v
+                    if nv:
+                        vec[t] = nv
+                    else:
+                        del vec[t]
+                if not col:
+                    break
+                r = max(col)
+                x = col[r]
+                owner = retired.get(r)
+            if not col:
+                kernel_cols.append(vec)
+                kernel_dual_rows.append({j: 1})
+                continue
+            transforms[j] = vec
+            if x == 1 or x == -1:
+                retired[r] = (j, col)
+            elif waiting is None:
+                waiting, heap = {r: [(j, col, vec)]}, [-r]
+            elif r in waiting:
+                waiting[r].append((j, col, vec))
+            else:
+                waiting[r] = [(j, col, vec)]
+                heappush(heap, -r)
+        todo = None
+        if waiting:
+            todo = _cut_rows(heap, waiting, retired, kernel_cols, kernel_dual_rows)
     # the input columns must sum to zero along every kernel vector
     for vec in kernel_cols:
         acc: dict[int, int] = {}
@@ -193,6 +259,20 @@ def sparse_column_reduction(columns, cleared=frozenset()) -> ColumnReduction:
                 acc[i] = acc.get(i, 0) + x * v
         if any(acc.values()):
             raise RuntimeError("column reduction produced a non-kernel vector")
+    # listed by pivot row, descending, each made positive on it; a column
+    # has no entry past its pivot row, so every pivot row is zero in the
+    # columns listed after it.  A listed unit that no step changed is the
+    # input's own dict; a cut pivot is a copy.
+    units: dict[int, dict[int, int]] = {}
+    residue: list[tuple[int, dict[int, int]]] = []
+    for r in sorted(retired, reverse=True):
+        col = retired[r][1]
+        if col[r] < 0:
+            col = {t: -v for t, v in col.items()}
+        if col[r] == 1:
+            units[r] = col
+        else:
+            residue.append((r, col))
     divisors = (1,) * len(units)
     if residue:
         # the residue's pivot block has determinant D, the product of its
@@ -207,198 +287,85 @@ def sparse_column_reduction(columns, cleared=frozenset()) -> ColumnReduction:
     )
 
 
-def _lowest_pivot_reduction(columns, cleared):
-    """Kernel columns, their dual rows, units and residue by lowest pivot rows.
+def _cut_rows(heap, waiting, retired, kernel_cols, kernel_dual_rows):
+    """Cut the waiting rows, last row first; yield each cut column left nonzero.
 
-    Returns ``None`` as soon as a step is not exact.  A column that empties
-    joins the kernel; otherwise it retires on its lowest row, and no later
-    column touches it.  Only retired columns are ever subtracted, so the
-    inverse transform changes only in their rows, which no reader takes:
-    the dual row of kernel column j is e_j.  The transform is kept only for
-    columns a step changed (an untouched column's is e_j).  The retired
-    columns are listed by pivot row, descending, each made positive on it;
-    a column has no entry past its pivot row, so every pivot row is zero in
-    the columns listed after it.  A listed unit that no step changed is the
-    input's own dict.
+    ``waiting`` maps a row to the ``(index, column, transform)`` of each
+    column waiting there, and ``heap`` holds those rows, negated; the
+    caller adds a row whenever a yielded column comes to wait on it.  Where
+    a unit column took the row in the meantime, the columns are yielded as
+    they are, each to take its exact multiple; otherwise the last pivot of
+    :func:`_euclid` retires on the row.  A column that empties gets the
+    dual row e_j, here or in the caller; once every row is cut, the rows
+    that :func:`_euclid` changed replace those.
     """
-    retired: dict[int, tuple[int, dict[int, int]]] = {}  # pivot row -> (index, column)
-    transforms: dict[int, dict[int, int]] = {}
-    kernel_cols: list[dict[int, int]] = []
-    kernel_dual_rows: list[dict[int, int]] = []
-    for j, col in enumerate(columns):
-        if j in cleared:
-            continue
-        if not col:
-            kernel_cols.append({j: 1})
-            kernel_dual_rows.append({j: 1})
-            continue
-        r = max(col)
-        owner = retired.get(r)
-        if owner is None:
+    duals: dict[int, dict[int, int]] = {}  # index -> inverse row, where a cut changed it
+    start = len(kernel_dual_rows)
+    while heap:
+        r = -heappop(heap)
+        group = waiting.pop(r)
+        if r not in retired:
+            j, col, _ = group.pop() if len(group) == 1 else _euclid(r, group, duals)
             retired[r] = (j, col)
-            continue
-        col = dict(col)
-        vec = {j: 1}
-        while True:
-            i, pivot_col = owner
-            q, rem = divmod(col[r], pivot_col[r])
-            if rem:
-                return None
-            # column j -= q * column i, and the same on the transform
-            for t, v in pivot_col.items():
-                nv = col.get(t, 0) - q * v
-                if nv:
-                    col[t] = nv
-                else:
-                    del col[t]
-            for t, v in (transforms.get(i) or {i: 1}).items():
-                nv = vec.get(t, 0) - q * v
-                if nv:
-                    vec[t] = nv
-                else:
-                    del vec[t]
-            if not col:
+        for j, col, vec in group:
+            if col:
+                yield j, col
+            else:
                 kernel_cols.append(vec)
                 kernel_dual_rows.append({j: 1})
-                break
-            r = max(col)
-            owner = retired.get(r)
-            if owner is None:
-                retired[r] = (j, col)
-                transforms[j] = vec
-                break
-    units: dict[int, dict[int, int]] = {}
-    residue: list[tuple[int, dict[int, int]]] = []
-    for r in sorted(retired, reverse=True):
-        col = retired[r][1]
-        if col[r] < 0:
-            col = {t: -v for t, v in col.items()}
-        if col[r] == 1:
-            units[r] = col
-        else:
-            # the residue is cleared in place, so it holds no input column
-            residue.append((r, dict(col)))
-    return kernel_cols, kernel_dual_rows, units, residue
+    for t in range(start, len(kernel_dual_rows)):
+        (j,) = kernel_dual_rows[t]  # the row is still e_j
+        if j in duals:
+            kernel_dual_rows[t] = duals[j]
 
 
-def _markowitz_reduction(columns, cleared):
-    """Kernel columns, their dual rows, units and residue by Markowitz pivots.
+def _euclid(r, group, duals):
+    """Clear row r in all but one ``(index, column, transform)`` of ``group``;
+    remove that one from ``group`` and return it.
 
-    The pivot row is the shortest live row, taken from a lazy min-heap of
-    row lengths that gets one new entry per row whose support changed in a
-    pivot step; in that row the pivot column has the smallest |value|, then
-    the shortest column.  Rows are cleared by nearest-quotient division, so
-    entries stay close to the gcd scale of the input instead of growing
-    with Bezout coefficients.  The retired columns are listed in retirement
-    order: a retired column is never touched again, so its pivot row is
-    zero in every column retired after it.
+    The pivot is the column with the least |entry| on r, the shortest
+    column breaking ties.  Every other column takes the nearest-quotient
+    multiple, which leaves at most half the pivot, so entries stay near the
+    gcd scale instead of growing with Bezout coefficients; the least
+    remainder takes the pivot over.  Column i -= q * column p changes the
+    inverse transform only in row p, by q * (row i).  That row matters once
+    p loses the pivot, and may reach the kernel: then the quotients of p's
+    turn are folded into ``duals``.
     """
-    cols = len(columns)
-    acol: list[dict[int, int]] = [
-        {} if j in cleared else dict(col) for j, col in enumerate(columns)
-    ]
-    # a row's support is filled in column order, which fixes the order in
-    # which its columns are visited and so the pivot sequence
-    rowsupp: dict[int, set[int]] = {}
-    for j, col in enumerate(acol):
-        for i in col:
-            supp = rowsupp.get(i)
-            if supp is None:
-                rowsupp[i] = {j}
-            else:
-                supp.add(j)
-    vcol: list[dict[int, int]] = [{j: 1} for j in range(cols)]
-    vinv: list[dict[int, int]] = [{j: 1} for j in range(cols)]
+    p = min(group, key=lambda e: (abs(e[1][r]), len(e[1])))
+    while True:
+        j, pivot_col, pivot_vec = p
+        a = pivot_col[r]
+        given = []
+        best = None
+        for e in group:
+            x = e[1].get(r)
+            if e is p or not x:
+                continue
+            q = (2 * x + a) // (2 * a)  # the integer nearest x / a
+            _add_multiple(e[1], -q, pivot_col)
+            _add_multiple(e[2], -q, pivot_vec)
+            given.append((e[0], q))
+            x = e[1].get(r)
+            if x and (best is None or (abs(x), len(e[1])) < best):
+                best, nxt = (abs(x), len(e[1])), e
+        if best is None:
+            group.remove(p)
+            return p
+        row = duals.setdefault(j, {j: 1})
+        for i, q in given:
+            _add_multiple(row, q, duals.get(i) or {i: 1})
+        p = nxt
 
-    # (row length, row) candidates; an entry is stale once its row is
-    # retired or its length has changed, and is skipped when popped
-    heap = [(len(js), i) for i, js in rowsupp.items()]
-    heapify(heap)
-    touched: set[int] = set()  # rows whose support changed in this step
 
-    active = set(range(cols))
-    active.difference_update(cleared)
-    units: dict[int, dict[int, int]] = {}
-    residue: list[tuple[int, dict[int, int]]] = []
-    while heap:
-        length, pr = heappop(heap)
-        supp = rowsupp.get(pr)
-        if supp is None or len(supp) != length:
-            continue
-        if length == 1:
-            (pc,) = supp
+def _add_multiple(target, q, source) -> None:
+    """target += q * source, in place, on ``{index: value}`` dicts."""
+    for t, v in source.items():
+        nv = target.get(t, 0) + q * v
+        if nv:
+            target[t] = nv
         else:
-            pc = min(supp, key=lambda j: (abs(acol[j][pr]), len(acol[j]), j))
-        while True:
-            col = acol[pc]
-            if col[pr] < 0:
-                col = acol[pc] = {i: -v for i, v in col.items()}
-                vcol[pc] = {t: -v for t, v in vcol[pc].items()}
-                vinv[pc] = {t: -v for t, v in vinv[pc].items()}
-            a = col[pr]
-            if len(supp) == 1:
-                break
-            next_pc, next_abs = None, None
-            for j in list(supp):
-                if j == pc:
-                    continue
-                d = acol[j]
-                q = (2 * d[pr] + a) // (2 * a)
-                if q:
-                    # column j -= q * column pc, with the inverse row update
-                    for i, v in col.items():
-                        nv = d.get(i, 0) - q * v
-                        if nv:
-                            if i not in d:
-                                rowsupp[i].add(j)
-                                touched.add(i)
-                            d[i] = nv
-                        elif i in d:
-                            del d[i]
-                            rowsupp[i].discard(j)
-                            touched.add(i)
-                    vd = vcol[j]
-                    for t, v in vcol[pc].items():
-                        nv = vd.get(t, 0) - q * v
-                        if nv:
-                            vd[t] = nv
-                        elif t in vd:
-                            del vd[t]
-                    rs = vinv[pc]
-                    for t, v in vinv[j].items():
-                        nv = rs.get(t, 0) + q * v
-                        if nv:
-                            rs[t] = nv
-                        elif t in rs:
-                            del rs[t]
-                r = d.get(pr, 0)
-                if r and (next_abs is None or abs(r) < next_abs):
-                    next_pc, next_abs = j, abs(r)
-            if next_pc is None:
-                break
-            if next_abs < a:
-                pc = next_pc
-        del rowsupp[pr]
-        for i in col:
-            supp = rowsupp.get(i)
-            if supp is not None:
-                supp.discard(pc)
-                touched.add(i)
-        for i in touched:
-            supp = rowsupp.get(i)
-            if supp:
-                heappush(heap, (len(supp), i))
-        touched.clear()
-        active.discard(pc)
-        if a == 1:
-            units[pr] = col
-        else:
-            residue.append((pr, col))
-
-    kernel_idx = sorted(active)
-    if any(acol[j] for j in kernel_idx):
-        raise RuntimeError("active column left nonzero after reduction")
-    return [vcol[j] for j in kernel_idx], [vinv[j] for j in kernel_idx], units, residue
+            del target[t]
 
 
 def integer_elementary_divisors(columns) -> tuple[int, ...]:
@@ -456,25 +423,17 @@ def _clear_unit_pivots(units, residue) -> None:
     """Clear every unit pivot row in the residue columns, in place.
 
     ``units`` and ``residue`` are the split retired columns of
-    :func:`sparse_column_reduction`, each in the listed order, in which a
-    pivot row is zero in every column listed after it; so the pivot rows
-    form a lower-triangular block with the positive pivots on its diagonal.
-    Walking the units in that order, each clears its row in the residue
-    columns listed before it (a column operation with the unit column,
-    which is zero in every earlier pivot row: no diagonal changes and no
-    cleared row is refilled); residue columns listed after it are zero on
-    its row already.
+    :func:`sparse_column_reduction`, listed by descending pivot row, so
+    each pivot row is zero in the columns listed after it.  Walking the
+    units in that order, each clears its row in the residue columns by a
+    column operation with the unit column, which is zero on every pivot row
+    listed before it: no pivot changes and no cleared row is refilled.
     """
     for pr, col in units.items():
         for _, k in residue:
             x = k.get(pr)
             if x:
-                for i, v in col.items():
-                    nv = k.get(i, 0) - x * v
-                    if nv:
-                        k[i] = nv
-                    else:
-                        del k[i]
+                _add_multiple(k, -x, col)
 
 
 def smith_normal_form(columns, modulus: int) -> tuple[int, ...]:

@@ -272,11 +272,9 @@ class ChainComplexZ:
 
         Reductions run from the top degree down: every unit pivot row of
         ``reduction(k + 1)``, a key of its ``units``, names a column of the
-        k-th boundary that is left out (cleared).  Where every step is
-        exact, as on every boundary of the tier-2 models, the boundary is
-        reduced by lowest pivot rows (see
-        :func:`~reeb_bubble.coefficients.sparse_column_reduction`), so those
-        are the lowest rows of the unit columns, listed descending.
+        k-th boundary that is left out (cleared).  Those are the lowest rows
+        of the unit columns, listed descending (see
+        :func:`~reeb_bubble.coefficients.sparse_column_reduction`).
         The divisors stay those of the whole matrix, and the kernel is the
         cleared kernel (see the class docstring).
         The top degree is reduced whole.  Degree 0 reduces the zero map

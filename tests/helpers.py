@@ -32,11 +32,14 @@ def check_split(red) -> None:
     """Assert the invariants of a column reduction's ``units`` and ``residue``.
 
     Every unit is 1 on its pivot row and every residue pivot exceeds 1;
-    together they hold ``rank`` columns; the residue is zero on every unit
-    row; and listed in order (units, then residue) the columns are
-    triangular: each pivot row is zero in every column listed after it.
-    The cocycle solvers extend cochains over the unit rows in that order.
+    together they hold ``rank`` columns; units and residue are each listed
+    by descending pivot row; the residue is zero on every unit row; and
+    listed in order (units, then residue) the columns are triangular: each
+    pivot row is zero in every column listed after it.  The cocycle solvers
+    extend cochains over the unit rows in that order.
     """
+    assert list(red.units) == sorted(red.units, reverse=True)
+    assert [r for r, _ in red.residue] == sorted((r for r, _ in red.residue), reverse=True)
     assert all(col[r] == 1 for r, col in red.units.items())
     assert all(col[r] > 1 for r, col in red.residue)
     assert len(red.units) + len(red.residue) == red.rank

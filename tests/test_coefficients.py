@@ -99,6 +99,9 @@ def test_divisors_match_determinantal_reference(matrix):
     rows, n = matrix
     divisors = integer_elementary_divisors(transpose(rows, n))
     assert divisors == determinantal_divisors(rows, n)
+    # entries up to 12 make rows wait and cut: kernel saturation, dual rows
+    # and field ranks are checked under the Euclid steps too
+    _check_column_reduction(rows, n)
 
 
 def test_residue_step_terminates_on_unreduced_hermite_cycles():
@@ -186,7 +189,7 @@ def test_integer_kernel_is_saturated_and_annihilates(seed):
 
 
 def _check_column_reduction(rows, n):
-    # the reduction leaves its input columns as they were
+    # the reduction leaves its input columns as they were; returns it
     columns = transpose(rows, n)
     before = [dict(c) for c in columns]
     red = sparse_column_reduction(columns)
@@ -217,6 +220,7 @@ def _check_column_reduction(rows, n):
     for i, dual in enumerate(red.kernel_dual_rows):
         for j, col in enumerate(red.kernel_cols):
             assert sum(v * col.get(t, 0) for t, v in dual.items()) == (i == j)
+    return red
 
 
 def test_sparse_column_reduction_on_non_unit_sparse_matrices():
@@ -238,8 +242,8 @@ def test_sparse_column_reduction_on_non_unit_sparse_matrices():
 
 
 def test_sparse_column_reduction_on_small_non_unit_matrices():
-    # small matrices with large entries switch the pivot column inside a
-    # row, so rows of the abandoned column must be queued again
+    # small matrices with large entries make several columns wait on one
+    # row, and the cut's Euclid steps pass the pivot between them
     rng = random.Random(3200)
     values = (0, 0, 0, 1, -1, 2, -2, 3, -3, 5, 7)
     for _ in range(300):
@@ -250,9 +254,9 @@ def test_sparse_column_reduction_on_small_non_unit_matrices():
         assert integer_elementary_divisors(transpose(rows, n)) == divisors
 
 
-def test_sparse_column_reduction_falls_back_on_a_non_exact_step():
-    # 2 does not divide 3, so no exact step empties the second column; the
-    # Markowitz loop reduces the matrix instead
+def test_sparse_column_reduction_cuts_waiting_rows():
+    # neither 2 nor 3 is a unit, so both columns wait on row 0 and the cut
+    # leaves one of them there: a pivot of gcd(2, 3) = 1
     red = sparse_column_reduction([{0: 2}, {0: 3}])
     assert red.divisors == (1,)
     check_split(red)
@@ -260,6 +264,19 @@ def test_sparse_column_reduction_falls_back_on_a_non_exact_step():
     assert kernel in ({0: 3, 1: -2}, {0: -3, 1: 2})
     (dual,) = red.kernel_dual_rows
     assert sum(v * kernel.get(t, 0) for t, v in dual.items()) == 1
+    # row 0 holds 4, 6 and 9: the pivot 4 leaves the remainders -2 and 1,
+    # so the 9 column takes the pivot over, and the 4 column ends in the
+    # kernel with the quotients it gave folded into its dual row
+    red = _check_column_reduction([[4, 6, 9]], 3)
+    assert red.divisors == (1,) and list(red.units) == [0]
+    assert red.kernel_dual_rows == [{0: 1, 1: 2, 2: 2}, {1: 1}]
+    # the same cut on the last of three rows: the cut columns move on to
+    # row 1, wait there and are cut again, and one of them comes down to
+    # row 0 as a unit, which the fourth column has waited on since the pass
+    rows = [[1, 0, 1, 2], [0, 1, 1, 0], [4, 6, 9, 0]]
+    red = _check_column_reduction(rows, 4)
+    assert red.divisors == determinantal_divisors(rows, 4) == (1, 1, 1)
+    assert list(red.units) == [2, 1, 0] and red.residue == []
 
 
 def test_ring_labels_and_conversion():

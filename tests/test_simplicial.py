@@ -165,7 +165,7 @@ def test_boundary_columns_are_checked_and_cleared(make):
         ChainComplexZ(bases, with_first(top, col))
     # a cleared column joins neither the retired columns nor the kernel,
     # and the rest reduces as if it were zero: the same units and residue,
-    # pivot rows, columns and retirement order alike
+    # pivot rows, columns and listed order alike
     for k in range(1, top):
         cleared = cx.reduction(k + 1).units.keys()
         red = cx.reduction(k)
@@ -270,9 +270,14 @@ def test_homology_readout_matches_divisor_scan(make):
         assert (h.free_ranks, h.torsion) == _divisor_scan_homology(cx, R), R.label
 
 
-_SPLIT_CASES = [("torus", torus), ("rp2", rp2), ("s3", lambda: sphere_complex(3))] + [
-    (e.name, lambda d=e.descriptor: simplicial_model(d)) for e in tier2_entries()
-]
+_SPLIT_CASES = [
+    ("torus", torus),
+    ("rp2", rp2),
+    ("s3", lambda: sphere_complex(3)),
+    # Z/3 torsion: rows wait and are cut on real boundaries
+    ("moore-three", moore_three),
+    ("moore-three-x-s2", lambda: product_complex(moore_three(), sphere_complex(2))),
+] + [(e.name, lambda d=e.descriptor: simplicial_model(d)) for e in tier2_entries()]
 
 
 @pytest.mark.parametrize("make", [m for _, m in _SPLIT_CASES], ids=[n for n, _ in _SPLIT_CASES])
