@@ -66,9 +66,9 @@ def _homology(
 ) -> GradedModule:
     """Homology of a valid descriptor from its already built base ring.
 
-    Only the degrees of ``base``'s basis are read.  The base is
-    torsion-free, so they are the same over every ring and a base ring
-    built over any ring serves every ``R``.
+    Only the degrees of ``base``'s basis are read, and the module is free
+    with the same ranks over every ring, so one base ring serves every
+    ``R`` and one module serves every ring's check of one descriptor.
     """
     n = d.n
     ranks = [0] * (n + 1)

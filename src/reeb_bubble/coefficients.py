@@ -1,9 +1,11 @@
 """Exact linear algebra over the supported coefficient rings.
 
 Everything in this package bottoms out in one integer elimination,
-:func:`sparse_column_reduction`, over every coefficient ring: homology and
-field ranks read its elementary divisors (over Z/p, the divisors prime to
-p), cohomology coordinates read its saturated kernel lattice, the dual
+:func:`sparse_column_reduction`, over every coefficient ring: integral
+homology reads its elementary divisors once per chain complex (homology
+over Q and Z/p follows by universal coefficients), the field ranks of
+pairing matrices count the divisors the field sees (over Z/p, those prime
+to p), cohomology coordinates read its saturated kernel lattice, the dual
 rows that give coordinates along it and its retired columns, and no
 routine builds unimodular transforms of its own.
 

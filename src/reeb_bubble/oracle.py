@@ -405,10 +405,11 @@ def verify_descriptor(
     compared.  A ring's homology matches when it has no witness before the
     ring check.
 
-    The descriptor is validated once and its integral base ring built once
-    per call; that ring serves tier-1 assembly, every ring's expected
-    homology and formula presentation, and the Euler check.  The ring
-    constructor reduces its integer coefficients into each ring.
+    The descriptor is validated once per call, and its integral base ring
+    and expected homology are built once: the base ring serves tier-1
+    assembly and every ring's formula presentation, reduced into that ring
+    by the ring constructor, and the homology, free with the same ranks
+    over every ring, serves every module check and the Euler check.
     """
     if tier == "auto":
         use_tier2 = tier2_obstruction(d) is None
@@ -427,16 +428,14 @@ def verify_descriptor(
     Z = CoefficientRing.integers()
     base_z = base_cohomology(d.base, Z)
     cx = _assemble(d, base_z)
+    expected = _homology(d, base_z, Z)
 
-    euler_match = None
-    euler_witness = None
+    euler_match = euler_witness = None
     verdicts = []
     for R in rings:
         start = time.perf_counter()
-        witnesses = []
-        expected = _homology(d, base_z, R)
         tier1 = homology_of_chain_complex(cx, R)
-        witnesses += _module_witnesses("tier-1 homology", expected, tier1)
+        witnesses = _module_witnesses("tier-1 homology", expected, tier1)
         ring_match = None
         if K is not None:
             tier2 = homology_of_complex(K, R)
@@ -459,8 +458,7 @@ def verify_descriptor(
         )
 
     if K is not None:
-        betti = _homology(d, base_z, CoefficientRing.rationals()).free_ranks
-        formula_euler = sum((-1) ** i * b for i, b in enumerate(betti))
+        formula_euler = sum((-1) ** i * b for i, b in enumerate(expected.free_ranks))
         measured_euler = euler_characteristic(K)
         euler_match = formula_euler == measured_euler
         if not euler_match:

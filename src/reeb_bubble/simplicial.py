@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations, repeat
 from types import MappingProxyType
 
-from .coefficients import (
-    CoefficientRing,
-    ColumnReduction,
-    rank_over,
-    sparse_column_reduction,
-)
+from .coefficients import CoefficientRing, ColumnReduction, sparse_column_reduction
 from .graded import BasisElement, GradedModule, PresentedGradedRing
 
 __all__ = [
@@ -215,14 +210,14 @@ class ChainComplexZ:
     so with the kept cells they form a basis of the chain group, and the
     k-th boundary kills them.  It therefore has the same image, hence the
     same elementary divisors, on the kept columns alone, and its cycle
-    lattice is span(b_t) plus the cleared kernel.  Homology over every ring
-    reads the divisors, the integral cocycle solvers read the cleared
+    lattice is span(b_t) plus the cleared kernel.  Integral homology reads
+    the divisors once and is cached here; every other ring's homology is
+    derived from it.  The integral cocycle solvers read the cleared
     splitting, and :func:`top_cycle` reads the top degree, where nothing is
     cleared.  Cup rings over every ring read the one integral product
     table cached here per top degree (the integral solvers that build it
     are not kept), so a Z/p cup ring of a complex with torsion, whose Tor
-    classes no integral cocycle carries, is refused; their integral
-    homology is cached here too.
+    classes no integral cocycle carries, is refused.
     """
 
     __slots__ = ("bases", "boundaries", "_reductions", "_products", "_integral_homology")
@@ -288,14 +283,6 @@ class ChainComplexZ:
             red = self._reductions[k] = sparse_column_reduction(self.boundaries[k], cleared)
         return red
 
-    def boundary_split(self, k: int) -> tuple[int, tuple[int, ...]]:
-        """The k-th boundary's elementary divisors as (number of 1s from unit
-        pivots, the residue's divisors); see ``ColumnReduction``."""
-        if k <= 0 or k > self.max_degree or not self.dim_at(k) or not self.dim_at(k - 1):
-            return 0, ()
-        red = self.reduction(k)
-        return len(red.units), red.divisors[len(red.units) :]
-
 
 def _faces(simplices):
     """Per position i, the faces without vertex i of equal-length simplices,
@@ -309,7 +296,8 @@ def chain_complex_of(K: SimplicialComplex) -> ChainComplexZ:
         return K._chain
     top = K.dim
     bases = [K.simplices_of_dim(k) for k in range(top + 1)]
-    boundaries = [[{} for _ in bases[0]]]
+    # the empty complex has no degrees, so no boundaries
+    boundaries = [[{} for _ in b] for b in bases[:1]]
     for k in range(1, top + 1):
         index = K.index_of(k - 1).__getitem__
         rows = zip(*(map(index, faces) for faces in _faces(bases[k])))
@@ -322,18 +310,29 @@ def chain_complex_of(K: SimplicialComplex) -> ChainComplexZ:
 
 
 def homology_of_chain_complex(cx: ChainComplexZ, R: CoefficientRing) -> GradedModule:
-    # a unit pivot is a divisor 1, of rank one over every ring, so only
-    # the residue's divisors are read ring by ring
-    splits = [cx.boundary_split(k) for k in range(cx.max_degree + 2)]
-    ranks = [units + rank_over(R, residue) for units, residue in splits]
-    return GradedModule(
-        R,
-        tuple(cx.dim_at(k) - ranks[k] - ranks[k + 1] for k in range(cx.max_degree + 1)),
-        tuple(
-            tuple(d for d in residue if d > 1) if R.kind == "Z" else ()
-            for _, residue in splits[1:]
-        ),
-    )
+    """Homology over R by universal coefficients from integral homology, which
+    is read off the boundaries' divisors once per complex: over Q its free
+    ranks, and over Z/p one more dimension in H_k and H_{k+1} for each
+    divisor of tors H_k that p divides."""
+    hz = cx._integral_homology
+    if hz is None:
+        top = cx.max_degree
+        divisors = [
+            cx.reduction(k).divisors if k and cx.dim_at(k) and cx.dim_at(k - 1) else ()
+            for k in range(top + 2)
+        ]
+        hz = cx._integral_homology = GradedModule(
+            CoefficientRing.integers(),
+            tuple(cx.dim_at(k) - len(divisors[k]) - len(divisors[k + 1]) for k in range(top + 1)),
+            tuple(tuple(d for d in divs if d > 1) for divs in divisors[1:]),
+        )
+    if R.kind == "Z":
+        return hz
+    if R.kind == "Q":
+        return GradedModule(R, hz.free_ranks)
+    # tor[k + 1] counts the divisors of tors H_k that p divides
+    tor = [0] + [sum(d % R.p == 0 for d in t) for t in hz.torsion]
+    return GradedModule(R, tuple(map(sum, zip(hz.free_ranks, tor, tor[1:]))))
 
 
 def homology_of_complex(K: SimplicialComplex, R: CoefficientRing) -> GradedModule:
@@ -872,6 +871,8 @@ def cup_ring_of_complex(
     integral solver built per degree; the ring constructor reduces its
     coordinates into R, which is a ring isomorphism onto the free part over
     Q, and over every ring when the integral homology is torsion-free.
+    Both refusals read the cached integral homology; a complex whose H_0 is
+    not Z, the empty one included, is not connected.
     Torsion in H_{k-1} is torsion in integral H^k, and over Z/p torsion in
     H_k also adds Tor classes to H^k that no integral cocycle carries.  So
     over Z a complex with torsion below the top degree, and over Z/p one
@@ -881,15 +882,13 @@ def cup_ring_of_complex(
     Every ring is still checked in full by ``PresentedGradedRing``.
     """
     cx = chain_complex_of(K)
+    homz = homology_of_chain_complex(cx, CoefficientRing.integers())
+    if homz.rank(0) != 1:
+        raise ValueError("cup rings require a connected complex")
     dim = cx.max_degree
     top = dim if top_degree is None else top_degree
     if top < 0:
         raise ValueError("top degree must be >= 0")
-    homz = cx._integral_homology
-    if homz is None:
-        homz = cx._integral_homology = homology_of_chain_complex(cx, CoefficientRing.integers())
-    if homz.rank(0) != 1:
-        raise ValueError("cup rings require a connected complex")
     reach = min(top, dim)
     if R.kind != "Q":
         # H^k torsion is the torsion of H_{k-1}; over Z/p, H_reach's torsion

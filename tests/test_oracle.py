@@ -434,9 +434,9 @@ def _torsion_free_model_descriptor():
 
 @pytest.mark.parametrize("rings", [[Z], RINGS], ids=["Z", "four-rings"])
 def test_verify_builds_each_base_ring_once(monkeypatch, rings):
-    # every ring asks the formula side for its expected homology and its
-    # presentation, and the Euler check asks once more: none of these
-    # queries may build the base ring or validate the descriptor again
+    # the expected homology is built once per call, and every ring asks the
+    # formula side for its presentation: none of these queries may build
+    # the base ring or validate the descriptor again
     d = _torsion_free_model_descriptor()
     calls = {"base_cohomology": 0, "validate": 0}
 
@@ -496,6 +496,42 @@ def test_four_rings_eliminate_each_boundary_once(monkeypatch):
     boundaries = [m for cx in complexes for m in cx.boundaries[1:] if m]
     assert boundaries and any(seen[id(m)] for m in boundaries)
     assert all(seen[id(m)] <= 1 for m in boundaries)
+
+
+def test_homology_is_read_once_per_chain_complex(monkeypatch):
+    # the integral module is cached, and every other ring derives from it
+    # without asking for a reduction
+    d = _torsion_free_model_descriptor()
+    complexes = [assemble_chain_complex(d), simplicial_module.chain_complex_of(simplicial_model(d))]
+    over_z = [homology_of_chain_complex(cx, Z) for cx in complexes]
+    calls = []
+    real = simplicial_module.ChainComplexZ.reduction
+
+    def counted(self, k):
+        calls.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(simplicial_module.ChainComplexZ, "reduction", counted)
+    for cx, hz in zip(complexes, over_z):
+        assert homology_of_chain_complex(cx, Z) is hz
+        for R in (Q, Z2, Z3):
+            assert homology_of_chain_complex(cx, R).free_ranks == hz.free_ranks
+        assert homology_of_chain_complex(cx, Z) is hz
+    assert calls == []
+
+
+def test_verify_builds_the_expected_homology_once(monkeypatch):
+    calls = []
+    real = oracle_module._homology
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(oracle_module, "_homology", counted)
+    rep = verify_descriptor(_torsion_free_model_descriptor(), RINGS)
+    assert rep.tier == 2 and rep.ok and rep.euler_match
+    assert calls == [Z]
 
 
 def test_four_rings_evaluate_the_product_table_once(monkeypatch):

@@ -109,6 +109,16 @@ def test_sphere_complexes():
     assert homology_of_complex(sphere_complex(3), Z).free_ranks == (1, 0, 0, 1)
 
 
+def test_empty_complex_has_zero_homology_and_no_cup_ring():
+    empty = SimplicialComplex((), set())
+    assert chain_complex_of(empty).bases == []
+    for R in (Z, Q, Z2, Z3):
+        h = homology_of_complex(empty, R)
+        assert (h.free_ranks, h.torsion, h.total_rank) == ((), (), 0), R.label
+        with pytest.raises(ValueError, match="connected"):
+            cup_ring_of_complex(empty, R)
+
+
 def test_closure_validation():
     with pytest.raises(ValueError, match="missing face"):
         SimplicialComplex((0, 1, 2), {(0,), (1,), (2,), (0, 1, 2)})
@@ -253,6 +263,10 @@ _READOUT_CASES = [
     ("suspended-rp2", lambda: chain_complex_of(suspension_complex(rp2()))),
     ("moore-three", lambda: chain_complex_of(moore_three())),
     ("rp2-x-circle", lambda: chain_complex_of(product_complex(rp2(), sphere_complex(1)))),
+    # Z/2 in H_1, H_2 and H_3: both universal-coefficient terms in adjacent degrees
+    ("rp2-x-rp2", lambda: chain_complex_of(product_complex(rp2(), rp2()))),
+    # H_1 = Z/6, one divisor that both 2 and 3 divide
+    ("rp2-v-moore-three", lambda: chain_complex_of(wedge_complexes([rp2(), moore_three()])[0])),
 ] + [
     (f"tier1-{e.name}", lambda d=e.descriptor: assemble_chain_complex(d)) for e in ENTRIES
 ] + [
@@ -263,7 +277,7 @@ _READOUT_CASES = [
 
 @pytest.mark.parametrize("make", [m for _, m in _READOUT_CASES], ids=[n for n, _ in _READOUT_CASES])
 def test_homology_readout_matches_divisor_scan(make):
-    # units count once over every ring; only the residue's divisors are read
+    # integral homology is read once; Q and Z/p follow by universal coefficients
     cx = make()
     for R in (Z, Q, Z2, Z3):
         h = homology_of_chain_complex(cx, R)
