@@ -236,10 +236,11 @@ def _cmd_verify(args) -> int:
     lines = [format_report(report)]
     if report.tier == 2 and report.ok:
         n = d.base.n
+        # one checked integral ring; each ring's pairings come off its divisors
+        integral = cohomology_ring_of_descriptor(d, CoefficientRing.integers()).ring
         cells = {}
         for R in rings:
-            A = cohomology_ring_of_descriptor(d, R).ring
-            for p, q, inv in _pairing_cells(A, n):
+            for p, q, inv in _pairing_cells(integral.reduced(R), n):
                 cells.setdefault((p, q), []).append((R.label, inv))
         shown = False
         for (p, q), per_ring in sorted(cells.items()):

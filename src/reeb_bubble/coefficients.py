@@ -3,9 +3,12 @@
 Everything in this package bottoms out in one integer elimination,
 :func:`sparse_column_reduction`, over every coefficient ring: integral
 homology reads its elementary divisors once per chain complex (homology
-over Q and Z/p follows by universal coefficients), the field ranks of
-pairing matrices count the divisors the field sees (over Z/p, those prime
-to p), cohomology coordinates read its saturated kernel lattice, the dual
+over Q and Z/p follows by universal coefficients), the pairing matrices
+of a ring reduced from an integral ring are eliminated once over Z and
+every field reads its rank off those divisors with :func:`rank_over` (over
+Z/p, the divisors prime to p; only a ring built over a field directly
+reduces its own matrices, by :func:`field_reduce`), cohomology
+coordinates read its saturated kernel lattice, the dual
 rows that give coordinates along it and its retired columns, and no
 routine builds unimodular transforms of its own.
 

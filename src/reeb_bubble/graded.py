@@ -19,6 +19,7 @@ from .coefficients import (
     RingMismatchError,
     field_reduce,
     integer_elementary_divisors,
+    rank_over,
 )
 
 __all__ = [
@@ -132,7 +133,15 @@ class PresentedGradedRing:
     is checked on (a,b,c) and (c,a,b) for each key (a,b) and each basis
     element c whose degree keeps the triple within the top degree: the
     cost is O(|products|·basis) instead of O(basis³).
+
+    An integral ring reduces into any other coefficient ring by
+    :meth:`reduced`, unchecked.  The reduction keeps its checked integral
+    ring as ``integral``, and :func:`pairing_invariants` reads its pairings
+    off that ring's divisors.
     """
+
+    integral = None  # on a reduction: the checked integral ring it reduces
+    _divisors = None  # on a reduced integral ring: (p, q) -> pairing divisors
 
     def __init__(self, ring, top_degree, basis, products, *, check=True):
         self.ring = ring
@@ -174,6 +183,23 @@ class PresentedGradedRing:
 
     def product(self, ida: str, idb: str) -> dict:
         return dict(self.products.get((ida, idb), {}))
+
+    def reduced(self, R: CoefficientRing, top_degree: int | None = None) -> "PresentedGradedRing":
+        """This integral ring with its structure constants reduced into R.
+
+        The result is not checked, and needs no check when this ring was:
+        Z -> R is a ring homomorphism, so degree additivity, graded
+        commutativity and associativity over Z hold over R too.
+        ``top_degree`` may raise the top; no product reaches it.
+        """
+        if self.ring.kind != "Z":
+            raise RingMismatchError(f"only an integral ring reduces; got {self.ring.label}")
+        if self._divisors is None:
+            self._divisors = {}
+        top = self.top_degree if top_degree is None else top_degree
+        ring = PresentedGradedRing(R, top, self.basis, self.products, check=False)
+        ring.integral = self
+        return ring
 
     # -- validation --------------------------------------------------------
 
@@ -515,17 +541,8 @@ def _invariants_of_matrix(ring: CoefficientRing, columns: list[dict]):
     return field_reduce(ring, columns), None
 
 
-def pairing_invariants(A: PresentedGradedRing, p: int, q: int) -> PairingInvariants:
-    """Invariants of the multiplication H^p x H^q -> H^{p+q} of ``A``.
-
-    Both matrices are read off the product table as ``{row: value}``
-    columns; the table holds no zero entries, so only the nonzero columns
-    are built and no dense matrix is allocated.  The map has one row per
-    target class and one column per basis pair; the form has one row per
-    (H^q class, target class) pair and one column per H^p class.
-    """
-    if p < 1 or q < 1 or p + q > A.top_degree:
-        raise ValueError(f"degree pair ({p},{q}) out of range for top {A.top_degree}")
+def _pairing_matrices(A: PresentedGradedRing, p: int, q: int):
+    """The map's and the form's nonzero ``{row: value}`` columns over A's ring."""
     P = A.degree_basis(p)
     Q = A.degree_basis(q)
     T = A.degree_basis(p + q)
@@ -545,11 +562,46 @@ def pairing_invariants(A: PresentedGradedRing, p: int, q: int) -> PairingInvaria
                     form[j * nt + t] = c
         if form:
             form_cols.append(form)
+    return map_cols, form_cols
 
-    map_rank, map_div = _invariants_of_matrix(A.ring, map_cols)
-    form_rank, form_div = _invariants_of_matrix(A.ring, form_cols)
+
+def pairing_invariants(A: PresentedGradedRing, p: int, q: int) -> PairingInvariants:
+    """Invariants of the multiplication H^p x H^q -> H^{p+q} of ``A``.
+
+    Both matrices are read off the product table as ``{row: value}``
+    columns; the table holds no zero entries, so only the nonzero columns
+    are built and no dense matrix is allocated.  The map has one row per
+    target class and one column per basis pair; the form has one row per
+    (H^q class, target class) pair and one column per H^p class.
+
+    A ring made by :meth:`PresentedGradedRing.reduced` has the matrices of
+    its integral ring reduced into its coefficients, so its invariants are
+    read off the integral divisors by
+    :func:`~reeb_bubble.coefficients.rank_over`: over Q their count, over
+    Z/p those prime to p.  The divisors are kept on the integral ring, so
+    its reductions into every ring share one elimination per matrix.  Any
+    other ring's matrices are eliminated over its own coefficients.
+    """
+    if p < 1 or q < 1 or p + q > A.top_degree:
+        raise ValueError(f"degree pair ({p},{q}) out of range for top {A.top_degree}")
+    Z = A.integral
+    if Z is None:
+        map_cols, form_cols = _pairing_matrices(A, p, q)
+        map_rank, map_div = _invariants_of_matrix(A.ring, map_cols)
+        form_rank, form_div = _invariants_of_matrix(A.ring, form_cols)
+        return PairingInvariants(
+            p, q, A.ring.label, map_rank, form_rank, map_div, form_div
+        )
+    divisors = Z._divisors.get((p, q))
+    if divisors is None:
+        divisors = Z._divisors[(p, q)] = tuple(
+            _invariants_of_matrix(Z.ring, cols)[1] for cols in _pairing_matrices(Z, p, q)
+        )
+    map_div, form_div = divisors
+    R = A.ring
+    kept = (None, None) if R.is_field else divisors
     return PairingInvariants(
-        p, q, A.ring.label, map_rank, form_rank, map_div, form_div
+        p, q, R.label, rank_over(R, map_div), rank_over(R, form_div), *kept
     )
 
 

@@ -371,20 +371,21 @@ def _module_witnesses(kind, expected, got):
     return out
 
 
-def _ring_witness(d: ReebDescriptor, base_z, R, K) -> str | None:
+def _ring_witness(d: ReebDescriptor, formula, R, K) -> str | None:
     """Why the formula ring and the cup ring of the model K differ over R,
-    or None when their pairing invariants agree."""
-    try:
-        formula_ring = _ring_presentation(d, R, base_z).ring
-    except (RuntimeError, ValueError) as exc:
-        # a failed self-check of the formula ring, such as graded commutativity
-        return f"formula: {exc}"
+    or None when their pairing invariants agree.
+
+    ``formula`` is the checked integral formula ring, or the message of the
+    check it failed; either holds for every ring.
+    """
+    if isinstance(formula, str):
+        return f"formula: {formula}"
     try:
         measured = cup_ring_of_complex(K, R, top_degree=d.n)
     except (RuntimeError, ValueError) as exc:
         # a failed self-check, or a refusal (torsion, no connectivity)
         return f"tier-2 oracle: {exc}"
-    verdict = compare_invariants(formula_ring, measured)
+    verdict = compare_invariants(formula.reduced(R), measured)
     return None if verdict.is_consistent else f"ring invariants: {verdict.witness}"
 
 
@@ -405,11 +406,15 @@ def verify_descriptor(
     compared.  A ring's homology matches when it has no witness before the
     ring check.
 
-    The descriptor is validated once per call, and its integral base ring
-    and expected homology are built once: the base ring serves tier-1
-    assembly and every ring's formula presentation, reduced into that ring
-    by the ring constructor, and the homology, free with the same ranks
-    over every ring, serves every module check and the Euler check.
+    The descriptor is validated once per call, and its integral base ring,
+    expected homology and formula ring are built once: the base ring
+    serves tier-1 assembly and the formula ring, and the homology, free
+    with the same ranks over every ring, serves every module check and the
+    Euler check.  Both rings are checked once, over Z, and every ring
+    compares their reductions, whose pairings are read off the integral
+    divisors (see :func:`~reeb_bubble.graded.pairing_invariants`).  So a
+    table that fails its check over Z gives its witness on every ring,
+    also where the reduced table would pass, as a sign error does over Z/2.
     """
     if tier == "auto":
         use_tier2 = tier2_obstruction(d) is None
@@ -429,6 +434,13 @@ def verify_descriptor(
     base_z = base_cohomology(d.base, Z)
     cx = _assemble(d, base_z)
     expected = _homology(d, base_z, Z)
+    formula = None
+    if K is not None:
+        try:
+            formula = _ring_presentation(d, Z, base_z).ring
+        except (RuntimeError, ValueError) as exc:
+            # a failed self-check of the formula ring, such as graded commutativity
+            formula = str(exc)
 
     euler_match = euler_witness = None
     verdicts = []
@@ -442,7 +454,7 @@ def verify_descriptor(
             witnesses += _module_witnesses("tier-2 homology", expected, tier2)
         homology_match = not witnesses
         if K is not None:
-            witness = _ring_witness(d, base_z, R, K)
+            witness = _ring_witness(d, formula, R, K)
             ring_match = witness is None
             if witness:
                 witnesses.append(witness)

@@ -214,10 +214,10 @@ class ChainComplexZ:
     the divisors once and is cached here; every other ring's homology is
     derived from it.  The integral cocycle solvers read the cleared
     splitting, and :func:`top_cycle` reads the top degree, where nothing is
-    cleared.  Cup rings over every ring read the one integral product
-    table cached here per top degree (the integral solvers that build it
-    are not kept), so a Z/p cup ring of a complex with torsion, whose Tor
-    classes no integral cocycle carries, is refused.
+    cleared.  Cup rings over every ring reduce the one integral cup ring,
+    checked once and cached here per top degree (the integral solvers that
+    build it are not kept), so a Z/p cup ring of a complex with torsion,
+    whose Tor classes no integral cocycle carries, is refused.
     """
 
     __slots__ = ("bases", "boundaries", "_reductions", "_products", "_integral_homology")
@@ -867,10 +867,13 @@ def cup_ring_of_complex(
     """Cohomology ring with Alexander-Whitney products in a chosen basis.
 
     Every ring is the integral product table, evaluated once per chain
-    complex and top degree and cached on the chain complex, with one
-    integral solver built per degree; the ring constructor reduces its
-    coordinates into R, which is a ring isomorphism onto the free part over
-    Q, and over every ring when the integral homology is torsion-free.
+    complex and top degree, with one integral solver built per degree, and
+    checked once over Z by ``PresentedGradedRing`` before it is cached on
+    the chain complex; a table that fails the check is not cached, so every
+    ring that asks for it raises.  Each ring is the cached integral ring
+    reduced into R, unchecked (see :meth:`PresentedGradedRing.reduced`),
+    which is a ring isomorphism onto the free part over Q, and over every
+    ring when the integral homology is torsion-free.
     Both refusals read the cached integral homology; a complex whose H_0 is
     not Z, the empty one included, is not connected.
     Torsion in H_{k-1} is torsion in integral H^k, and over Z/p torsion in
@@ -879,7 +882,6 @@ def cup_ring_of_complex(
     with any torsion through it (p-torsion or not: one rule), raises
     ``ValueError``.  No field elimination exists to fill the gap: every
     space this package models is torsion-free.
-    Every ring is still checked in full by ``PresentedGradedRing``.
     """
     cx = chain_complex_of(K)
     homz = homology_of_chain_complex(cx, CoefficientRing.integers())
@@ -900,9 +902,9 @@ def cup_ring_of_complex(
                     f"integral cohomology in degree {k} has torsion; "
                     f"{R.label} cup rings need a torsion-free complex, use Q"
                 )
-    # the constructor reduces the integer coordinates into R, dropping zeros
-    table = cx._products.get(reach)
-    if table is None:
-        table = cx._products[reach] = _cup_products(K, cx, reach, homz)
-    basis, products = table
-    return PresentedGradedRing(R, top, basis, products)
+    integral = cx._products.get(reach)
+    if integral is None:
+        basis, products = _cup_products(K, cx, reach, homz)
+        integral = PresentedGradedRing(CoefficientRing.integers(), reach, basis, products)
+        cx._products[reach] = integral
+    return integral.reduced(R, top)

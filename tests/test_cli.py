@@ -1,10 +1,12 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
 import json
+import re
 
 import pytest
 
 from reeb_bubble.cli import main
+from reeb_bubble.descriptor import parse_descriptor, serialize_descriptor
 
 POINT_N3 = {
     "n": 3,
@@ -233,3 +235,49 @@ def test_catalog_plans_deterministic_given_seed(tmp_path):
     other = run("8", "c")
     assert first == second
     assert all(row["ok"] for row in other)
+
+
+# the README's verify example, circle-pair-doubled over Z, Q and Z/2, as
+# the command printed it when every ring built and checked its own ring;
+# only the per-ring seconds are masked
+README_VERIFY_TEXT = """\
+tier 2  overall: ok
+     Z  homology ok  ring ok  0.00s
+     Q  homology ok  ring ok  0.00s
+   Z/2  homology ok  ring ok  0.00s
+  pairing (1,2) over Z: divisors [2]
+  pairing (1,2) over Q: rank 1
+  pairing (1,2) over Z/2: rank 0
+"""
+
+
+def _ring_row(label):
+    return {
+        "ring": label,
+        "tier": 2,
+        "homology_match": True,
+        "ring_match": True,
+        "seconds": 0,
+        "witnesses": [],
+    }
+
+
+def test_readme_verify_example_output_is_unchanged(tmp_path, capsys):
+    path = write(tmp_path, "d.json", COEFF2)
+    argv = ["verify", "-d", path, "--ring", "Z", "--ring", "Q", "--ring", "Zp", "--p", "2"]
+    assert main(argv) == 0
+    text = re.sub(r"  \d+\.\d\ds$", "  0.00s", capsys.readouterr().out, flags=re.M)
+    assert text == README_VERIFY_TEXT
+    out = tmp_path / "rep.json"
+    assert main(argv + ["--json", str(out)]) == 0
+    descriptor = serialize_descriptor(parse_descriptor(json.dumps(COEFF2)))
+    expected = {
+        "descriptor": descriptor,
+        "tier": 2,
+        "ok": True,
+        "euler_match": True,
+        "euler_witness": None,
+        "rings": [_ring_row("Z"), _ring_row("Q"), _ring_row("Z/2")],
+    }
+    written = re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', out.read_text())
+    assert written == json.dumps(expected, indent=2) + "\n"

@@ -13,6 +13,7 @@ from reeb_bubble.coefficients import (
     RingMismatchError,
     field_reduce,
     integer_elementary_divisors,
+    rank_over,
     smith_normal_form,
     sparse_column_reduction,
 )
@@ -285,3 +286,38 @@ def test_ring_labels_and_conversion():
     assert Q.convert(2) == Fraction(2)
     with pytest.raises(ValueError):
         CoefficientRing.prime_field(6)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_field_ranks_read_off_integral_divisors(seed):
+    # U·diag·V with U, V unimodular keeps the divisors of the diagonal, here
+    # with multiples of 2 and of 3 among them; the rank over Q is their
+    # count and over Z/p the count of those prime to p, as field_reduce and
+    # the row-reduction reference read it off the reduced matrix itself
+    rng = random.Random(4200 + seed)
+    rows, cols = rng.randint(3, 7), rng.randint(3, 7)
+    rank = rng.randint(2, min(rows, cols))
+    diag = [2 * rng.randint(1, 4), 3 * rng.randint(1, 4)]
+    diag += [rng.choice((1, 1, 2, 3, 4, 5, 6, 9, 12)) for _ in range(rank - 2)]
+    rng.shuffle(diag)
+    matrix = [[diag[i] if i == j and i < rank else 0 for j in range(cols)] for i in range(rows)]
+    for _ in range(3 * (rows + cols)):
+        # a row operation and a column operation with unit determinant
+        a, b = rng.sample(range(rows), 2)
+        m = rng.choice((-2, -1, 1, 2))
+        matrix[a] = [x + m * y for x, y in zip(matrix[a], matrix[b])]
+        a, b = rng.sample(range(cols), 2)
+        m = rng.choice((-2, -1, 1, 2))
+        for row in matrix:
+            row[a] += m * row[b]
+    divisors = integer_elementary_divisors(transpose(matrix, cols))
+    assert len(divisors) == rank
+    assert any(d % 2 == 0 for d in divisors) and any(d % 3 == 0 for d in divisors)
+    fractions = [[Fraction(v, i + 2) for v in row] for i, row in enumerate(matrix)]
+    assert rank_over(Q, divisors) == field_reduce(Q, transpose(fractions, cols)) == rank
+    for p in PRIMES:
+        Fp = CoefficientRing.prime_field(p)
+        residues = [[v % p for v in row] for row in matrix]
+        expected = sum(1 for d in diag if d % p)
+        assert rank_over(Fp, divisors) == field_reduce(Fp, transpose(residues, cols)) == expected, p
+        assert field_rank(Fp, matrix, cols) == expected, p

@@ -8,6 +8,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from helpers import catalog_entry, full_simplex, tier2_entries
@@ -19,7 +20,8 @@ from reeb_bubble import descriptor as descriptor_module
 from reeb_bubble import graded as graded_module
 from reeb_bubble import oracle as oracle_module
 from reeb_bubble import simplicial as simplicial_module
-from reeb_bubble.calculus import homology_of_descriptor
+from reeb_bubble.calculus import cohomology_ring_of_descriptor, homology_of_descriptor
+from reeb_bubble.catalog import random_descriptors
 from reeb_bubble.cli import main as cli_main
 from reeb_bubble.coefficients import CoefficientRing
 from reeb_bubble.descriptor import (
@@ -30,7 +32,13 @@ from reeb_bubble.descriptor import (
     SphereSpec,
     base_sphere_classes,
 )
-from reeb_bubble.graded import GradedModule, Product, Sphere, pairing_invariants
+from reeb_bubble.graded import (
+    GradedModule,
+    PresentedGradedRing,
+    Product,
+    Sphere,
+    pairing_invariants,
+)
 from reeb_bubble.oracle import (
     TierError,
     assemble_chain_complex,
@@ -434,9 +442,8 @@ def _torsion_free_model_descriptor():
 
 @pytest.mark.parametrize("rings", [[Z], RINGS], ids=["Z", "four-rings"])
 def test_verify_builds_each_base_ring_once(monkeypatch, rings):
-    # the expected homology is built once per call, and every ring asks the
-    # formula side for its presentation: none of these queries may build
-    # the base ring or validate the descriptor again
+    # the expected homology and the formula presentation are built once per
+    # call: neither may build the base ring or validate the descriptor again
     d = _torsion_free_model_descriptor()
     calls = {"base_cohomology": 0, "validate": 0}
 
@@ -667,3 +674,179 @@ def test_random_descriptors_verify_end_to_end():
         rep = verify_descriptor(d, [Z, Z2])
         assert rep.ok, format_report(rep)
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# rings once over Z: reductions, derived pairings, counts
+# ---------------------------------------------------------------------------
+
+
+def _pairing_cells(top):
+    return [(p, q) for p in range(1, top) for q in range(1, top - p + 1)]
+
+
+def _small_tier2_draws():
+    return [
+        d for d in random_descriptors(0, 160) if d.n <= 3 and tier2_obstruction(d) is None
+    ]
+
+
+@pytest.mark.parametrize("source", ["catalog", "draws"])
+def test_derived_pairings_equal_field_reduce(monkeypatch, source):
+    # a reduction reads its pairings off the integral divisors; the same
+    # table as a ring of its own eliminates its matrices over the field
+    reduced = []
+    real = graded_module.field_reduce
+
+    def counted(R, columns):
+        reduced.append(R)
+        return real(R, columns)
+
+    monkeypatch.setattr(graded_module, "field_reduce", counted)
+    pool = [e.descriptor for e in tier2_entries()] if source == "catalog" else _small_tier2_draws()
+    assert pool
+    for d in pool:
+        formula = cohomology_ring_of_descriptor(d, Z).ring
+        K = simplicial_model(d)
+        for R in RINGS:
+            for A in (formula.reduced(R), cup_ring_of_complex(K, R, top_degree=d.n)):
+                assert A.integral is not None and A.ring == R
+                alone = PresentedGradedRing(R, A.top_degree, A.basis, A.products)
+                for p, q in _pairing_cells(d.n):
+                    assert pairing_invariants(A, p, q) == pairing_invariants(alone, p, q)
+    assert set(reduced) == {Q, Z2, Z3}
+
+
+def _verdicts(rep):
+    return {
+        v.ring_label: (v.tier, v.homology_match, v.ring_match, v.witnesses)
+        for v in rep.verdicts
+    }
+
+
+def test_ring_order_and_fields_only_give_the_same_verdicts():
+    # the integral rings are built whether or not Z is asked for
+    pool = [e.descriptor for e in tier2_entries() if e.descriptor.n <= 4]
+    pool += _small_tier2_draws()[:20]
+    for d in pool:
+        first = _verdicts(verify_descriptor(d, RINGS))
+        last = _verdicts(verify_descriptor(d, [Q, Z2, Z3, Z]))
+        fields = _verdicts(verify_descriptor(d, [Z3, Z2, Q]))
+        assert first == last
+        assert fields == {k: v for k, v in first.items() if k != "Z"}
+
+
+def test_verify_builds_and_checks_each_ring_once_over_z(monkeypatch):
+    # a four-ring tier-2 verify: one formula presentation, over Z; one
+    # check of each product table, over Z; no field elimination, and the
+    # integral pairing matrices eliminated no more often than for Z alone
+    d = _torsion_free_model_descriptor()
+    presented = []
+    real_presentation = oracle_module._ring_presentation
+
+    def presentation(dd, R, base):
+        presented.append(R)
+        return real_presentation(dd, R, base)
+
+    checked = []
+    real_check = PresentedGradedRing._check
+
+    def check(self):
+        checked.append((self.ring, frozenset(e.id for e in self.basis)))
+        return real_check(self)
+
+    field_calls = []
+    eliminated = []
+    real_divisors = graded_module.integer_elementary_divisors
+
+    def divisors(columns):
+        eliminated.append(len(columns))
+        return real_divisors(columns)
+
+    monkeypatch.setattr(oracle_module, "_ring_presentation", presentation)
+    monkeypatch.setattr(PresentedGradedRing, "_check", check)
+    monkeypatch.setattr(graded_module, "field_reduce", lambda *a: field_calls.append(a))
+    monkeypatch.setattr(graded_module, "integer_elementary_divisors", divisors)
+    assert verify_descriptor(d, [Z]).ok
+    alone = len(eliminated)
+    presented.clear()
+    checked.clear()
+    eliminated.clear()
+    rep = verify_descriptor(d, RINGS)
+    assert rep.tier == 2 and rep.ok
+    assert presented == [Z]
+    measured = [ring for ring, ids in checked if ids and all(i.startswith("c") for i in ids)]
+    formula = [ring for ring, ids in checked if "t1" in ids]
+    assert measured == [Z] and formula == [Z]
+    assert {ring for ring, _ in checked} == {Z}
+    assert field_calls == []
+    assert alone and len(eliminated) == alone
+
+
+def test_verify_asks_the_oracle_binding_for_every_ring(monkeypatch):
+    # the benchmark's digest takes each ring's measured ring from this binding
+    asked = []
+    real = oracle_module.cup_ring_of_complex
+
+    def tapped(K, R, top_degree=None):
+        asked.append((R, top_degree))
+        return real(K, R, top_degree=top_degree)
+
+    monkeypatch.setattr(oracle_module, "cup_ring_of_complex", tapped)
+    d = _torsion_free_model_descriptor()
+    assert verify_descriptor(d, RINGS).ok
+    assert asked == [(R, d.n) for R in RINGS]
+
+
+def test_formula_sign_error_is_a_witness_on_every_ring(monkeypatch):
+    # the table is wrong by one sign, which Z/2 cannot see: the check over
+    # Z fails, and its witness lands on every ring, Z/2 included, also when
+    # Z is not asked for
+    d = _torsion_free_model_descriptor()
+    real = oracle_module._ring_presentation
+
+    def signed(dd, R, base):
+        report = real(dd, R, base)
+        A = report.ring
+        products = dict(A.products)
+        products[("nu2", "b2.1")] = {t: -c for t, c in products[("nu2", "b2.1")].items()}
+        return replace(report, ring=PresentedGradedRing(R, A.top_degree, A.basis, products))
+
+    # over Z/2 alone the wrong table passes its check
+    base_z = descriptor_module.base_cohomology(d.base, Z)
+    assert signed(d, Z2, base_z).ring.products
+    with pytest.raises(ValueError, match="graded commutativity"):
+        signed(d, Z, base_z)
+    monkeypatch.setattr(oracle_module, "_ring_presentation", signed)
+    for rings in (RINGS, [Z2, Q]):
+        rep = verify_descriptor(d, rings)
+        assert rep.tier == 2 and not rep.ok
+        for v in rep.verdicts:
+            assert v.homology_match and v.ring_match is False
+            assert v.witnesses == ("formula: graded commutativity fails on (nu2,b2.1)",)
+
+
+def test_rings_built_directly_take_the_field_path(monkeypatch):
+    # the control: a ring that is not a reduction keeps no divisors and
+    # eliminates its own matrices, over Z and over a field
+    d = _torsion_free_model_descriptor()
+    reduced = []
+    real = graded_module.field_reduce
+
+    def counted(R, columns):
+        reduced.append(R)
+        return real(R, columns)
+
+    monkeypatch.setattr(graded_module, "field_reduce", counted)
+    for R in RINGS:
+        A = cohomology_ring_of_descriptor(d, R).ring
+        assert A.integral is None
+        invariants = [pairing_invariants(A, p, q) for p, q in _pairing_cells(d.n)]
+        assert "_divisors" not in vars(A) and A.integral is None
+        assert invariants == [
+            pairing_invariants(cohomology_ring_of_descriptor(d, Z).ring.reduced(R), p, q)
+            for p, q in _pairing_cells(d.n)
+        ]
+    assert reduced and set(reduced) == {Q, Z2, Z3}
+    with pytest.raises(coefficients_module.RingMismatchError):
+        cohomology_ring_of_descriptor(d, Q).ring.reduced(Z2)
