@@ -20,7 +20,7 @@ from .descriptor import (
     RecordKind,
     ReebDescriptor,
     SphereSpec,
-    _require_valid,
+    base_classes,
     base_cohomology,
 )
 from .graded import (
@@ -54,27 +54,16 @@ def homology_of_descriptor(d: ReebDescriptor, R: CoefficientRing) -> GradedModul
     plus one class at degree n - l for every sphere of positive dimension l.
     Dimension-0 bouquet components merge into the new top class and add
     nothing of their own.  Everything stays free because the base family is
-    torsion-free and the surgery only adds free summands.  The descriptor
-    is validated and the base ring is built once per call.
-    """
-    _require_valid(d)
-    return _homology(d, base_cohomology(d.base, R), R)
-
-
-def _homology(
-    d: ReebDescriptor, base: PresentedGradedRing, R: CoefficientRing
-) -> GradedModule:
-    """Homology of a valid descriptor from its already built base ring.
-
-    Only the degrees of ``base``'s basis are read, and the module is free
-    with the same ranks over every ring, so one base ring serves every
-    ``R`` and one module serves every ring's check of one descriptor.
+    torsion-free and the surgery only adds free summands, so the ranks are
+    the same over every ring.  The base's classes are read off its handle
+    expressions (:func:`~reeb_bubble.descriptor.base_classes`); no ring is
+    built.
     """
     n = d.n
     ranks = [0] * (n + 1)
     ranks[0] = 1
-    for e in base.basis:
-        ranks[e.degree] += 1
+    for _, k in base_classes(d.base):
+        ranks[k] += 1
     for rec in d.records:
         ranks[n] += 1
         for sph in rec.spheres:
@@ -122,30 +111,17 @@ def cohomology_ring_of_descriptor(
     when the degrees match and zero otherwise; top classes annihilate all
     positive degrees.  t<r> is normalized so the stored-order constant is
     exactly the descriptor coefficient, with the sign on the reversed order
-    supplied by graded commutativity.  The descriptor is validated and the
-    base ring is built once per call; the homology ranks are read from that
-    same base ring.
-    """
-    _require_valid(d)
-    return _ring_presentation(d, R, base_cohomology(d.base, R))
-
-
-def _ring_presentation(
-    d: ReebDescriptor, R: CoefficientRing, base: PresentedGradedRing
-) -> RingPresentationReport:
-    """The presentation of a valid descriptor over ``R``.
-
-    ``base`` is its base ring over ``R`` or over Z: the ring constructor
-    reduces integer coefficients into ``R``.
+    supplied by graded commutativity.  The base ring comes from
+    :func:`~reeb_bubble.descriptor.base_cohomology` over ``R``, and the
+    ranks of the result are checked against :func:`homology_of_descriptor`,
+    which reads the base classes off the handle expressions instead.
     """
     n = d.n
+    base = base_cohomology(d.base, R)
     if base.products and all(isinstance(h, Sphere) for h in d.base.handles):
         raise RuntimeError("sphere cores must have a zero product table")
 
-    basis = [
-        BasisElement(e.id, e.degree, ("inclusion",), e.sphere_representable)
-        for e in base.basis
-    ]
+    basis = [BasisElement(e.id, e.degree, ("inclusion",)) for e in base.basis]
     products = {k: dict(v) for k, v in base.products.items()}
     per_record = []
     for r, rec in enumerate(d.records, start=1):
@@ -167,7 +143,7 @@ def _ring_presentation(
         per_record.append(RecordClasses(r, rec.kind, tuple(bubbled), top_id))
 
     ring = PresentedGradedRing(R, n, basis, products)
-    homology = _homology(d, base, R)
+    homology = homology_of_descriptor(d, R)
     if homology.free_ranks != ring.free_ranks():
         raise RuntimeError("rank bookkeeping out of sync")
     return RingPresentationReport(homology, ring, tuple(per_record))
@@ -333,9 +309,7 @@ def realize_plan(
             kind = RecordKind.M
         records.append(BubblingRecord(kind, tuple(spheres)))
 
-    d = ReebDescriptor(BaseSpec(n, tuple(handles)), tuple(records))
-    _require_valid(d, "planned descriptor")
-    return d
+    return ReebDescriptor(BaseSpec(n, tuple(handles)), tuple(records))
 
 
 # ---------------------------------------------------------------------------

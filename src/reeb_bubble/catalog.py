@@ -19,7 +19,7 @@ from .descriptor import (
     RecordKind,
     ReebDescriptor,
     SphereSpec,
-    base_sphere_classes,
+    base_classes,
 )
 from .graded import ConnSum, Product, Sphere
 
@@ -313,10 +313,8 @@ def random_descriptors(seed: int, count: int) -> list[ReebDescriptor]:
     out = []
     for _ in range(count):
         n = rng.randint(2, 5)
-        handles = [Sphere(rng.randint(1, n - 1)) for _ in range(rng.randint(0, 3))]
-        classes = base_sphere_classes(
-            ReebDescriptor(BaseSpec(n, tuple(handles)), ())
-        )
+        base = BaseSpec(n, tuple(Sphere(rng.randint(1, n - 1)) for _ in range(rng.randint(0, 3))))
+        classes = base_classes(base)  # of a wedge of spheres: all nu<j>
         records = []
         for _ in range(rng.randint(0, 3)):
             kind = rng.choice(list(RecordKind))
@@ -336,5 +334,5 @@ def random_descriptors(seed: int, count: int) -> list[ReebDescriptor]:
                                 coeffs[ident] = v
                 spheres.append(SphereSpec(dim, coeffs))
             records.append(BubblingRecord(kind, tuple(spheres)))
-        out.append(ReebDescriptor(BaseSpec(n, tuple(handles)), tuple(records)))
+        out.append(ReebDescriptor(base, tuple(records)))
     return out

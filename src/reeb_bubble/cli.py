@@ -23,9 +23,9 @@ from .catalog import ENTRIES, plan_descriptor, random_plans
 from .coefficients import CoefficientRing
 from .descriptor import (
     DescriptorFormatError,
+    InvalidDescriptorError,
     parse_descriptor,
     serialize_descriptor,
-    validate,
 )
 from .graded import pairing_invariants
 from .oracle import TierError, format_report, verify_descriptor
@@ -120,11 +120,11 @@ def _show_invariants(inv) -> str:
 
 
 def _cmd_validate(args) -> int:
-    d = _load_descriptor(args.descriptor)
-    violations = validate(d)
-    if violations:
-        doc = {"command": "validate", "ok": False, "violations": violations}
-        _emit(args, doc, "\n".join(f"invalid: {v}" for v in violations))
+    try:
+        d = _load_descriptor(args.descriptor)
+    except InvalidDescriptorError as exc:
+        doc = {"command": "validate", "ok": False, "violations": exc.violations}
+        _emit(args, doc, "\n".join(f"invalid: {v}" for v in exc.violations))
         return 1
     summary = (
         f"ok: n={d.base.n}, {len(d.base.handles)} handle(s), "
@@ -160,11 +160,12 @@ def _cmd_ring(args) -> int:
     d = _load_descriptor(args.descriptor)
     rings = _resolve_rings(args)
     n = d.base.n
+    # one checked integral ring; each ring is its reduction
+    integral = cohomology_ring_of_descriptor(d, CoefficientRing.integers()).ring
     blocks = []
     lines = []
     for R in rings:
-        rep = cohomology_ring_of_descriptor(d, R)
-        A = rep.ring
+        A = integral.reduced(R)
         lines.append(f"ring over {R.label}  (top degree {A.top_degree})")
         lines.append(f"  free ranks: {A.free_ranks()}")
         for k in range(1, A.top_degree + 1):

@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 class RingMismatchError(ValueError):
@@ -76,6 +76,9 @@ class CoefficientRing:
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if (self.kind == "Zp") != (self.p is not None):
             raise ValueError("a modulus is required exactly for Zp")
+        p = self.p
+        if p is not None and (p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1))):
+            raise ValueError(f"modulus {p} is not prime")
 
     @staticmethod
     def integers() -> "CoefficientRing":
@@ -87,8 +90,6 @@ class CoefficientRing:
 
     @staticmethod
     def prime_field(p: int) -> "CoefficientRing":
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-            raise ValueError(f"modulus {p} is not prime")
         return CoefficientRing("Zp", p)
 
     @property

@@ -4,7 +4,9 @@ A descriptor names an n-dimensional quotient space built from a boundary
 connected sum of (core x disc) pieces, then modified by an ordered list of
 records.  Each record attaches along a bouquet of spheres whose classes are
 integer combinations of the base's sphere classes.  Descriptors are
-immutable values with a JSON wire format.
+immutable values with a JSON wire format, and valid by construction: a
+descriptor that breaks a rule of :func:`validate` raises
+:class:`InvalidDescriptorError` when it is built.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ __all__ = [
     "BubblingRecord",
     "ReebDescriptor",
     "DescriptorFormatError",
+    "InvalidDescriptorError",
     "validate",
+    "base_classes",
     "base_sphere_classes",
     "base_cohomology",
     "parse_descriptor",
@@ -55,6 +59,10 @@ class RecordKind(str, Enum):
     @property
     def is_point(self) -> bool:
         return self is RecordKind.POINT
+
+
+def _is_int(value) -> bool:  # an exact integer: a bool is none
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _nu_index(ident: str) -> int:
@@ -80,17 +88,23 @@ class SphereSpec:
     """One sphere of the attaching bouquet.
 
     dim 0 marks a point generator and carries no coefficients; otherwise
-    ``coefficients`` maps base class ids "nu<j>" to integers.
+    ``coefficients`` maps base class ids "nu<j>" to integers.  A dimension
+    or coefficient that is not an exact integer raises ``ValueError``.
     """
 
     dim: int
     coefficients: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
+        if not _is_int(self.dim):
+            raise ValueError(f"dim: expected an integer, got {self.dim!r}")
         coeffs = self.coefficients
         if isinstance(coeffs, dict):
             coeffs = tuple(coeffs.items())
-        pairs = tuple(sorted(((str(k), int(v)) for k, v in coeffs), key=lambda kv: _nu_index(kv[0])))
+        for k, v in coeffs:
+            if not _is_int(v):
+                raise ValueError(f"coefficient {k}: expected an integer, got {v!r}")
+        pairs = tuple(sorted(((str(k), v) for k, v in coeffs), key=lambda kv: _nu_index(kv[0])))
         seen = set()
         for k, _ in pairs:
             if k in seen:
@@ -109,13 +123,26 @@ class BubblingRecord:
         object.__setattr__(self, "spheres", tuple(self.spheres))
 
 
+class InvalidDescriptorError(ValueError):
+    """A descriptor broke rules of :func:`validate`; ``violations`` lists all."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("invalid descriptor: " + "; ".join(violations))
+        self.violations = violations
+
+
 @dataclass(frozen=True)
 class ReebDescriptor:
+    """A base and a record schedule, validated once, when built."""
+
     base: BaseSpec
     records: tuple[BubblingRecord, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
+        violations = validate(self)
+        if violations:
+            raise InvalidDescriptorError(violations)
 
     @property
     def n(self) -> int:
@@ -128,9 +155,15 @@ class ReebDescriptor:
 
 
 def validate(d: ReebDescriptor) -> list[str]:
-    """Collect every violation; an empty list means the descriptor is valid."""
-    out: list[str] = []
+    """Collect every violation; an empty list means the descriptor is valid.
+
+    Every :class:`ReebDescriptor` runs this when built.  A non-integer n is
+    reported alone: every other rule is stated relative to n.
+    """
     n = d.base.n
+    if not _is_int(n):
+        return [f"base.n: expected an integer, got {n!r}"]
+    out: list[str] = []
     if n < 2:
         out.append(f"base.n: must be >= 2, got {n}")
     for i, h in enumerate(d.base.handles):
@@ -178,55 +211,63 @@ def validate(d: ReebDescriptor) -> list[str]:
     return out
 
 
-def _require_valid(d: ReebDescriptor, label: str = "descriptor") -> None:
-    violations = validate(d)
-    if violations:
-        raise ValueError(f"invalid {label}: " + "; ".join(violations))
-
-
 # ---------------------------------------------------------------------------
 # base classes
 # ---------------------------------------------------------------------------
 
 
-def base_cohomology(base: BaseSpec, R: CoefficientRing) -> PresentedGradedRing:
-    """Cohomology ring of the wedge of the cores, sphere classes named nu<j>.
-
-    The base space deformation-retracts to this wedge, so its positive
-    cohomology is the direct sum of the cores' with vanishing cross
-    products.  Ids follow handle-then-leaf order.
-    """
-    ring = gcps_cohomology(base.handles, R)
-    marked = [e.id for e in ring.basis if e.sphere_representable]
-    return rename_basis(ring, {old: f"nu{j + 1}" for j, old in enumerate(marked)})
-
-
-def _sphere_class_degrees(e: ManifoldExpr) -> list[int]:
-    # the order in which tensor_ring and connsum_ring list representable classes
+def _walk(e: ManifoldExpr) -> list[tuple[int, bool]]:
+    # (degree, is a sphere class) per class, in the basis order of graded's
+    # ring constructors: a product lists its factors' classes, then their
+    # cross products; a connected sum its factors' classes below the top,
+    # which it identifies into the fundamental class
     if isinstance(e, Sphere):
-        return [e.k]
-    degrees = _sphere_class_degrees(e.left) + _sphere_class_degrees(e.right)
-    if isinstance(e, ConnSum):
-        # top classes merge into the fundamental class, which no sphere represents
-        top = dimension(e)
-        return [k for k in degrees if k < top]
-    return degrees
+        return [(e.k, True)]
+    left, right = _walk(e.left), _walk(e.right)
+    if isinstance(e, Product):
+        return left + right + [(a + b, False) for a, _ in left for b, _ in right]
+    top = dimension(e)
+    return [c for c in left + right if c[0] < top] + [(top, False)]
+
+
+def base_classes(base: BaseSpec) -> list[tuple[str, int]]:
+    """Every positive-degree class of the base wedge, as (id, degree).
+
+    Read off the valid handle expressions in wedge order, no ring built.
+    Sphere classes, which records may target, are named nu1, nu2, ...; the
+    other class at position i of the wedge, counted from 1, is named e<i>.
+    """
+    out = []
+    spheres = 0
+    for h in base.handles:
+        for degree, sphere in _walk(h):
+            if sphere:
+                spheres += 1
+                out.append((f"nu{spheres}", degree))
+            else:
+                out.append((f"e{len(out) + 1}", degree))
+    return out
 
 
 def base_sphere_classes(d: ReebDescriptor) -> list[tuple[str, int]]:
-    """The coefficient-targetable classes of the base, as (id, degree).
+    """The coefficient-targetable classes of the base, as (id, degree):
+    the nu<j> classes of :func:`base_classes`."""
+    return [(ident, k) for ident, k in base_classes(d.base) if ident.startswith("nu")]
 
-    Read off the handle expressions, in the order ``base_cohomology``
-    names them nu1, nu2, ...: a sphere gives its one class, a product its
-    left factor's classes then its right's, a connected sum both factors'
-    classes below the top degree, and the wedge concatenates its
-    summands.  No ring is built.
+
+def base_cohomology(base: BaseSpec, R: CoefficientRing) -> PresentedGradedRing:
+    """Cohomology ring of the wedge of the cores, ids by :func:`base_classes`.
+
+    The base space deformation-retracts to this wedge, so its positive
+    cohomology is the direct sum of the cores' with vanishing cross
+    products.  ``gcps_cohomology`` builds the ring, which takes its ids by
+    position; a degree that differs from the walk's raises ``RuntimeError``.
     """
-    degrees = []
-    for h in d.base.handles:
-        validate_expr(h)
-        degrees += _sphere_class_degrees(h)
-    return [(f"nu{j + 1}", k) for j, k in enumerate(degrees)]
+    ring = gcps_cohomology(base.handles, R)
+    classes = base_classes(base)
+    if [e.degree for e in ring.basis] != [k for _, k in classes]:
+        raise RuntimeError("base classes out of sync with the base ring")
+    return rename_basis(ring, {e.id: ident for e, (ident, _) in zip(ring.basis, classes)})
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +293,7 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str):
 
 
 def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         _fail(path, f"expected an integer, got {value!r}")
     return value
 
@@ -283,6 +324,8 @@ def _expr_to_obj(e: ManifoldExpr):
 
 
 def parse_descriptor(text: str) -> ReebDescriptor:
+    """Read a descriptor document: :class:`DescriptorFormatError` if it
+    breaks the schema, :class:`InvalidDescriptorError` if a rule."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

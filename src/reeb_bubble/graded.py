@@ -117,7 +117,6 @@ class BasisElement:
     id: str
     degree: int
     provenance: tuple = ("base",)
-    sphere_representable: bool = False
 
 
 class PresentedGradedRing:
@@ -274,10 +273,7 @@ def rename_basis(A: PresentedGradedRing, mapping: dict[str, str]) -> PresentedGr
     def m(i):
         return mapping.get(i, i)
 
-    basis = [
-        BasisElement(m(e.id), e.degree, e.provenance, e.sphere_representable)
-        for e in A.basis
-    ]
+    basis = [BasisElement(m(e.id), e.degree, e.provenance) for e in A.basis]
     products = {
         (m(ia), m(ib)): {m(ic): c for ic, c in vec.items()}
         for (ia, ib), vec in A.products.items()
@@ -322,6 +318,8 @@ def dimension(e: ManifoldExpr) -> int:
 
 def validate_expr(e: ManifoldExpr) -> None:
     if isinstance(e, Sphere):
+        if isinstance(e.k, bool) or not isinstance(e.k, int):
+            raise TypeError(f"sphere dimension must be an integer, got {e.k!r}")
         if e.k < 1:
             raise ValueError(f"sphere dimension must be >= 1, got {e.k}")
         return
@@ -354,7 +352,7 @@ def sphere_ring(k: int, R: CoefficientRing) -> PresentedGradedRing:
     """Cohomology ring of the k-sphere: one generator squaring to zero."""
     if k < 1:
         raise ValueError("sphere_ring needs k >= 1; the 0-sphere ring is not free rank-1 in top degree")
-    gen = BasisElement("e1", k, ("base",), True)
+    gen = BasisElement("e1", k)
     return PresentedGradedRing(R, k, (gen,), {})
 
 
@@ -362,8 +360,8 @@ def tensor_ring(A: PresentedGradedRing, B: PresentedGradedRing) -> PresentedGrad
     """Graded tensor product with the Koszul sign (-1)^{deg b1 · deg a2}.
 
     Basis order: A's classes paired with the unit, then the unit paired
-    with B's classes, then the mixed pairs; this keeps sphere-leaf classes
-    in left-to-right leaf order for the layers above.
+    with B's classes, then the mixed pairs, the order that
+    ``descriptor.base_classes`` walks.
     """
     if A.ring != B.ring:
         raise RingMismatchError("tensor factors over different rings")
@@ -376,10 +374,7 @@ def tensor_ring(A: PresentedGradedRing, B: PresentedGradedRing) -> PresentedGrad
     basis = []
     for ident, (a, b) in zip(ids, pairs):
         degree = (a.degree if a else 0) + (b.degree if b else 0)
-        representable = (b is None and a.sphere_representable) or (
-            a is None and b.sphere_representable
-        )
-        basis.append(BasisElement(ident, degree, ("base",), representable))
+        basis.append(BasisElement(ident, degree))
         index[(a.id if a else None, b.id if b else None)] = ident
 
     def half_product(src: PresentedGradedRing, x, y) -> dict:
@@ -440,9 +435,9 @@ def connsum_ring(A1: PresentedGradedRing, A2: PresentedGradedRing) -> PresentedG
     index = {}
     basis = []
     for ident, (side, e) in zip(ids, middle):
-        basis.append(BasisElement(ident, e.degree, ("base",), e.sphere_representable))
+        basis.append(BasisElement(ident, e.degree))
         index[(side, e.id)] = ident
-    basis.append(BasisElement(top_id, d, ("base",), False))
+    basis.append(BasisElement(top_id, d))
 
     products = {}
     for side, src, top_old, orient in sides:
@@ -492,7 +487,7 @@ def gcps_cohomology(summands, R: CoefficientRing) -> PresentedGradedRing:
     for i, src in enumerate(rings):
         for e in src.basis:
             ident = next(ids)
-            basis.append(BasisElement(ident, e.degree, ("base",), e.sphere_representable))
+            basis.append(BasisElement(ident, e.degree))
             index[(i, e.id)] = ident
     products = {}
     for i, src in enumerate(rings):

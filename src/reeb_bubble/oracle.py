@@ -11,8 +11,10 @@ AND cup products can be computed simplicially and compared against the
 formula presentation.
 
 Tier 1 reuses the homotopy model (wedges, products, cones) but none of the
-direct-sum shortcuts; tier 2 shares nothing with the formulas beyond the
-descriptor itself.
+direct-sum shortcuts, and builds no ring: its base cells are the classes
+read off the handle expressions.  Tier 2 shares nothing with the formulas
+beyond the descriptor itself.  Descriptors are valid by construction, so
+neither tier validates one again.
 """
 
 from __future__ import annotations
@@ -20,21 +22,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .calculus import _homology, _ring_presentation
+from .calculus import cohomology_ring_of_descriptor, homology_of_descriptor
 from .coefficients import CoefficientRing
-from .descriptor import (
-    ReebDescriptor,
-    _require_valid,
-    base_cohomology,
-    serialize_descriptor,
-)
-from .graded import (
-    ConnSum,
-    PresentedGradedRing,
-    Product,
-    Sphere,
-    compare_invariants,
-)
+from .descriptor import ReebDescriptor, base_classes, serialize_descriptor
+from .graded import ConnSum, Product, Sphere, compare_invariants
 from .simplicial import (
     ChainComplexZ,
     SimplicialComplex,
@@ -81,20 +72,16 @@ def assemble_chain_complex(d: ReebDescriptor) -> ChainComplexZ:
     complexes; each record then contributes cone generators, one per bouquet
     component, whose boundaries identify the section classes with the
     coefficient combinations of base classes they attach to.  Homology of
-    the result is the homology of the glued space by Mayer-Vietoris.
+    the result is the homology of the glued space by Mayer-Vietoris.  The
+    base cells are the classes of
+    :func:`~reeb_bubble.descriptor.base_classes`; no ring is built.
     """
-    _require_valid(d)
-    return _assemble(d, base_cohomology(d.base, CoefficientRing.integers()))
-
-
-def _assemble(d: ReebDescriptor, base: PresentedGradedRing) -> ChainComplexZ:
-    """The tier-1 complex of a valid descriptor over its built base ring."""
     n = d.n
     labels: list[list] = [[] for _ in range(n + 1)]
     diff: dict = {}
     labels[0].append(("w", 0))
-    for e in base.basis:
-        labels[e.degree].append(("w", e.id))
+    for ident, k in base_classes(d.base):
+        labels[k].append(("w", ident))
     for r, rec in enumerate(d.records, start=1):
         spheres = [
             (j, s) for j, s in enumerate(rec.spheres, start=1) if s.dim >= 1
@@ -207,7 +194,6 @@ def simplicial_model(d: ReebDescriptor) -> SimplicialComplex:
     The model's vertices are 0 .. |X| - 1: each gluing numbers the new
     vertices after the old ones.
     """
-    _require_valid(d)
     reason = tier2_obstruction(d)
     if reason is not None:
         raise TierError(f"{reason}; use tier 1")
@@ -406,15 +392,15 @@ def verify_descriptor(
     compared.  A ring's homology matches when it has no witness before the
     ring check.
 
-    The descriptor is validated once per call, and its integral base ring,
-    expected homology and formula ring are built once: the base ring
-    serves tier-1 assembly and the formula ring, and the homology, free
-    with the same ranks over every ring, serves every module check and the
-    Euler check.  Both rings are checked once, over Z, and every ring
-    compares their reductions, whose pairings are read off the integral
-    divisors (see :func:`~reeb_bubble.graded.pairing_invariants`).  So a
-    table that fails its check over Z gives its witness on every ring,
-    also where the reduced table would pass, as a sign error does over Z/2.
+    The expected homology, free with the same ranks over every ring, is
+    read over Z for every module check and the Euler check; it and the
+    tier-1 complex take the base classes off the handle expressions, so
+    tier 1 builds no ring.  At tier 2 the formula ring and the measured cup
+    ring are each built and checked once, over Z, and every ring compares
+    their reductions, whose pairings are read off the integral divisors
+    (see :func:`~reeb_bubble.graded.pairing_invariants`).  So a table that
+    fails its check over Z gives its witness on every ring, also where the
+    reduced table would pass, as a sign error does over Z/2.
     """
     if tier == "auto":
         use_tier2 = tier2_obstruction(d) is None
@@ -424,20 +410,15 @@ def verify_descriptor(
         use_tier2 = False
     else:
         raise ValueError(f"unknown tier {tier!r}")
-    if use_tier2:
-        # validates d, and raises TierError when d has no simplicial model
-        K = simplicial_model(d)
-    else:
-        _require_valid(d)
-        K = None
+    # raises TierError when d has no simplicial model
+    K = simplicial_model(d) if use_tier2 else None
     Z = CoefficientRing.integers()
-    base_z = base_cohomology(d.base, Z)
-    cx = _assemble(d, base_z)
-    expected = _homology(d, base_z, Z)
+    cx = assemble_chain_complex(d)
+    expected = homology_of_descriptor(d, Z)
     formula = None
     if K is not None:
         try:
-            formula = _ring_presentation(d, Z, base_z).ring
+            formula = cohomology_ring_of_descriptor(d, Z).ring
         except (RuntimeError, ValueError) as exc:
             # a failed self-check of the formula ring, such as graded commutativity
             formula = str(exc)

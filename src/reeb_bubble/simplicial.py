@@ -837,7 +837,7 @@ def _cup_products(K: SimplicialComplex, cx: ChainComplexZ, top: int, hom):
         if rank == 0:
             continue
         solvers[k] = _build_integral_solver(cx, k, rank)
-        basis += [BasisElement(f"c{k}.{i + 1}", k, ("base",), False) for i in range(rank)]
+        basis += [BasisElement(f"c{k}.{i + 1}", k) for i in range(rank)]
 
     faces = {}
     products = {}

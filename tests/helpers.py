@@ -1,5 +1,5 @@
 """Shared test helpers: matrix literals in the package's layout, the split
-of a column reduction, the full simplex, catalog lookups.
+of a column reduction, the full simplex, catalog lookups, random cores.
 
 The package stores every matrix as a list of ``{row: value}`` columns.
 Tests write small matrices as dense row-major literals and hand them over
@@ -8,6 +8,7 @@ the rows that the dense references in ``*_reference.py`` read.
 """
 
 from reeb_bubble.catalog import ENTRIES, CatalogEntry
+from reeb_bubble.graded import ConnSum, Product, Sphere
 from reeb_bubble.oracle import tier2_obstruction
 from reeb_bubble.simplicial import SimplicialComplex
 
@@ -70,3 +71,15 @@ def catalog_entry(name: str) -> CatalogEntry:
 def tier2_entries() -> tuple[CatalogEntry, ...]:
     """The catalog instances that have a simplicial model."""
     return tuple(e for e in ENTRIES if tier2_obstruction(e.descriptor) is None)
+
+
+def random_expr(rng, dim: int, depth: int):
+    """A random Sphere/Product/ConnSum expression of dimension ``dim``,
+    nested at most ``depth`` deep."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return Sphere(dim)
+    if roll < 0.65 and dim >= 2:
+        k = rng.randint(1, dim - 1)
+        return Product(random_expr(rng, k, depth - 1), random_expr(rng, dim - k, depth - 1))
+    return ConnSum(random_expr(rng, dim, depth - 1), random_expr(rng, dim, depth - 1))

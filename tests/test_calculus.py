@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from reeb_bubble import calculus as calculus_module
 from reeb_bubble.calculus import (
     cohomology_ring_of_descriptor,
     homology_of_descriptor,
@@ -19,12 +20,14 @@ from reeb_bubble.coefficients import CoefficientRing
 from reeb_bubble.descriptor import (
     BaseSpec,
     BubblingRecord,
+    InvalidDescriptorError,
     RecordKind,
     ReebDescriptor,
     SphereSpec,
 )
 from reeb_bubble.graded import (
     ConnSum,
+    GradedModule,
     Product,
     Sphere,
     compare_invariants,
@@ -119,11 +122,25 @@ def test_dim_zero_spheres_add_nothing():
 
 
 def test_invalid_descriptor_rejected():
-    bad = desc(3, [Sphere(1)], [record(RecordKind.M, SphereSpec(2, {}))])
-    with pytest.raises(ValueError, match="invalid"):
-        homology_of_descriptor(bad, Z)
-    with pytest.raises(ValueError, match="invalid"):
-        cohomology_ring_of_descriptor(bad, Z)
+    # rejected when built, before any formula can see it
+    with pytest.raises(InvalidDescriptorError, match="invalid descriptor: ") as info:
+        desc(3, [Sphere(1)], [record(RecordKind.M, SphereSpec(2, {}))])
+    assert info.value.violations == ["records[0].spheres[0]: dim 2 > n-2 = 1"]
+
+
+def test_ring_ranks_are_checked_against_the_homology(monkeypatch):
+    # the ring is built from the base ring, the homology from the walk of
+    # the handle expressions; ranks that disagree are an internal fault
+    real = calculus_module.homology_of_descriptor
+
+    def shifted(d, R):
+        ranks = list(real(d, R).free_ranks)
+        ranks[1] += 1
+        return GradedModule(R, tuple(ranks))
+
+    monkeypatch.setattr(calculus_module, "homology_of_descriptor", shifted)
+    with pytest.raises(RuntimeError, match="rank bookkeeping out of sync"):
+        cohomology_ring_of_descriptor(REMARK_FAMILY, Z)
 
 
 def test_homology_always_free_and_ring_independent():
@@ -401,8 +418,9 @@ def test_plan_general_torus_base():
     beta = "b1.1"
     for e in ring.basis:
         assert ring.product(e.id, beta) == {}
-    # the degree-2 product class is present but never pairs with beta
-    assert any(e.degree == 2 and not e.sphere_representable for e in ring.basis)
+    # the degree-2 product class is present, named as no sphere class, and
+    # never pairs with beta
+    assert ring.by_id["e3"].degree == 2
 
 
 def test_plan_general_connsum_base():

@@ -5,8 +5,12 @@ import re
 
 import pytest
 
+from reeb_bubble.calculus import cohomology_ring_of_descriptor
+from reeb_bubble.catalog import ENTRIES
 from reeb_bubble.cli import main
+from reeb_bubble.coefficients import CoefficientRing
 from reeb_bubble.descriptor import parse_descriptor, serialize_descriptor
+from reeb_bubble.graded import pairing_invariants
 
 POINT_N3 = {
     "n": 3,
@@ -50,7 +54,28 @@ def test_validate_ok(tmp_path, capsys):
 def test_validate_rejects(tmp_path, capsys):
     path = write(tmp_path, "d.json", {"n": 1, "base": {"handles": []}, "records": []})
     assert main(["validate", "-d", path]) == 1
-    assert "invalid:" in capsys.readouterr().out
+    assert capsys.readouterr().out == "invalid: base.n: must be >= 2, got 1\n"
+    out = tmp_path / "report.json"
+    assert main(["validate", "-d", path, "--json", str(out)]) == 1
+    assert json.loads(out.read_text()) == {
+        "command": "validate",
+        "ok": False,
+        "violations": ["base.n: must be >= 2, got 1"],
+    }
+
+
+@pytest.mark.parametrize("command", ["homology", "ring", "verify", "infer-manifold"])
+def test_invalid_descriptor_is_refused_by_every_command(tmp_path, capsys, command):
+    doc = {"n": 1, "base": {"handles": [{"sphere": 2}]}, "records": []}
+    path = write(tmp_path, "d.json", doc)
+    extra = ["-m", "4"] if command == "infer-manifold" else []
+    assert main([command, "-d", path] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "invalid descriptor: base.n: must be >= 2, got 1; "
+        "base.handles[0]: core dimension 2 outside 1..0\n"
+    )
 
 
 def test_homology_table(tmp_path, capsys):
@@ -77,6 +102,27 @@ def test_ring_output(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "nu1 * b1.1 = 2 t1" in text
     assert "pairing (1,2): divisors [2]" in text
+
+
+def test_ring_reductions_equal_rings_built_over_each_ring():
+    # `ring` prints the one integral formula ring reduced into each ring;
+    # on every catalog entry that reads as the ring built over that ring:
+    # the same basis, products in the same order and the same pairings
+    Z = CoefficientRing.integers()
+    rings = [Z, CoefficientRing.rationals()] + [CoefficientRing.prime_field(p) for p in (2, 3)]
+    for entry in ENTRIES:
+        d = entry.descriptor
+        integral = cohomology_ring_of_descriptor(d, Z).ring
+        for R in rings:
+            reduced = integral.reduced(R)
+            direct = cohomology_ring_of_descriptor(d, R).ring
+            assert reduced.basis == direct.basis
+            assert list(reduced.products) == list(direct.products)
+            for pair, vec in reduced.products.items():
+                assert list(vec.items()) == list(direct.products[pair].items())
+            for p in range(1, d.n):
+                for q in range(p, d.n - p + 1):
+                    assert pairing_invariants(reduced, p, q) == pairing_invariants(direct, p, q)
 
 
 def test_verify_three_rings(tmp_path, capsys):

@@ -288,6 +288,16 @@ def test_ring_labels_and_conversion():
         CoefficientRing.prime_field(6)
 
 
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 91])
+def test_direct_construction_checks_the_modulus_is_prime(p):
+    # every construction path, not only prime_field, refuses a composite
+    with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+        CoefficientRing("Zp", p)
+    with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+        CoefficientRing.prime_field(p)
+    assert CoefficientRing("Zp", 97).label == "Z/97"
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_field_ranks_read_off_integral_divisors(seed):
     # U·diag·V with U, V unimodular keeps the divisors of the diagonal, here

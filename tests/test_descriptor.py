@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from helpers import random_expr
 
 from reeb_bubble import descriptor as descriptor_module
 from reeb_bubble import graded as graded_module
@@ -10,9 +11,11 @@ from reeb_bubble.descriptor import (
     BaseSpec,
     BubblingRecord,
     DescriptorFormatError,
+    InvalidDescriptorError,
     RecordKind,
     ReebDescriptor,
     SphereSpec,
+    base_classes,
     base_cohomology,
     base_sphere_classes,
     parse_descriptor,
@@ -29,6 +32,16 @@ def simple(n, handles=(), records=()):
     return ReebDescriptor(BaseSpec(n, tuple(handles)), tuple(records))
 
 
+def violations_of(n, handles=(), records=()):
+    """The violations that building the descriptor raises with."""
+    with pytest.raises(InvalidDescriptorError) as info:
+        simple(n, handles, records)
+    violations = info.value.violations
+    assert violations
+    assert str(info.value) == "invalid descriptor: " + "; ".join(violations)
+    return violations
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -40,8 +53,7 @@ def test_empty_descriptor_is_valid():
 
 def test_sphere_dim_bound():
     rec = BubblingRecord(RecordKind.M, (SphereSpec(2),))
-    d = simple(3, records=[rec])
-    violations = validate(d)
+    violations = violations_of(3, records=[rec])
     assert len(violations) == 1
     assert "dim 2 > n-2" in violations[0]
     # one dimension higher the same sphere is fine
@@ -49,34 +61,32 @@ def test_sphere_dim_bound():
 
 
 def test_coefficient_degree_mismatch():
-    d = simple(
+    violations = violations_of(
         4,
         handles=[Sphere(2)],
         records=[BubblingRecord(RecordKind.M, (SphereSpec(1, (("nu1", 1),)),))],
     )
-    violations = validate(d)
     assert len(violations) == 1
     assert "degree 2" in violations[0] and "dim 1" in violations[0]
 
 
 def test_unknown_coefficient_target():
-    d = simple(
+    violations = violations_of(
         3,
         records=[BubblingRecord(RecordKind.M, (SphereSpec(1, (("nu1", 1),)),))],
     )
-    violations = validate(d)
     assert any("unknown coefficient target nu1" in v for v in violations)
 
 
 def test_core_dimension_window():
-    assert validate(simple(3, handles=[Sphere(3)]))
-    assert validate(simple(2, handles=[Product(Sphere(1), Sphere(1))]))
+    assert violations_of(3, handles=[Sphere(3)])
+    assert violations_of(2, handles=[Product(Sphere(1), Sphere(1))])
     assert validate(simple(3, handles=[Product(Sphere(1), Sphere(1))])) == []
 
 
 def test_normal_record_arity():
     two = BubblingRecord(RecordKind.NORMAL_M, (SphereSpec(1), SphereSpec(1)))
-    violations = validate(simple(3, records=[two]))
+    violations = violations_of(3, records=[two])
     assert any("exactly one sphere" in v for v in violations)
     one = BubblingRecord(RecordKind.NORMAL_S, (SphereSpec(1),))
     assert validate(simple(3, records=[one])) == []
@@ -84,7 +94,7 @@ def test_normal_record_arity():
 
 def test_point_record_must_be_bare():
     bad = BubblingRecord(RecordKind.POINT, (SphereSpec(0),))
-    assert any("no spheres" in v for v in validate(simple(3, records=[bad])))
+    assert any("no spheres" in v for v in violations_of(3, records=[bad]))
     good = BubblingRecord(RecordKind.POINT)
     assert validate(simple(2, records=[good])) == []
 
@@ -95,17 +105,33 @@ def test_dim_zero_sphere_carries_no_coefficients():
     bad = BubblingRecord(RecordKind.M, (SphereSpec(0, ()),))
     assert validate(simple(3, records=[bad])) == []
     carrying = BubblingRecord(RecordKind.M, (SphereSpec(0, (("nu1", 1),)),))
-    d = simple(3, handles=[Sphere(1)], records=[carrying])
-    assert any("dim-0" in v for v in validate(d))
+    violations = violations_of(3, handles=[Sphere(1)], records=[carrying])
+    assert any("dim-0" in v for v in violations)
 
 
 def test_validate_collects_all_violations():
-    d = simple(
-        1,
-        records=[BubblingRecord(RecordKind.NORMAL_M, ())],
-    )
-    violations = validate(d)
+    violations = violations_of(1, records=[BubblingRecord(RecordKind.NORMAL_M, ())])
     assert len(violations) >= 2
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+def test_sphere_fields_must_be_exact_integers(value):
+    # the rule of the wire format's integer fields: a bool is no integer
+    with pytest.raises(ValueError, match="expected an integer"):
+        SphereSpec(1, {"nu1": value})
+    with pytest.raises(ValueError, match="expected an integer"):
+        SphereSpec(value)
+
+
+@pytest.mark.parametrize("value", [3.0, True, "3"])
+def test_n_must_be_an_exact_integer(value):
+    violations = violations_of(value)
+    assert violations == [f"base.n: expected an integer, got {value!r}"]
+
+
+def test_sphere_core_dimension_must_be_an_exact_integer():
+    violations = violations_of(4, handles=[Product(Sphere(1), Sphere(2.0))])
+    assert violations == ["base.handles[0]: sphere dimension must be an integer, got 2.0"]
 
 
 def test_prefix_of_valid_schedule_is_valid():
@@ -147,29 +173,19 @@ def test_base_classes_connsum_drops_top_classes():
     assert base_sphere_classes(d) == [("nu1", 1), ("nu2", 2), ("nu3", 1), ("nu4", 2), ("nu5", 3)]
 
 
-def _random_expr(rng, dim, depth):
-    """A random Sphere/Product/ConnSum expression of dimension ``dim``."""
-    roll = rng.random()
-    if depth == 0 or roll < 0.3:
-        return Sphere(dim)
-    if roll < 0.65 and dim >= 2:
-        k = rng.randint(1, dim - 1)
-        return Product(_random_expr(rng, k, depth - 1), _random_expr(rng, dim - k, depth - 1))
-    return ConnSum(_random_expr(rng, dim, depth - 1), _random_expr(rng, dim, depth - 1))
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_base_classes_match_the_base_ring_order(seed):
     rng = random.Random(4100 + seed)
     for _ in range(60):
         handles = [
-            _random_expr(rng, rng.randint(1, 4), rng.randint(0, 3))
+            random_expr(rng, rng.randint(1, 4), rng.randint(0, 3))
             for _ in range(rng.randint(0, 3))
         ]
         d = simple(max([dimension(h) for h in handles], default=1) + 1, handles)
         ring = base_cohomology(d.base, Z)
-        expected = [(e.id, e.degree) for e in ring.basis if e.sphere_representable]
-        assert base_sphere_classes(d) == expected
+        assert [(e.id, e.degree) for e in ring.basis] == base_classes(d.base)
+        named = [(e.id, e.degree) for e in ring.basis if e.id.startswith("nu")]
+        assert base_sphere_classes(d) == named
 
 
 def test_base_classes_reject_invalid_handles():
@@ -194,7 +210,7 @@ def test_validate_builds_no_ring(monkeypatch):
     good = BubblingRecord(RecordKind.M, (SphereSpec(2, {"nu2": 3, "nu5": -1}),))
     assert validate(simple(4, handles, [good])) == []
     wrong = BubblingRecord(RecordKind.M, (SphereSpec(2, {"nu1": 1, "nu6": 1}),))
-    violations = validate(simple(4, handles, [wrong]))
+    violations = violations_of(4, handles, [wrong])
     assert any("target nu1 has degree 1" in v for v in violations)
     assert any("unknown coefficient target nu6" in v for v in violations)
     assert calls == []
@@ -202,9 +218,18 @@ def test_validate_builds_no_ring(monkeypatch):
 
 def test_base_cohomology_names_match():
     ring = base_cohomology(BaseSpec(4, (Sphere(1), Product(Sphere(1), Sphere(2)))), Z)
-    marked = [e.id for e in ring.basis if e.sphere_representable]
-    assert marked == ["nu1", "nu2", "nu3"]
+    assert [e.id for e in ring.basis] == ["nu1", "nu2", "nu3", "e4"]
     assert ring.free_ranks() == (1, 2, 1, 1)
+
+
+def test_base_cohomology_checks_the_ring_against_the_walk(monkeypatch):
+    # the ring's basis and the walk are built independently; a degree that
+    # differs at any position is an internal fault, not a renaming
+    handles = (Sphere(1), Sphere(2))
+    real = descriptor_module.gcps_cohomology
+    monkeypatch.setattr(descriptor_module, "gcps_cohomology", lambda hs, R: real(hs[::-1], R))
+    with pytest.raises(RuntimeError, match="out of sync"):
+        base_cohomology(BaseSpec(3, handles), Z)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from field_reference import field_rank
 from reeb_bubble.calculus import cohomology_ring_of_descriptor
 from reeb_bubble.catalog import random_descriptors
 from reeb_bubble.coefficients import CoefficientRing, RingMismatchError
+from reeb_bubble.descriptor import BaseSpec, base_classes
 from reeb_bubble.graded import (
     BasisElement,
     ConnSum,
@@ -98,7 +99,6 @@ def test_sphere_ring_ranks(k, ranks):
     A = sphere_ring(k, Z)
     assert A.free_ranks() == ranks
     gen = A.basis[0]
-    assert gen.sphere_representable
     assert A.product(gen.id, gen.id) == {}
 
 
@@ -120,8 +120,6 @@ def test_torus_ring_table():
     assert A.product(x.id, y.id) == {top.id: 1}
     assert A.product(y.id, x.id) == {top.id: -1}
     assert A.product(x.id, x.id) == {}
-    assert x.sphere_representable and y.sphere_representable
-    assert not top.sphere_representable
 
 
 def test_s2_times_s2_ring():
@@ -183,8 +181,6 @@ def test_genus2_ring_table():
     for a in (x1, y1):
         for b in (x2, y2):
             assert A.product(a.id, b.id) == {}
-    assert all(e.sphere_representable for e in (x1, y1, x2, y2))
-    assert not top.sphere_representable
 
 
 def test_connsum_of_sphere_products_is_hyperbolic():
@@ -199,8 +195,8 @@ def test_connsum_of_sphere_products_is_hyperbolic():
 def test_connsum_of_spheres_collapses():
     A = connsum_ring(sphere_ring(2, Z), sphere_ring(2, Z))
     assert A.free_ranks() == (1, 0, 1)
-    (top,) = A.degree_basis(2)
-    assert not top.sphere_representable
+    # the one class left is the fundamental class, which no sphere represents
+    assert base_classes(BaseSpec(2, (ConnSum(Sphere(2), Sphere(2)),))) == [("e1", 2)]
 
 
 def test_connsum_top_degree_mismatch():
@@ -229,14 +225,12 @@ def test_dimension_and_validation():
 
 
 def test_cps_product_representable_marks():
+    # the factors' classes are sphere classes, their product is not
     A = cps_cohomology(Product(Sphere(1), Sphere(2)), Z)
     assert A.free_ranks() == (1, 1, 1, 1)
-    (d1,) = A.degree_basis(1)
-    (d2,) = A.degree_basis(2)
-    (d3,) = A.degree_basis(3)
-    assert d1.sphere_representable
-    assert d2.sphere_representable
-    assert not d3.sphere_representable
+    classes = base_classes(BaseSpec(4, (Product(Sphere(1), Sphere(2)),)))
+    assert classes == [("nu1", 1), ("nu2", 2), ("e3", 3)]
+    assert [e.degree for e in A.basis] == [k for _, k in classes]
 
 
 def test_gcps_empty_is_point():
@@ -261,9 +255,11 @@ def test_gcps_wedge_ranks_and_zero_cross_products():
 
 
 def test_gcps_leaf_order_is_stable():
-    A = gcps_cohomology([Product(Sphere(1), Sphere(2)), Sphere(3)], Z)
-    marked = [e for e in A.basis if e.sphere_representable]
-    assert [e.degree for e in marked] == [1, 2, 3]
+    handles = (Product(Sphere(1), Sphere(2)), Sphere(3))
+    A = gcps_cohomology(handles, Z)
+    classes = base_classes(BaseSpec(4, handles))
+    assert [e.degree for e in A.basis] == [k for _, k in classes]
+    assert [k for i, k in classes if i.startswith("nu")] == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------

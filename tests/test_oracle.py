@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from helpers import catalog_entry, full_simplex, tier2_entries
+from helpers import catalog_entry, full_simplex, random_expr, tier2_entries
 from test_simplicial import rp2
 
 from reeb_bubble import calculus as calculus_module
@@ -21,7 +21,7 @@ from reeb_bubble import graded as graded_module
 from reeb_bubble import oracle as oracle_module
 from reeb_bubble import simplicial as simplicial_module
 from reeb_bubble.calculus import cohomology_ring_of_descriptor, homology_of_descriptor
-from reeb_bubble.catalog import random_descriptors
+from reeb_bubble.catalog import ENTRIES, plan_descriptor, random_descriptors, random_plans
 from reeb_bubble.cli import main as cli_main
 from reeb_bubble.coefficients import CoefficientRing
 from reeb_bubble.descriptor import (
@@ -30,13 +30,17 @@ from reeb_bubble.descriptor import (
     RecordKind,
     ReebDescriptor,
     SphereSpec,
+    base_classes,
     base_sphere_classes,
 )
 from reeb_bubble.graded import (
+    ConnSum,
     GradedModule,
     PresentedGradedRing,
     Product,
     Sphere,
+    dimension,
+    gcps_cohomology,
     pairing_invariants,
 )
 from reeb_bubble.oracle import (
@@ -240,8 +244,6 @@ def test_multi_target_sphere_is_tier1_only():
 
 
 def test_connsum_core_is_tier1_only():
-    from reeb_bubble.graded import ConnSum
-
     torus = Product(Sphere(1), Sphere(1))
     d = desc(4, [ConnSum(torus, torus)], [])
     assert "connected-sum" in tier2_obstruction(d)
@@ -440,11 +442,8 @@ def _torsion_free_model_descriptor():
     )
 
 
-@pytest.mark.parametrize("rings", [[Z], RINGS], ids=["Z", "four-rings"])
-def test_verify_builds_each_base_ring_once(monkeypatch, rings):
-    # the expected homology and the formula presentation are built once per
-    # call: neither may build the base ring or validate the descriptor again
-    d = _torsion_free_model_descriptor()
+def _count_base_rings_and_validations(monkeypatch):
+    """Counts of base ring builds and of validations from now on."""
     calls = {"base_cohomology": 0, "validate": 0}
 
     def counted(name, fn):
@@ -455,16 +454,34 @@ def test_verify_builds_each_base_ring_once(monkeypatch, rings):
         return wrapper
 
     base = counted("base_cohomology", descriptor_module.base_cohomology)
-    for mod in (descriptor_module, calculus_module, oracle_module):
+    for mod in (descriptor_module, calculus_module):
         monkeypatch.setattr(mod, "base_cohomology", base)
+    # descriptors validate themselves through this binding when built
     monkeypatch.setattr(
         descriptor_module, "validate", counted("validate", descriptor_module.validate)
     )
+    return calls
+
+
+@pytest.mark.parametrize("rings", [[Z], RINGS], ids=["Z", "four-rings"])
+def test_verify_builds_each_base_ring_once(monkeypatch, rings):
+    # a tier-2 verify builds the base ring once, for the integral formula
+    # ring, and never validates: the descriptor was validated when built
+    d = _torsion_free_model_descriptor()
+    calls = _count_base_rings_and_validations(monkeypatch)
     rep = verify_descriptor(d, rings)
     assert rep.tier == 2 and rep.ok
-    # validation builds no ring, and every ring reads the integral one
-    assert calls["base_cohomology"] == 1
-    assert calls["validate"] == 1
+    assert calls == {"base_cohomology": 1, "validate": 0}
+
+
+def test_tier1_verify_builds_no_ring(monkeypatch):
+    # the expected homology and the tier-1 complex read the base classes
+    # off the handle expressions
+    d = _torsion_free_model_descriptor()
+    calls = _count_base_rings_and_validations(monkeypatch)
+    rep = verify_descriptor(d, RINGS, tier=1)
+    assert rep.tier == 1 and rep.ok
+    assert calls == {"base_cohomology": 0, "validate": 0}
 
 
 def test_four_rings_eliminate_each_boundary_once(monkeypatch):
@@ -529,13 +546,13 @@ def test_homology_is_read_once_per_chain_complex(monkeypatch):
 
 def test_verify_builds_the_expected_homology_once(monkeypatch):
     calls = []
-    real = oracle_module._homology
+    real = oracle_module.homology_of_descriptor
 
-    def counted(*args):
-        calls.append(args[2])
-        return real(*args)
+    def counted(d, R):
+        calls.append(R)
+        return real(d, R)
 
-    monkeypatch.setattr(oracle_module, "_homology", counted)
+    monkeypatch.setattr(oracle_module, "homology_of_descriptor", counted)
     rep = verify_descriptor(_torsion_free_model_descriptor(), RINGS)
     assert rep.tier == 2 and rep.ok and rep.euler_match
     assert calls == [Z]
@@ -575,15 +592,15 @@ def test_derived_rings_equal_rings_computed_alone(R):
 
 def test_corrupted_formulas_produce_witnesses(monkeypatch):
     d = desc(3, [Sphere(1)], [record(RecordKind.M, SphereSpec(1, {"nu1": 2}))])
-    real = oracle_module._homology
+    real = oracle_module.homology_of_descriptor
 
-    def corrupted(dd, base, R):
-        mod = real(dd, base, R)
+    def corrupted(dd, R):
+        mod = real(dd, R)
         ranks = list(mod.free_ranks)
         ranks[1] += 1
         return GradedModule(R, tuple(ranks), mod.torsion)
 
-    monkeypatch.setattr(oracle_module, "_homology", corrupted)
+    monkeypatch.setattr(oracle_module, "homology_of_descriptor", corrupted)
     rep = verify_descriptor(d, [Z], tier=1)
     assert not rep.ok
     v = rep.verdicts[0]
@@ -612,10 +629,10 @@ def test_formula_failure_becomes_witness(monkeypatch, capsys):
     # in the report and in the catalog, not an exception
     message = "graded commutativity fails on (nu1,b1.1)"
 
-    def failing(d, R, base):
+    def failing(d, R):
         raise ValueError(message)
 
-    monkeypatch.setattr("reeb_bubble.oracle._ring_presentation", failing)
+    monkeypatch.setattr("reeb_bubble.oracle.cohomology_ring_of_descriptor", failing)
     rep = verify_descriptor(catalog_entry("circle-pair-doubled").descriptor, RINGS)
     assert rep.tier == 2
     assert not rep.ok
@@ -742,11 +759,11 @@ def test_verify_builds_and_checks_each_ring_once_over_z(monkeypatch):
     # integral pairing matrices eliminated no more often than for Z alone
     d = _torsion_free_model_descriptor()
     presented = []
-    real_presentation = oracle_module._ring_presentation
+    real_presentation = oracle_module.cohomology_ring_of_descriptor
 
-    def presentation(dd, R, base):
+    def presentation(dd, R):
         presented.append(R)
-        return real_presentation(dd, R, base)
+        return real_presentation(dd, R)
 
     checked = []
     real_check = PresentedGradedRing._check
@@ -763,7 +780,7 @@ def test_verify_builds_and_checks_each_ring_once_over_z(monkeypatch):
         eliminated.append(len(columns))
         return real_divisors(columns)
 
-    monkeypatch.setattr(oracle_module, "_ring_presentation", presentation)
+    monkeypatch.setattr(oracle_module, "cohomology_ring_of_descriptor", presentation)
     monkeypatch.setattr(PresentedGradedRing, "_check", check)
     monkeypatch.setattr(graded_module, "field_reduce", lambda *a: field_calls.append(a))
     monkeypatch.setattr(graded_module, "integer_elementary_divisors", divisors)
@@ -803,21 +820,20 @@ def test_formula_sign_error_is_a_witness_on_every_ring(monkeypatch):
     # Z fails, and its witness lands on every ring, Z/2 included, also when
     # Z is not asked for
     d = _torsion_free_model_descriptor()
-    real = oracle_module._ring_presentation
+    real = oracle_module.cohomology_ring_of_descriptor
 
-    def signed(dd, R, base):
-        report = real(dd, R, base)
+    def signed(dd, R):
+        report = real(dd, R)
         A = report.ring
         products = dict(A.products)
         products[("nu2", "b2.1")] = {t: -c for t, c in products[("nu2", "b2.1")].items()}
         return replace(report, ring=PresentedGradedRing(R, A.top_degree, A.basis, products))
 
     # over Z/2 alone the wrong table passes its check
-    base_z = descriptor_module.base_cohomology(d.base, Z)
-    assert signed(d, Z2, base_z).ring.products
+    assert signed(d, Z2).ring.products
     with pytest.raises(ValueError, match="graded commutativity"):
-        signed(d, Z, base_z)
-    monkeypatch.setattr(oracle_module, "_ring_presentation", signed)
+        signed(d, Z)
+    monkeypatch.setattr(oracle_module, "cohomology_ring_of_descriptor", signed)
     for rings in (RINGS, [Z2, Q]):
         rep = verify_descriptor(d, rings)
         assert rep.tier == 2 and not rep.ok
@@ -850,3 +866,53 @@ def test_rings_built_directly_take_the_field_path(monkeypatch):
     assert reduced and set(reduced) == {Q, Z2, Z3}
     with pytest.raises(coefficients_module.RingMismatchError):
         cohomology_ring_of_descriptor(d, Q).ring.reduced(Z2)
+
+
+# ---------------------------------------------------------------------------
+# base classes read off the handle expressions, checked two other ways
+# ---------------------------------------------------------------------------
+
+
+def _walked_bases():
+    """The bases of the catalog, of both generator pools, of seeded nested
+    cores of depth at most 2, and of every product of depth at most 2 with
+    dimension at most 4."""
+    bases = [e.descriptor.base for e in ENTRIES]
+    bases += [d.base for d in random_descriptors(0, 160)]
+    bases += [plan_descriptor(plan).base for plan in random_plans(0, 80)]
+    rng = random.Random(2800)
+    for _ in range(120):
+        handles = tuple(
+            random_expr(rng, rng.randint(1, 4), rng.randint(0, 2))
+            for _ in range(rng.randint(1, 3))
+        )
+        bases.append(BaseSpec(max(map(dimension, handles)) + 1, handles))
+    spheres = [Sphere(k) for k in range(1, 5)]
+    products = spheres
+    for _ in range(2):
+        products = spheres + [
+            Product(a, b) for a in products for b in products if dimension(a) + dimension(b) <= 4
+        ]
+    bases += [BaseSpec(dimension(h) + 1, (h,)) for h in products]
+    return bases
+
+
+def test_base_classes_match_the_ring_and_the_core_complexes():
+    # the walk, the ring constructors and the tier-2 cores are three
+    # independent readings of the same handle expressions
+    bases = _walked_bases()
+    cores = {}
+    for base in bases:
+        classes = base_classes(base)
+        ring = gcps_cohomology(base.handles, Z)
+        assert [k for _, k in classes] == [e.degree for e in ring.basis], base
+        for h in base.handles:
+            if not oracle_module._has_connsum(h):
+                cores.setdefault(h, None)
+    assert any(isinstance(h, Product) and isinstance(h.left, Product) for h in cores)
+    for h in cores:
+        ranks = [1] + [0] * dimension(h)
+        for _, k in base_classes(BaseSpec(dimension(h) + 1, (h,))):
+            ranks[k] += 1
+        measured = homology_of_complex(oracle_module._expr_complex(h)[0], Z)
+        assert measured.free_ranks == tuple(ranks) and measured.is_free, h
