@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coefficients import CoefficientRing
+from .coefficients import CoefficientRing, is_int
 from .descriptor import (
     BaseSpec,
     BubblingRecord,
@@ -155,7 +155,7 @@ def cohomology_ring_of_descriptor(
 
 
 def _as_rank(v, label, errors):
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not is_int(v):
         errors.append(f"{label}: expected an integer, got {v!r}")
         return 0
     if v < 0:
@@ -187,7 +187,7 @@ def realize_plan(
     come out as normal or point records accordingly.
     """
     errors: list[str] = []
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+    if not is_int(n) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
     handle_counts = list(handle_counts)
     if len(handle_counts) != n - 1:
@@ -256,7 +256,7 @@ def realize_plan(
     coefficients = dict(coefficients or {})
     for key, value in coefficients.items():
         where = f"coefficients[{key}]"
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_int(value):
             errors.append(f"{where}: expected an integer, got {value!r}")
             continue
         if not (isinstance(key, tuple) and len(key) == 4):

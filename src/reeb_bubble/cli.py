@@ -160,12 +160,11 @@ def _cmd_ring(args) -> int:
     d = _load_descriptor(args.descriptor)
     rings = _resolve_rings(args)
     n = d.base.n
-    # one checked integral ring; each ring is its reduction
-    integral = cohomology_ring_of_descriptor(d, CoefficientRing.integers()).ring
     blocks = []
     lines = []
     for R in rings:
-        A = integral.reduced(R)
+        rep = cohomology_ring_of_descriptor(d, R)
+        A = rep.ring
         lines.append(f"ring over {R.label}  (top degree {A.top_degree})")
         lines.append(f"  free ranks: {A.free_ranks()}")
         for k in range(1, A.top_degree + 1):

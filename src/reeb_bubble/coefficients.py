@@ -60,6 +60,11 @@ from heapq import heappop, heappush
 from math import gcd, isqrt, lcm
 
 
+def is_int(value) -> bool:
+    """An exact integer: ``True`` and ``2.0`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class RingMismatchError(ValueError):
     """An operation received data over the wrong coefficient ring."""
 

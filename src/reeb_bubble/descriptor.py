@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .coefficients import CoefficientRing
+from .coefficients import CoefficientRing, is_int
 from .graded import (
     ConnSum,
     ManifoldExpr,
@@ -61,10 +61,6 @@ class RecordKind(str, Enum):
         return self is RecordKind.POINT
 
 
-def _is_int(value) -> bool:  # an exact integer: a bool is none
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _nu_index(ident: str) -> int:
     if not ident.startswith("nu"):
         raise ValueError(f"coefficient key {ident!r} is not a nu<j> id")
@@ -96,13 +92,13 @@ class SphereSpec:
     coefficients: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        if not _is_int(self.dim):
+        if not is_int(self.dim):
             raise ValueError(f"dim: expected an integer, got {self.dim!r}")
         coeffs = self.coefficients
         if isinstance(coeffs, dict):
             coeffs = tuple(coeffs.items())
         for k, v in coeffs:
-            if not _is_int(v):
+            if not is_int(v):
                 raise ValueError(f"coefficient {k}: expected an integer, got {v!r}")
         pairs = tuple(sorted(((str(k), v) for k, v in coeffs), key=lambda kv: _nu_index(kv[0])))
         seen = set()
@@ -161,7 +157,7 @@ def validate(d: ReebDescriptor) -> list[str]:
     reported alone: every other rule is stated relative to n.
     """
     n = d.base.n
-    if not _is_int(n):
+    if not is_int(n):
         return [f"base.n: expected an integer, got {n!r}"]
     out: list[str] = []
     if n < 2:
@@ -233,13 +229,15 @@ def _walk(e: ManifoldExpr) -> list[tuple[int, bool]]:
 def base_classes(base: BaseSpec) -> list[tuple[str, int]]:
     """Every positive-degree class of the base wedge, as (id, degree).
 
-    Read off the valid handle expressions in wedge order, no ring built.
-    Sphere classes, which records may target, are named nu1, nu2, ...; the
-    other class at position i of the wedge, counted from 1, is named e<i>.
+    Read off the handle expressions in wedge order, no ring built; an
+    invalid handle raises as in ``graded.validate_expr``.  Sphere classes,
+    which records may target, are named nu1, nu2, ...; the other class at
+    position i of the wedge, counted from 1, is named e<i>.
     """
     out = []
     spheres = 0
     for h in base.handles:
+        validate_expr(h)
         for degree, sphere in _walk(h):
             if sphere:
                 spheres += 1
@@ -293,7 +291,7 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str):
 
 
 def _as_int(value, path: str) -> int:
-    if not _is_int(value):
+    if not is_int(value):
         _fail(path, f"expected an integer, got {value!r}")
     return value
 

@@ -19,6 +19,7 @@ from .coefficients import (
     RingMismatchError,
     field_reduce,
     integer_elementary_divisors,
+    is_int,
     rank_over,
 )
 
@@ -318,7 +319,7 @@ def dimension(e: ManifoldExpr) -> int:
 
 def validate_expr(e: ManifoldExpr) -> None:
     if isinstance(e, Sphere):
-        if isinstance(e.k, bool) or not isinstance(e.k, int):
+        if not is_int(e.k):
             raise TypeError(f"sphere dimension must be an integer, got {e.k!r}")
         if e.k < 1:
             raise ValueError(f"sphere dimension must be >= 1, got {e.k}")

@@ -5,12 +5,8 @@ import re
 
 import pytest
 
-from reeb_bubble.calculus import cohomology_ring_of_descriptor
-from reeb_bubble.catalog import ENTRIES
 from reeb_bubble.cli import main
-from reeb_bubble.coefficients import CoefficientRing
 from reeb_bubble.descriptor import parse_descriptor, serialize_descriptor
-from reeb_bubble.graded import pairing_invariants
 
 POINT_N3 = {
     "n": 3,
@@ -102,27 +98,6 @@ def test_ring_output(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "nu1 * b1.1 = 2 t1" in text
     assert "pairing (1,2): divisors [2]" in text
-
-
-def test_ring_reductions_equal_rings_built_over_each_ring():
-    # `ring` prints the one integral formula ring reduced into each ring;
-    # on every catalog entry that reads as the ring built over that ring:
-    # the same basis, products in the same order and the same pairings
-    Z = CoefficientRing.integers()
-    rings = [Z, CoefficientRing.rationals()] + [CoefficientRing.prime_field(p) for p in (2, 3)]
-    for entry in ENTRIES:
-        d = entry.descriptor
-        integral = cohomology_ring_of_descriptor(d, Z).ring
-        for R in rings:
-            reduced = integral.reduced(R)
-            direct = cohomology_ring_of_descriptor(d, R).ring
-            assert reduced.basis == direct.basis
-            assert list(reduced.products) == list(direct.products)
-            for pair, vec in reduced.products.items():
-                assert list(vec.items()) == list(direct.products[pair].items())
-            for p in range(1, d.n):
-                for q in range(p, d.n - p + 1):
-                    assert pairing_invariants(reduced, p, q) == pairing_invariants(direct, p, q)
 
 
 def test_verify_three_rings(tmp_path, capsys):
