@@ -236,11 +236,10 @@ def _cmd_verify(args) -> int:
     lines = [format_report(report)]
     if report.tier == 2 and report.ok:
         n = d.base.n
-        # one checked integral ring; each ring's pairings come off its divisors
-        integral = cohomology_ring_of_descriptor(d, CoefficientRing.integers()).ring
+        # the verify's checked integral ring; each ring's pairings come off its divisors
         cells = {}
         for R in rings:
-            for p, q, inv in _pairing_cells(integral.reduced(R), n):
+            for p, q, inv in _pairing_cells(report.formula.reduced(R), n):
                 cells.setdefault((p, q), []).append((R.label, inv))
         shown = False
         for (p, q), per_ring in sorted(cells.items()):

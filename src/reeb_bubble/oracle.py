@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .calculus import cohomology_ring_of_descriptor, homology_of_descriptor
 from .coefficients import CoefficientRing
 from .descriptor import ReebDescriptor, base_classes, serialize_descriptor
-from .graded import ConnSum, Product, Sphere, compare_invariants
+from .graded import ConnSum, PresentedGradedRing, Product, Sphere, compare_invariants
 from .simplicial import (
     ChainComplexZ,
     SimplicialComplex,
@@ -306,11 +306,15 @@ class RingVerdict:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """A verify's verdicts.  ``formula`` is the checked integral formula
+    ring of a tier-2 verify, None otherwise; :meth:`to_json` leaves it out."""
+
     descriptor: ReebDescriptor
     tier: int
     verdicts: tuple
     euler_match: bool | None
     euler_witness: str | None
+    formula: PresentedGradedRing | None = None
 
     @property
     def ok(self) -> bool:
@@ -357,12 +361,51 @@ def _module_witnesses(kind, expected, got):
     return out
 
 
-def _ring_witness(d: ReebDescriptor, formula, R, K) -> str | None:
+def _homology_witnesses(expected, cx, K, R) -> list:
+    """The tier-1 complex's, and with a model K its, module witnesses over R."""
+    out = _module_witnesses("tier-1 homology", expected, homology_of_chain_complex(cx, R))
+    if K is not None:
+        out += _module_witnesses("tier-2 homology", expected, homology_of_complex(K, R))
+    return out
+
+
+class _OverZ:
+    """The formula ring against the measured integral ring, compared once.
+
+    The measured integral ring is compared at the measured rings' top
+    degree, the descriptor's dimension, which a model of lower dimension
+    lacks.  Every ring's measured ring, and every reduction of the formula
+    ring, keeps the top degree and ranks of its integral ring and reads its
+    pairing invariants off the same integral divisors by ``rank_over``
+    (see :meth:`~reeb_bubble.graded.PresentedGradedRing.reduced`).  So when
+    the comparison over Z is consistent, so is every ring's.  ``seconds``
+    is the time spent here, which no ring is charged.
+    """
+
+    def __init__(self, formula):
+        self.formula = formula
+        self.agrees = {}  # measured integral ring -> does the formula agree
+        self.seconds = 0.0
+
+    def __call__(self, measured) -> bool:
+        integral = measured.integral
+        if integral not in self.agrees:
+            start = time.perf_counter()
+            at_top = integral.reduced(integral.ring, measured.top_degree)
+            self.agrees[integral] = compare_invariants(self.formula, at_top).is_consistent
+            self.seconds += time.perf_counter() - start
+        return self.agrees[integral]
+
+
+def _ring_witness(d: ReebDescriptor, formula, R, K, over_z) -> str | None:
     """Why the formula ring and the cup ring of the model K differ over R,
     or None when their pairing invariants agree.
 
     ``formula`` is the checked integral formula ring, or the message of the
-    check it failed; either holds for every ring.
+    check it failed; either holds for every ring.  The verdict is read off
+    the comparison over Z (``over_z``), made once per verify; this ring's
+    own comparison of the reductions runs only where that one finds a
+    difference, and gives this ring's witness, if any.
     """
     if isinstance(formula, str):
         return f"formula: {formula}"
@@ -371,6 +414,8 @@ def _ring_witness(d: ReebDescriptor, formula, R, K) -> str | None:
     except (RuntimeError, ValueError) as exc:
         # a failed self-check, or a refusal (torsion, no connectivity)
         return f"tier-2 oracle: {exc}"
+    if over_z(measured):
+        return None
     verdict = compare_invariants(formula.reduced(R), measured)
     return None if verdict.is_consistent else f"ring invariants: {verdict.witness}"
 
@@ -396,11 +441,22 @@ def verify_descriptor(
     read over Z for every module check and the Euler check; it and the
     tier-1 complex take the base classes off the handle expressions, so
     tier 1 builds no ring.  At tier 2 the formula ring and the measured cup
-    ring are each built and checked once, over Z, and every ring compares
+    ring are each built and checked once, over Z, and every ring reads
     their reductions, whose pairings are read off the integral divisors
     (see :func:`~reeb_bubble.graded.pairing_invariants`).  So a table that
     fails its check over Z gives its witness on every ring, also where the
     reduced table would pass, as a sign error does over Z/2.
+
+    Verdicts are compared once over Z: the tier-1 and tier-2 integral
+    homology against the expected module, and the formula ring against the
+    measured integral ring (:class:`_OverZ`).  Every ring's modules and
+    rings derive from those integral ones, so a match over Z is a match
+    over every ring.  A ring runs its own comparison only where the
+    integral one finds a difference, so each witness keeps its text and its
+    ring.  A ring's ``seconds`` leave out the shared comparisons.  The
+    measured ring is still asked for once per ring, through this module's
+    binding of ``cup_ring_of_complex``, which makes the per-ring torsion
+    refusals.
     """
     if tier == "auto":
         use_tier2 = tier2_obstruction(d) is None
@@ -422,20 +478,19 @@ def verify_descriptor(
         except (RuntimeError, ValueError) as exc:
             # a failed self-check of the formula ring, such as graded commutativity
             formula = str(exc)
+    homology_agrees = expected.is_free and not _homology_witnesses(expected, cx, K, Z)
+    over_z = _OverZ(formula)
 
     euler_match = euler_witness = None
     verdicts = []
     for R in rings:
         start = time.perf_counter()
-        tier1 = homology_of_chain_complex(cx, R)
-        witnesses = _module_witnesses("tier-1 homology", expected, tier1)
+        shared = over_z.seconds
+        witnesses = [] if homology_agrees else _homology_witnesses(expected, cx, K, R)
+        homology_match = not witnesses
         ring_match = None
         if K is not None:
-            tier2 = homology_of_complex(K, R)
-            witnesses += _module_witnesses("tier-2 homology", expected, tier2)
-        homology_match = not witnesses
-        if K is not None:
-            witness = _ring_witness(d, formula, R, K)
+            witness = _ring_witness(d, formula, R, K, over_z)
             ring_match = witness is None
             if witness:
                 witnesses.append(witness)
@@ -445,7 +500,7 @@ def verify_descriptor(
                 tier=2 if K is not None else 1,
                 homology_match=homology_match,
                 ring_match=ring_match,
-                seconds=time.perf_counter() - start,
+                seconds=time.perf_counter() - start - (over_z.seconds - shared),
                 witnesses=tuple(witnesses),
             )
         )
@@ -466,6 +521,7 @@ def verify_descriptor(
         verdicts=tuple(verdicts),
         euler_match=euler_match,
         euler_witness=euler_witness,
+        formula=formula if isinstance(formula, PresentedGradedRing) else None,
     )
 
 

@@ -32,6 +32,7 @@ from reeb_bubble.descriptor import (
     SphereSpec,
     base_classes,
     base_sphere_classes,
+    serialize_descriptor,
 )
 from reeb_bubble.graded import (
     ConnSum,
@@ -840,6 +841,116 @@ def test_formula_sign_error_is_a_witness_on_every_ring(monkeypatch):
         for v in rep.verdicts:
             assert v.homology_match and v.ring_match is False
             assert v.witnesses == ("formula: graded commutativity fails on (nu2,b2.1)",)
+
+
+def _doubled_circle_descriptor():
+    return desc(3, [Sphere(1)], [record(RecordKind.M, SphereSpec(1, {"nu1": 2}))])
+
+
+def test_halved_formula_ring_gives_each_ring_its_own_witness(monkeypatch):
+    # the formula multiplies nu1 by the bubbled class to 2 t1; halved, the
+    # ring still passes its checks, and only Z and Z/2 can tell it apart
+    real = oracle_module.cohomology_ring_of_descriptor
+
+    def halved(dd, R):
+        report = real(dd, R)
+        A = report.ring
+        products = {
+            pair: {t: c // 2 for t, c in vec.items()} for pair, vec in A.products.items()
+        }
+        return replace(report, ring=PresentedGradedRing(R, A.top_degree, A.basis, products))
+
+    d = _doubled_circle_descriptor()
+    assert real(d, Z).ring.products[("nu1", "b1.1")] == {"t1": 2}
+    monkeypatch.setattr(oracle_module, "cohomology_ring_of_descriptor", halved)
+    for rings in (RINGS, [Z3, Z2, Q, Z]):
+        rep = verify_descriptor(d, rings)
+        assert rep.tier == 2 and not rep.ok
+        assert all(v.homology_match for v in rep.verdicts)
+        assert {v.ring_label: v.witnesses for v in rep.verdicts} == {
+            "Z": ("ring invariants: pairing (1,2): divisors [1]/form [1] vs divisors [2]/form [2]",),
+            "Q": (),
+            "Z/2": ("ring invariants: pairing (1,2): rank 1/form rank 1 vs rank 0/form rank 0",),
+            "Z/3": (),
+        }
+
+
+@pytest.mark.parametrize("tier", [1, 2])
+def test_tier1_torsion_gives_witnesses_on_z_and_z2_only(monkeypatch, tier):
+    # a 1-cell x and a 2-cell y with boundary 2x put Z/2 into H_1 of the
+    # tier-1 complex: over Z it is torsion, over Z/2 one more class in
+    # degrees 1 and 2, and over Q and Z/3 nothing
+    real = oracle_module.assemble_chain_complex
+
+    def with_torsion(dd):
+        cx = real(dd)
+        bases = [list(b) for b in cx.bases]
+        boundaries = [list(m) for m in cx.boundaries]
+        bases[1].append(("x",))
+        boundaries[1].append({})
+        bases[2].append(("y",))
+        boundaries[2].append({len(bases[1]) - 1: 2})
+        return simplicial_module.ChainComplexZ(bases, boundaries)
+
+    d = _doubled_circle_descriptor()
+    expected = homology_of_descriptor(d, Z)
+    monkeypatch.setattr(oracle_module, "assemble_chain_complex", with_torsion)
+    rep = verify_descriptor(d, RINGS, tier=tier)
+    assert rep.tier == tier and not rep.ok
+    witnesses = {v.ring_label: v.witnesses for v in rep.verdicts}
+    assert witnesses["Z"] == ("tier-1 homology degree 1: expected torsion (), got (2,)",)
+    assert witnesses["Z/2"] == tuple(
+        f"tier-1 homology degree {k}: expected rank {expected.rank(k)}, "
+        f"got {expected.rank(k) + 1}"
+        for k in (1, 2)
+    )
+    assert witnesses["Q"] == witnesses["Z/3"] == ()
+    for v in rep.verdicts:
+        assert v.homology_match == (not v.witnesses)
+        assert v.ring_match is (True if tier == 2 else None)
+
+
+@pytest.mark.parametrize("tier", [1, 2])
+def test_matching_verify_compares_once_over_z(monkeypatch, tier):
+    # homology and rings are compared over Z alone; a ring derives its
+    # verdict from that comparison and repeats none of it
+    compared = []
+    real_compare = oracle_module.compare_invariants
+
+    def compare(A, B):
+        compared.append(A.ring)
+        return real_compare(A, B)
+
+    homology = []
+    real_homology = simplicial_module.homology_of_chain_complex
+
+    def counted(cx, R):
+        homology.append(R)
+        return real_homology(cx, R)
+
+    monkeypatch.setattr(oracle_module, "compare_invariants", compare)
+    for mod in (oracle_module, simplicial_module):
+        monkeypatch.setattr(mod, "homology_of_chain_complex", counted)
+    # the second model is a wedge of dimension 2 < n, whose integral cup
+    # ring stops below the top degree that every ring is asked at
+    for d in (_torsion_free_model_descriptor(), desc(3, [Sphere(1), Sphere(2)], [])):
+        compared.clear()
+        homology.clear()
+        rep = verify_descriptor(d, RINGS, tier=tier)
+        assert rep.tier == tier and rep.ok
+        assert [v.ring_label for v in rep.verdicts] == [R.label for R in RINGS]
+        assert compared == ([Z] if tier == 2 else [])
+        assert homology and set(homology) == {Z}
+
+
+def test_cli_verify_builds_the_formula_ring_once(monkeypatch, tmp_path, capsys):
+    # the command prints the pairings off the verify's checked formula ring
+    path = tmp_path / "d.json"
+    path.write_text(serialize_descriptor(catalog_entry("circle-pair-doubled").descriptor))
+    calls = _count_base_rings_and_validations(monkeypatch)
+    assert cli_main(["verify", "-d", str(path), "--ring", "Z", "--ring", "Q", "--tier", "2"]) == 0
+    assert "pairing (1,2) over Q: rank 1" in capsys.readouterr().out
+    assert calls == {"base_cohomology": 1, "validate": 1}
 
 
 def test_rings_built_directly_take_the_field_path(monkeypatch):
