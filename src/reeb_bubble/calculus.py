@@ -111,10 +111,11 @@ def cohomology_ring_of_descriptor(
     when the degrees match and zero otherwise; top classes annihilate all
     positive degrees.  t<r> is normalized so the stored-order constant is
     exactly the descriptor coefficient, with the sign on the reversed order
-    supplied by graded commutativity.  The base ring comes from
-    :func:`~reeb_bubble.descriptor.base_cohomology` over ``R``, and the
-    ranks of the result are checked against :func:`homology_of_descriptor`,
-    which reads the base classes off the handle expressions instead.
+    supplied by graded commutativity.  Two rings are built and checked,
+    once each: the base ring, by :func:`~reeb_bubble.descriptor.base_cohomology`
+    over ``R``, and the result, whose ranks are checked against
+    :func:`homology_of_descriptor`, which reads the base classes off the
+    handle expressions instead.
     """
     n = d.n
     base = base_cohomology(d.base, R)
@@ -122,7 +123,7 @@ def cohomology_ring_of_descriptor(
         raise RuntimeError("sphere cores must have a zero product table")
 
     basis = [BasisElement(e.id, e.degree, ("inclusion",)) for e in base.basis]
-    products = {k: dict(v) for k, v in base.products.items()}
+    products = dict(base.products)
     per_record = []
     for r, rec in enumerate(d.records, start=1):
         top_id = f"t{r}"

@@ -24,7 +24,6 @@ from .graded import (
     Sphere,
     dimension,
     gcps_cohomology,
-    rename_basis,
     validate_expr,
 )
 
@@ -258,14 +257,14 @@ def base_cohomology(base: BaseSpec, R: CoefficientRing) -> PresentedGradedRing:
 
     The base space deformation-retracts to this wedge, so its positive
     cohomology is the direct sum of the cores' with vanishing cross
-    products.  ``gcps_cohomology`` builds the ring, which takes its ids by
-    position; a degree that differs from the walk's raises ``RuntimeError``.
+    products.  ``gcps_cohomology`` builds and checks it in one pass, naming
+    each class as the walk does, from the ring constructors' own listing;
+    an id or degree that differs from the walk's raises ``RuntimeError``.
     """
     ring = gcps_cohomology(base.handles, R)
-    classes = base_classes(base)
-    if [e.degree for e in ring.basis] != [k for _, k in classes]:
+    if [(e.id, e.degree) for e in ring.basis] != base_classes(base):
         raise RuntimeError("base classes out of sync with the base ring")
-    return rename_basis(ring, {e.id: ident for e, (ident, _) in zip(ring.basis, classes)})
+    return ring
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ __all__ = [
     "pairing_invariants",
     "compare_invariants",
     "Verdict",
-    "rename_basis",
 ]
 
 
@@ -67,7 +66,7 @@ class GradedModule:
             raise ValueError("torsion listed beyond max degree")
         if any(r < 0 for r in ranks):
             raise ValueError("negative rank")
-        for t in tors:
+        for t in tors if any(tors) else ():  # a free module has nothing to check
             if any(d < 2 for d in t):
                 raise ValueError("torsion divisors must exceed 1")
             if t and self.ring.is_field:
@@ -112,7 +111,8 @@ class BasisElement:
     """A homogeneous basis class of a presented ring.
 
     ``provenance`` is a tagged tuple: ("base",), ("inclusion",),
-    ("bubbled", record_index, sphere_index) or ("top", record_index).
+    ("bubbled", record_index, sphere_index), ("top", record_index), or
+    ("sphere",) on a core's class that one of its sphere factors gives.
     """
 
     id: str
@@ -147,30 +147,29 @@ class PresentedGradedRing:
         self.ring = ring
         self.top_degree = int(top_degree)
         self.basis = tuple(basis)
-        self.by_id = {}
+        by_id, by_degree = self.by_id, self._by_degree = {}, {}
         for e in self.basis:
             if e.degree < 1:
                 raise ValueError(f"basis element {e.id} has degree < 1")
-            if e.id in self.by_id:
+            if e.id in by_id:
                 raise ValueError(f"duplicate basis id {e.id}")
-            self.by_id[e.id] = e
+            by_id[e.id] = e
+            by_degree[e.degree] = by_degree.get(e.degree, ()) + (e,)
+        convert, zero = ring.convert, ring.zero()
         table = {}
-        for (ia, ib), vec in products.items():
-            clean = {}
-            for ic, c in vec.items():
-                c = ring.convert(c)
-                if c != ring.zero():
-                    clean[ic] = c
+        for key, vec in products.items():
+            clean = {ic: c for ic, v in vec.items() if (c := convert(v)) != zero}
             if clean:
-                table[(ia, ib)] = clean
+                table[key] = clean
         self.products = table
         if check:
             self._check()
 
     # -- queries ----------------------------------------------------------
 
-    def degree_basis(self, k: int) -> list[BasisElement]:
-        return [e for e in self.basis if e.degree == k]
+    def degree_basis(self, k: int) -> tuple[BasisElement, ...]:
+        """The basis classes of degree k in basis order, stored when built."""
+        return self._by_degree.get(k, ())
 
     def free_ranks(self) -> tuple[int, ...]:
         ranks = [0] * (self.top_degree + 1)
@@ -232,8 +231,9 @@ class PresentedGradedRing:
         ring, table, by_id = self.ring, self.products, self.by_id
         for (ia, ib), ab in table.items():
             ba = table.get((ib, ia), {})
-            sign = -1 if (by_id[ia].degree % 2 and by_id[ib].degree % 2) else 1
-            if ab != {k: ring.convert(sign * v) for k, v in ba.items()}:
+            if by_id[ia].degree % 2 and by_id[ib].degree % 2:
+                ba = {k: ring.convert(-v) for k, v in ba.items()}  # the table is canonical
+            if ab != ba:
                 raise ValueError(f"graded commutativity fails on ({ia},{ib})")
 
         zero = ring.zero()
@@ -254,10 +254,8 @@ class PresentedGradedRing:
 
         for (ia, ib), ab in table.items():
             room = self.top_degree - by_id[ia].degree - by_id[ib].degree
-            for c in self.basis:
-                if c.degree > room:
-                    continue  # both sides lie above the top
-                ic = c.id
+            # a c of higher degree puts both sides above the top
+            for ic in (c.id for k in range(1, room + 1) for c in self.degree_basis(k)):
                 if times_right(ab, ic) != times_left(ia, table.get((ib, ic), {})):
                     raise ValueError(f"associativity fails on ({ia},{ib},{ic})")
 
@@ -266,20 +264,6 @@ class PresentedGradedRing:
             f"PresentedGradedRing({self.ring.label}, top={self.top_degree}, "
             f"basis={len(self.basis)})"
         )
-
-
-def rename_basis(A: PresentedGradedRing, mapping: dict[str, str]) -> PresentedGradedRing:
-    """Rename basis ids; ids absent from the mapping are kept."""
-
-    def m(i):
-        return mapping.get(i, i)
-
-    basis = [BasisElement(m(e.id), e.degree, e.provenance) for e in A.basis]
-    products = {
-        (m(ia), m(ib)): {m(ic): c for ic, c in vec.items()}
-        for (ia, ib), vec in A.products.items()
-    }
-    return PresentedGradedRing(A.ring, A.top_degree, basis, products, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +329,14 @@ def validate_expr(e: ManifoldExpr) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_ids(n: int) -> list[str]:
-    return [f"e{i + 1}" for i in range(n)]
+SPHERE = ("sphere",)  # provenance of a class that a sphere factor gives
 
 
 def sphere_ring(k: int, R: CoefficientRing) -> PresentedGradedRing:
     """Cohomology ring of the k-sphere: one generator squaring to zero."""
     if k < 1:
         raise ValueError("sphere_ring needs k >= 1; the 0-sphere ring is not free rank-1 in top degree")
-    gen = BasisElement("e1", k)
+    gen = BasisElement("e1", k, SPHERE)
     return PresentedGradedRing(R, k, (gen,), {})
 
 
@@ -362,7 +345,8 @@ def tensor_ring(A: PresentedGradedRing, B: PresentedGradedRing) -> PresentedGrad
 
     Basis order: A's classes paired with the unit, then the unit paired
     with B's classes, then the mixed pairs, the order that
-    ``descriptor.base_classes`` walks.
+    ``descriptor.base_classes`` walks.  A class paired with the unit keeps
+    its provenance, so a sphere factor's class stays marked ("sphere",).
     """
     if A.ring != B.ring:
         raise RingMismatchError("tensor factors over different rings")
@@ -370,12 +354,13 @@ def tensor_ring(A: PresentedGradedRing, B: PresentedGradedRing) -> PresentedGrad
     pairs: list[tuple] = [(a, None) for a in A.basis]
     pairs += [(None, b) for b in B.basis]
     pairs += [(a, b) for a in A.basis for b in B.basis]
-    ids = _fresh_ids(len(pairs))
+    ids = [f"e{i}" for i in range(1, len(pairs) + 1)]
     index = {}
     basis = []
     for ident, (a, b) in zip(ids, pairs):
         degree = (a.degree if a else 0) + (b.degree if b else 0)
-        basis.append(BasisElement(ident, degree))
+        provenance = b.provenance if a is None else a.provenance if b is None else ("base",)
+        basis.append(BasisElement(ident, degree, provenance))
         index[(a.id if a else None, b.id if b else None)] = ident
 
     def half_product(src: PresentedGradedRing, x, y) -> dict:
@@ -411,7 +396,8 @@ def connsum_ring(A1: PresentedGradedRing, A2: PresentedGradedRing) -> PresentedG
     The top-degree quotient follows the literal rule that the pair
     (a1, a2) of top generators becomes zero, so A2's top generator maps to
     MINUS the surviving class.  The conventional oriented identification
-    differs by one basis sign, which no pairing invariant can see.
+    differs by one basis sign, which no pairing invariant can see.  The
+    classes below the top keep their provenance.
     """
     if A1.ring != A2.ring:
         raise RingMismatchError("connected-sum factors over different rings")
@@ -431,12 +417,12 @@ def connsum_ring(A1: PresentedGradedRing, A2: PresentedGradedRing) -> PresentedG
     middle = [
         (side, e) for side, src, _, _ in sides for e in src.basis if e.degree < d
     ]
-    ids = _fresh_ids(len(middle) + 1)
+    ids = [f"e{i}" for i in range(1, len(middle) + 2)]
     top_id = ids[-1]
     index = {}
     basis = []
     for ident, (side, e) in zip(ids, middle):
-        basis.append(BasisElement(ident, e.degree))
+        basis.append(BasisElement(ident, e.degree, e.provenance))
         index[(side, e.id)] = ident
     basis.append(BasisElement(top_id, d))
 
@@ -473,29 +459,39 @@ def _cps(e: ManifoldExpr, R: CoefficientRing) -> PresentedGradedRing:
 
 
 def gcps_cohomology(summands, R: CoefficientRing) -> PresentedGradedRing:
-    """Cohomology ring of a wedge of expression manifolds.
+    """Cohomology ring of a wedge of expression manifolds, built in one pass.
 
     Positive degrees are the direct sum of the summands' positive parts;
     products across different wedge summands vanish.  The empty wedge is
-    the one-point space: the unit-only ring.
+    the one-point space: the unit-only ring.  A sphere summand adds one
+    class and builds no ring; a product or connected-sum summand is built
+    by :func:`tensor_ring` and :func:`connsum_ring`, and its table copied.
+    Each class is named as it is listed, with the ids of
+    ``descriptor.base_classes``: the j-th class a sphere factor gives
+    (provenance ("sphere",)) is nu<j>, the class at wedge position i is
+    otherwise e<i>.  The wedge's classes have provenance ("base",).
     """
-    rings = [cps_cohomology(e, R) for e in summands]
-    top = max((r.top_degree for r in rings), default=0)
-    total = sum(len(r.basis) for r in rings)
-    ids = iter(_fresh_ids(total))
-    basis = []
-    index = {}
-    for i, src in enumerate(rings):
-        for e in src.basis:
-            ident = next(ids)
-            basis.append(BasisElement(ident, e.degree))
-            index[(i, e.id)] = ident
+    basis: list[BasisElement] = []
     products = {}
-    for i, src in enumerate(rings):
-        for (ia, ib), vec in src.products.items():
-            products[(index[(i, ia)], index[(i, ib)])] = {
-                index[(i, ic)]: c for ic, c in vec.items()
-            }
+    spheres = top = 0
+    for e in summands:
+        validate_expr(e)
+        top = max(top, dimension(e))
+        if isinstance(e, Sphere):
+            classes, table = (BasisElement(None, e.k, SPHERE),), {}
+        else:
+            core = _cps(e, R)
+            classes, table = core.basis, core.products
+        index = {}
+        for c in classes:
+            if c.provenance == SPHERE:
+                spheres += 1
+                index[c.id] = f"nu{spheres}"
+            else:
+                index[c.id] = f"e{len(basis) + 1}"
+            basis.append(BasisElement(index[c.id], c.degree))
+        for (ia, ib), vec in table.items():
+            products[(index[ia], index[ib])] = {index[ic]: v for ic, v in vec.items()}
     return PresentedGradedRing(R, top, basis, products)
 
 

@@ -456,8 +456,11 @@ def verify_descriptor(
     ring.  A ring's ``seconds`` leave out the shared comparisons.  The
     measured ring is still asked for once per ring, through this module's
     binding of ``cup_ring_of_complex``, which makes the per-ring torsion
-    refusals.
+    refusals.  An empty ``rings`` raises ``ValueError``: a report with no
+    verdict would read ok having checked nothing.
     """
+    if not (rings := list(rings)):
+        raise ValueError("verify_descriptor needs at least one coefficient ring")
     if tier == "auto":
         use_tier2 = tier2_obstruction(d) is None
     elif tier in (2, "2"):

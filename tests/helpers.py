@@ -1,5 +1,6 @@
 """Shared test helpers: matrix literals in the package's layout, the split
-of a column reduction, the full simplex, catalog lookups, random cores.
+of a column reduction, the full simplex, catalog lookups, random cores,
+and the two-step base ring that the one-pass wedge builder replaced.
 
 The package stores every matrix as a list of ``{row: value}`` columns.
 Tests write small matrices as dense row-major literals and hand them over
@@ -8,7 +9,15 @@ the rows that the dense references in ``*_reference.py`` read.
 """
 
 from reeb_bubble.catalog import ENTRIES, CatalogEntry
-from reeb_bubble.graded import ConnSum, Product, Sphere
+from reeb_bubble.descriptor import base_classes
+from reeb_bubble.graded import (
+    BasisElement,
+    ConnSum,
+    PresentedGradedRing,
+    Product,
+    Sphere,
+    cps_cohomology,
+)
 from reeb_bubble.oracle import tier2_obstruction
 from reeb_bubble.simplicial import SimplicialComplex
 
@@ -83,3 +92,36 @@ def random_expr(rng, dim: int, depth: int):
         k = rng.randint(1, dim - 1)
         return Product(random_expr(rng, k, depth - 1), random_expr(rng, dim - k, depth - 1))
     return ConnSum(random_expr(rng, dim, depth - 1), random_expr(rng, dim, depth - 1))
+
+
+def reference_base_ring(base, R) -> PresentedGradedRing:
+    """The base ring in two steps: a checked wedge of the cores' rings whose
+    classes take fresh ids e1, e2, ... by position, then a copy renamed by
+    ``base_classes``.  Each core is built by ``cps_cohomology``, so a sphere
+    core is a ring of its own here."""
+    rings = [cps_cohomology(h, R) for h in base.handles]
+    basis, index, products = [], {}, {}
+    for i, src in enumerate(rings):
+        for e in src.basis:
+            index[(i, e.id)] = f"e{len(basis) + 1}"
+            basis.append(BasisElement(index[(i, e.id)], e.degree))
+        for (ia, ib), vec in src.products.items():
+            products[(index[(i, ia)], index[(i, ib)])] = {
+                index[(i, ic)]: c for ic, c in vec.items()
+            }
+    top = max((r.top_degree for r in rings), default=0)
+    wedge = PresentedGradedRing(R, top, basis, products)
+
+    classes = base_classes(base)
+    assert [e.degree for e in wedge.basis] == [k for _, k in classes]
+    name = {e.id: ident for e, (ident, _) in zip(wedge.basis, classes)}
+    return PresentedGradedRing(
+        R,
+        top,
+        [BasisElement(name[e.id], e.degree, e.provenance) for e in wedge.basis],
+        {
+            (name[ia], name[ib]): {name[ic]: c for ic, c in vec.items()}
+            for (ia, ib), vec in wedge.products.items()
+        },
+        check=False,
+    )

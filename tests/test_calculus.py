@@ -28,6 +28,7 @@ from reeb_bubble.descriptor import (
 from reeb_bubble.graded import (
     ConnSum,
     GradedModule,
+    PresentedGradedRing,
     Product,
     Sphere,
     compare_invariants,
@@ -222,6 +223,32 @@ def test_inclusion_subtable_matches_base():
             assert ring.product(ia, ib) == base.product(ia, ib)
     incl = [e for e in ring.basis if e.provenance == ("inclusion",)]
     assert {e.id for e in incl} == base_ids
+
+
+@pytest.mark.parametrize(
+    "handles, rings_built",
+    [
+        # the wedge and the result; a sphere core builds no ring of its own
+        ((Sphere(1), Sphere(2)), 2),
+        # plus the product core: two sphere rings and their tensor ring
+        ((Product(Sphere(1), Sphere(2)), Sphere(2)), 5),
+    ],
+)
+def test_formula_ring_builds_each_ring_once(monkeypatch, handles, rings_built):
+    counts = {"__init__": 0, "_check": 0}
+    for name in counts:
+        real = getattr(PresentedGradedRing, name)
+
+        def counted(self, *args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(PresentedGradedRing, name, counted)
+    d = desc(4, handles, [record(RecordKind.M, SphereSpec(2, {"nu2": 3}), SphereSpec(1, {"nu1": 1}))])
+    for R in RINGS:
+        counts.update(dict.fromkeys(counts, 0))
+        cohomology_ring_of_descriptor(d, R)
+        assert counts == {"__init__": rings_built, "_check": rings_built}, R
 
 
 def test_structure_rules_on_random_descriptors():

@@ -3,10 +3,12 @@
 import random
 
 import pytest
-from helpers import random_expr
+from helpers import random_expr, reference_base_ring
 
 from reeb_bubble import descriptor as descriptor_module
 from reeb_bubble import graded as graded_module
+from reeb_bubble.calculus import cohomology_ring_of_descriptor
+from reeb_bubble.catalog import ENTRIES, plan_descriptor, random_descriptors, random_plans
 from reeb_bubble.descriptor import (
     BaseSpec,
     BubblingRecord,
@@ -23,9 +25,17 @@ from reeb_bubble.descriptor import (
     validate,
 )
 from reeb_bubble.coefficients import CoefficientRing
-from reeb_bubble.graded import ConnSum, Product, Sphere, dimension, gcps_cohomology
+from reeb_bubble.graded import (
+    BasisElement,
+    ConnSum,
+    Product,
+    Sphere,
+    dimension,
+    gcps_cohomology,
+)
 
 Z = CoefficientRing.integers()
+RINGS = (Z, CoefficientRing.rationals(), CoefficientRing.prime_field(2), CoefficientRing.prime_field(3))
 
 
 def simple(n, handles=(), records=()):
@@ -173,15 +183,20 @@ def test_base_classes_connsum_drops_top_classes():
     assert base_sphere_classes(d) == [("nu1", 1), ("nu2", 2), ("nu3", 1), ("nu4", 2), ("nu5", 3)]
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_base_classes_match_the_base_ring_order(seed):
+def _random_bases(seed):
+    """60 seeded bases of up to three random cores of dimension at most 4."""
     rng = random.Random(4100 + seed)
     for _ in range(60):
         handles = [
             random_expr(rng, rng.randint(1, 4), rng.randint(0, 3))
             for _ in range(rng.randint(0, 3))
         ]
-        base = BaseSpec(max([dimension(h) for h in handles], default=1) + 1, tuple(handles))
+        yield BaseSpec(max([dimension(h) for h in handles], default=1) + 1, tuple(handles))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_base_classes_match_the_base_ring_order(seed):
+    for base in _random_bases(seed):
         # the ring constructors list their basis independently of the walk
         ring = gcps_cohomology(base.handles, Z)
         assert [k for _, k in base_classes(base)] == [e.degree for e in ring.basis]
@@ -225,13 +240,58 @@ def test_base_cohomology_names_match():
 
 
 def test_base_cohomology_checks_the_ring_against_the_walk(monkeypatch):
-    # the ring's basis and the walk are built independently; a degree that
-    # differs at any position is an internal fault, not a renaming
-    handles = (Sphere(1), Sphere(2))
-    real = descriptor_module.gcps_cohomology
-    monkeypatch.setattr(descriptor_module, "gcps_cohomology", lambda hs, R: real(hs[::-1], R))
+    # the wedge builder lists a product core's classes through tensor_ring,
+    # independently of the walk; a tensor_ring that lists its factors
+    # swapped puts the degree-2 sphere class first, an internal fault
+    base = BaseSpec(4, (Product(Sphere(1), Sphere(2)),))
+    real = graded_module.tensor_ring
+    with monkeypatch.context() as patch:
+        patch.setattr(graded_module, "tensor_ring", lambda A, B: real(B, A))
+        with pytest.raises(RuntimeError, match="out of sync"):
+            base_cohomology(base, Z)
+    # degrees in order but a sphere class unmarked: e1, e2 where the walk says nu1, nu2
+    sphere_ring = graded_module.sphere_ring
+
+    def unmarked(k, R):
+        (gen,) = sphere_ring(k, R).basis
+        return graded_module.PresentedGradedRing(R, k, (BasisElement(gen.id, k),), {})
+
+    monkeypatch.setattr(graded_module, "sphere_ring", unmarked)
     with pytest.raises(RuntimeError, match="out of sync"):
-        base_cohomology(BaseSpec(3, handles), Z)
+        base_cohomology(base, Z)
+
+
+def _walked_descriptors():
+    yield from (e.descriptor for e in ENTRIES)
+    yield from (plan_descriptor(p) for p in random_plans(0, 80))
+    yield from random_descriptors(0, 160)
+    for seed in range(4):
+        yield from (ReebDescriptor(base) for base in _random_bases(seed))
+
+
+def test_one_pass_base_ring_matches_the_two_step_reference():
+    # the two-step construction, a fresh-id wedge renamed by the walk, is
+    # the reference: the one-pass wedge must give the same ids, degrees,
+    # provenance and product table, and so must the formula ring's base part
+    seen = 0
+    for d in _walked_descriptors():
+        for R in RINGS:
+            ref = reference_base_ring(d.base, R)
+            base = base_cohomology(d.base, R)
+            assert (base.top_degree, base.basis, base.products) == (
+                ref.top_degree,
+                ref.basis,
+                ref.products,
+            ), d
+            ring = cohomology_ring_of_descriptor(d, R).ring
+            ids = set(ref.by_id)
+            included = tuple(BasisElement(e.id, e.degree, ("inclusion",)) for e in ref.basis)
+            assert ring.basis[: len(ref.basis)] == included, d
+            assert {
+                pair: vec for pair, vec in ring.products.items() if ids.issuperset(pair)
+            } == ref.products, d
+        seen += 1
+    assert seen == len(ENTRIES) + 80 + 160 + 4 * 60
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from reeb_bubble.graded import (
     dimension,
     gcps_cohomology,
     pairing_invariants,
-    rename_basis,
     sphere_ring,
     tensor_ring,
     validate_expr,
@@ -620,12 +619,3 @@ def test_check_agrees_with_brute_force_on_random_tables():
     # every verdict is exercised, not only acceptance
     assert min(seen[None], seen["commutativity"], seen["associativity"]) >= 10
 
-
-def test_rename_basis_preserves_structure():
-    A = cps_cohomology(TORUS, Z)
-    x, y = A.degree_basis(1)
-    B = rename_basis(A, {x.id: "nu1", y.id: "nu2"})
-    assert {e.id for e in B.degree_basis(1)} == {"nu1", "nu2"}
-    (top,) = B.degree_basis(2)
-    assert B.product("nu1", "nu2") == {top.id: 1}
-    assert compare_invariants(A, B).is_consistent

@@ -432,6 +432,20 @@ def test_verify_forced_tier1_skips_simplicial():
     assert rep.euler_match is None
 
 
+@pytest.mark.parametrize("tier", [1, 2])
+def test_verify_without_a_ring_raises_before_building(monkeypatch, tier):
+    # a report with no verdict would read ok having checked nothing
+    d = ENTRIES[0].descriptor
+    assert tier2_obstruction(d) is None
+    built = []
+    for name in ("simplicial_model", "assemble_chain_complex", "cohomology_ring_of_descriptor"):
+        monkeypatch.setattr(oracle_module, name, lambda *args, _name=name: built.append(_name))
+    for rings in ([], (), iter([])):
+        with pytest.raises(ValueError, match="at least one coefficient ring"):
+            verify_descriptor(d, rings, tier=tier)
+    assert built == []
+
+
 def _torsion_free_model_descriptor():
     return desc(
         3,
