@@ -111,14 +111,16 @@ def cohomology_ring_of_descriptor(
     when the degrees match and zero otherwise; top classes annihilate all
     positive degrees.  t<r> is normalized so the stored-order constant is
     exactly the descriptor coefficient, with the sign on the reversed order
-    supplied by graded commutativity.  Two rings are built and checked,
-    once each: the base ring, by :func:`~reeb_bubble.descriptor.base_cohomology`
-    over ``R``, and the result, whose ranks are checked against
-    :func:`homology_of_descriptor`, which reads the base classes off the
-    handle expressions instead.
+    supplied by graded commutativity.  Two integer tables are built and
+    checked, once each: the base ring, by
+    :func:`~reeb_bubble.descriptor.base_cohomology`, and the result, whose
+    ranks are checked against :func:`homology_of_descriptor`, which reads
+    the base classes off the handle expressions instead.  ``R`` only labels
+    the result (see :class:`~reeb_bubble.graded.PresentedGradedRing`); the
+    same ring over another R is ``ring.over(R)``, with no second check.
     """
     n = d.n
-    base = base_cohomology(d.base, R)
+    base = base_cohomology(d.base)
     if base.products and all(isinstance(h, Sphere) for h in d.base.handles):
         raise RuntimeError("sphere cores must have a zero product table")
 

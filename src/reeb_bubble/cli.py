@@ -90,11 +90,13 @@ def _emit(args, doc: dict, text: str) -> None:
 
 
 def _format_vector(ring, vec: dict) -> str:
+    """An integer vector shown over ``ring``: each entry reduced, zeros dropped."""
     parts = []
     for ident, c in vec.items():
-        if c == ring.one():
+        c = ring.convert(c)
+        if c == 1:
             parts.append(ident)
-        else:
+        elif c:
             parts.append(f"{c} {ident}")
     return " + ".join(parts) if parts else "0"
 
@@ -160,11 +162,12 @@ def _cmd_ring(args) -> int:
     d = _load_descriptor(args.descriptor)
     rings = _resolve_rings(args)
     n = d.base.n
+    # one integral table for every ring: each ring reads it, and its pairings, over R
+    integral = cohomology_ring_of_descriptor(d, CoefficientRing.integers()).ring
     blocks = []
     lines = []
     for R in rings:
-        rep = cohomology_ring_of_descriptor(d, R)
-        A = rep.ring
+        A = integral.over(R)
         lines.append(f"ring over {R.label}  (top degree {A.top_degree})")
         lines.append(f"  free ranks: {A.free_ranks()}")
         for k in range(1, A.top_degree + 1):
@@ -239,7 +242,7 @@ def _cmd_verify(args) -> int:
         # the verify's checked integral ring; each ring's pairings come off its divisors
         cells = {}
         for R in rings:
-            for p, q, inv in _pairing_cells(report.formula.reduced(R), n):
+            for p, q, inv in _pairing_cells(report.formula.over(R), n):
                 cells.setdefault((p, q), []).append((R.label, inv))
         shown = False
         for (p, q), per_ring in sorted(cells.items()):

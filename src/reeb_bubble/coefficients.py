@@ -4,10 +4,9 @@ Everything in this package bottoms out in one integer elimination,
 :func:`sparse_column_reduction`, over every coefficient ring: integral
 homology reads its elementary divisors once per chain complex (homology
 over Q and Z/p follows by universal coefficients), the pairing matrices
-of a ring reduced from an integral ring are eliminated once over Z and
-every field reads its rank off those divisors with :func:`rank_over` (over
-Z/p, the divisors prime to p; only a ring built over a field directly
-reduces its own matrices, by :func:`field_reduce`), cohomology
+of every ring's integer table are eliminated once over Z and every field
+reads its rank off those divisors with :func:`rank_over` (over Z/p, the
+divisors prime to p), cohomology
 coordinates read its saturated kernel lattice, the dual
 rows that give coordinates along it and its retired columns, and no
 routine builds unimodular transforms of its own.
@@ -48,7 +47,10 @@ Every matrix is a list of sparse columns, one ``{row: value}`` dict per
 column with no zero entries: the builders write a cell's boundary as its
 column, and the elimination reads those dicts without a transpose.
 
-Scalars are plain ``int`` for Z and Z/p (canonical residues 0..p-1) and
+The package's chain complexes, pairing matrices and ring tables hold plain
+``int`` entries over every ring.  :meth:`CoefficientRing.convert` reduces
+an entry into a ring, to print it or for the tests' field references:
+``int`` for Z and Z/p (canonical residues 0..p-1) and
 ``fractions.Fraction`` for Q.
 """
 
@@ -108,21 +110,21 @@ class CoefficientRing:
         return self.kind
 
     def convert(self, x):
-        """Coerce an integer (or exact rational, over Q) to a canonical scalar."""
-        if self.kind == "Q":
-            return Fraction(x)
+        """Reduce an integer (or exact rational, over Q) to a canonical scalar.
+
+        Anything else, ``True`` and ``2.5`` included, raises ``TypeError``.
+        """
         if isinstance(x, Fraction):
+            if self.kind == "Q":
+                return x
             if x.denominator != 1:
                 raise RingMismatchError(f"{x} is not an integer")
             x = x.numerator
-        x = int(x)
+        elif not is_int(x):
+            raise TypeError(f"not an integer or a fraction: {x!r}")
+        if self.kind == "Q":
+            return Fraction(x)
         return x % self.p if self.kind == "Zp" else x
-
-    def zero(self):
-        return self.convert(0)
-
-    def one(self):
-        return self.convert(1)
 
 
 class ColumnReduction:
@@ -399,6 +401,14 @@ def rank_over(ring: CoefficientRing, divisors: tuple[int, ...]) -> int:
 def field_reduce(ring: CoefficientRing, columns) -> int:
     """Rank over Q or Z/p of a matrix given by ``{row: value}`` columns.
 
+    No code of the package calls it: every ring's pairings are read off
+    integral divisors (see :func:`~reeb_bubble.graded.pairing_invariants`).
+    It is the tests' rank reference for a matrix already reduced into a
+    field, and a name the benchmark's tracer wraps: ``LAYERS`` in
+    ``perfbench/tracer.py`` looks it up in this module, also for
+    ``--trace``, so it must stay bound here or the tracer fails with
+    ``AttributeError``.
+
     Computed by the one integer elimination: over Q each row is first
     scaled by the lcm of its denominators (which leaves the rank alone and
     the entries no larger than that row needs),
@@ -406,10 +416,6 @@ def field_reduce(ring: CoefficientRing, columns) -> int:
     counts the elementary divisors that the field sees.  Over Z the rank
     forgets the divisors that are the invariant there, so Z raises
     :class:`RingMismatchError`.
-
-    The benchmark's tracer (``LAYERS`` in ``perfbench/tracer.py``) looks
-    this name up in this module to wrap it, also for ``--trace``; the name
-    must stay bound here or the tracer fails with ``AttributeError``.
     """
     if not ring.is_field:
         raise RingMismatchError("field_reduce needs Q or Z/p; got Z")

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .coefficients import CoefficientRing, is_int
+from .coefficients import is_int
 from .graded import (
     ConnSum,
     ManifoldExpr,
@@ -252,8 +252,8 @@ def base_sphere_classes(d: ReebDescriptor) -> list[tuple[str, int]]:
     return [(ident, k) for ident, k in base_classes(d.base) if ident.startswith("nu")]
 
 
-def base_cohomology(base: BaseSpec, R: CoefficientRing) -> PresentedGradedRing:
-    """Cohomology ring of the wedge of the cores, ids by :func:`base_classes`.
+def base_cohomology(base: BaseSpec) -> PresentedGradedRing:
+    """Integral cohomology ring of the wedge of the cores, ids by :func:`base_classes`.
 
     The base space deformation-retracts to this wedge, so its positive
     cohomology is the direct sum of the cores' with vanishing cross
@@ -261,7 +261,7 @@ def base_cohomology(base: BaseSpec, R: CoefficientRing) -> PresentedGradedRing:
     each class as the walk does, from the ring constructors' own listing;
     an id or degree that differs from the walk's raises ``RuntimeError``.
     """
-    ring = gcps_cohomology(base.handles, R)
+    ring = gcps_cohomology(base.handles)
     if [(e.id, e.degree) for e in ring.basis] != base_classes(base):
         raise RuntimeError("base classes out of sync with the base ring")
     return ring

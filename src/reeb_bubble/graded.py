@@ -1,12 +1,12 @@
 """Graded modules and presented graded-commutative rings.
 
-Every ring here is a free module over its coefficient ring with a
-distinguished homogeneous basis, an implicit unit in degree 0, and
-multiplication stored as structure constants.  The constructors build the
-cohomology rings of spheres, products, connected sums and wedges of such
-manifolds; the comparison layer reduces rings to basis-free pairing
-invariants so that two independently produced presentations can be matched
-honestly.
+Every ring here is a free module with a distinguished homogeneous basis,
+an implicit unit in degree 0, and multiplication stored as integer
+structure constants; the coefficient ring is read only where an invariant
+is.  The constructors build the integral cohomology rings of spheres,
+products, connected sums and wedges of such manifolds; the comparison
+layer reduces rings to basis-free pairing invariants so that two
+independently produced presentations can be matched honestly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from itertools import product as iter_product
 from .coefficients import (
     CoefficientRing,
     RingMismatchError,
-    field_reduce,
     integer_elementary_divisors,
     is_int,
     rank_over,
@@ -121,29 +120,29 @@ class BasisElement:
 
 
 class PresentedGradedRing:
-    """Graded-commutative ring with unit, free basis and structure constants.
+    """Graded-commutative ring with unit, free basis and integer structure constants.
 
-    ``products`` maps ordered id pairs to coordinate vectors (id -> scalar);
-    absent pairs multiply to zero.  Construction validates degree
-    additivity, graded commutativity and associativity exhaustively, but
-    visits only the pairs and triples where the two sides can differ.  A
-    pair with neither order in the table is 0 = ±0, so commutativity is
-    checked on each key against its flipped partner.  (ab)c is zero unless
-    (a,b) is a key and a(bc) is zero unless (b,c) is one, so associativity
-    is checked on (a,b,c) and (c,a,b) for each key (a,b) and each basis
-    element c whose degree keeps the triple within the top degree: the
-    cost is O(|products|·basis) instead of O(basis³).
+    ``products`` maps ordered id pairs to coordinate vectors (id -> int);
+    absent pairs multiply to zero.  Every space this package presents is
+    torsion-free, so its ring over any coefficient ring is the integral
+    ring reduced (Hatcher, Thm 3A.3 and §3.2): the table is integral on
+    every ring, and ``ring`` is a label read only where an invariant is
+    (:func:`pairing_invariants`) or an entry is printed.  A constant that
+    is not an ``int`` raises ``TypeError``.
 
-    An integral ring reduces into any other coefficient ring by
-    :meth:`reduced`, unchecked.  The reduction keeps its checked integral
-    ring as ``integral``, and :func:`pairing_invariants` reads its pairings
-    off that ring's divisors.
+    Construction validates degree additivity, graded commutativity and
+    associativity exhaustively, in integer arithmetic, but visits only the
+    pairs and triples where the two sides can differ.  A pair with neither
+    order in the table is 0 = ±0, so commutativity is checked on each key
+    against its flipped partner.  (ab)c is zero unless (a,b) is a key and
+    a(bc) is zero unless (b,c) is one, so associativity is checked on
+    (a,b,c) and (c,a,b) for each key (a,b) and each basis element c whose
+    degree keeps the triple within the top degree: the cost is
+    O(|products|·basis) instead of O(basis³).  :meth:`over` reads the same
+    checked table over another ring.
     """
 
-    integral = None  # on a reduction: the checked integral ring it reduces
-    _divisors = None  # on a reduced integral ring: (p, q) -> pairing divisors
-
-    def __init__(self, ring, top_degree, basis, products, *, check=True):
+    def __init__(self, ring, top_degree, basis, products):
         self.ring = ring
         self.top_degree = int(top_degree)
         self.basis = tuple(basis)
@@ -155,15 +154,19 @@ class PresentedGradedRing:
                 raise ValueError(f"duplicate basis id {e.id}")
             by_id[e.id] = e
             by_degree[e.degree] = by_degree.get(e.degree, ()) + (e,)
-        convert, zero = ring.convert, ring.zero()
         table = {}
-        for key, vec in products.items():
-            clean = {ic: c for ic, v in vec.items() if (c := convert(v)) != zero}
+        for (ia, ib), vec in products.items():
+            clean = {}
+            for ic, v in vec.items():
+                if not is_int(v):
+                    raise TypeError(f"structure constant of ({ia},{ib}) is not an integer: {v!r}")
+                if v:
+                    clean[ic] = v
             if clean:
-                table[key] = clean
+                table[(ia, ib)] = clean
         self.products = table
-        if check:
-            self._check()
+        self._pairing_divisors = {}  # (p, q) -> the map's and the form's divisors
+        self._check()
 
     # -- queries ----------------------------------------------------------
 
@@ -183,22 +186,20 @@ class PresentedGradedRing:
     def product(self, ida: str, idb: str) -> dict:
         return dict(self.products.get((ida, idb), {}))
 
-    def reduced(self, R: CoefficientRing, top_degree: int | None = None) -> "PresentedGradedRing":
-        """This integral ring with its structure constants reduced into R.
+    def over(self, R: CoefficientRing, top: int | None = None) -> "PresentedGradedRing":
+        """This ring read over R: the same table and divisor cache, unchecked.
 
-        The result is not checked, and needs no check when this ring was:
-        Z -> R is a ring homomorphism, so degree additivity, graded
-        commutativity and associativity over Z hold over R too.
-        ``top_degree`` may raise the top; no product reaches it.
+        It needs no check when this ring was checked: Z -> R is a ring
+        homomorphism, so degree additivity, graded commutativity and
+        associativity over Z hold over R too.  Every ring read off one
+        table shares one elimination per pairing matrix.  ``top`` may raise
+        the top degree; no product reaches it.
         """
-        if self.ring.kind != "Z":
-            raise RingMismatchError(f"only an integral ring reduces; got {self.ring.label}")
-        if self._divisors is None:
-            self._divisors = {}
-        top = self.top_degree if top_degree is None else top_degree
-        ring = PresentedGradedRing(R, top, self.basis, self.products, check=False)
-        ring.integral = self
-        return ring
+        view = object.__new__(PresentedGradedRing)
+        view.__dict__.update(self.__dict__, ring=R)
+        if top is not None:
+            view.top_degree = top
+        return view
 
     # -- validation --------------------------------------------------------
 
@@ -228,23 +229,21 @@ class PresentedGradedRing:
                     raise ValueError(f"product {ia}·{ib} hits unknown id {ic}")
                 if c.degree != total:
                     raise ValueError(f"product {ia}·{ib} violates degree additivity")
-        ring, table, by_id = self.ring, self.products, self.by_id
+        table, by_id = self.products, self.by_id
         for (ia, ib), ab in table.items():
             ba = table.get((ib, ia), {})
             if by_id[ia].degree % 2 and by_id[ib].degree % 2:
-                ba = {k: ring.convert(-v) for k, v in ba.items()}  # the table is canonical
+                ba = {k: -v for k, v in ba.items()}
             if ab != ba:
                 raise ValueError(f"graded commutativity fails on ({ia},{ib})")
 
-        zero = ring.zero()
-
         def expand(terms):
-            # Σ coef·vec over (coef, vec) terms, reduced, zeros dropped
+            # Σ coef·vec over (coef, vec) terms, zeros dropped
             out: dict = {}
             for coef, vec in terms:
                 for ic, c in vec.items():
-                    out[ic] = out.get(ic, zero) + coef * c
-            return {ic: c for ic, v in out.items() if (c := ring.convert(v)) != zero}
+                    out[ic] = out.get(ic, 0) + coef * c
+            return {ic: c for ic, c in out.items() if c}
 
         def times_right(vec, iz):  # (Σ vec[k]·k)·z
             return expand((coef, table.get((k, iz), {})) for k, coef in vec.items())
@@ -332,12 +331,15 @@ def validate_expr(e: ManifoldExpr) -> None:
 SPHERE = ("sphere",)  # provenance of a class that a sphere factor gives
 
 
-def sphere_ring(k: int, R: CoefficientRing) -> PresentedGradedRing:
+Z = CoefficientRing.integers()  # the label of every ring the constructors build
+
+
+def sphere_ring(k: int) -> PresentedGradedRing:
     """Cohomology ring of the k-sphere: one generator squaring to zero."""
     if k < 1:
         raise ValueError("sphere_ring needs k >= 1; the 0-sphere ring is not free rank-1 in top degree")
     gen = BasisElement("e1", k, SPHERE)
-    return PresentedGradedRing(R, k, (gen,), {})
+    return PresentedGradedRing(Z, k, (gen,), {})
 
 
 def tensor_ring(A: PresentedGradedRing, B: PresentedGradedRing) -> PresentedGradedRing:
@@ -348,9 +350,6 @@ def tensor_ring(A: PresentedGradedRing, B: PresentedGradedRing) -> PresentedGrad
     ``descriptor.base_classes`` walks.  A class paired with the unit keeps
     its provenance, so a sphere factor's class stays marked ("sphere",).
     """
-    if A.ring != B.ring:
-        raise RingMismatchError("tensor factors over different rings")
-    ring = A.ring
     pairs: list[tuple] = [(a, None) for a in A.basis]
     pairs += [(None, b) for b in B.basis]
     pairs += [(a, b) for a in A.basis for b in B.basis]
@@ -366,11 +365,11 @@ def tensor_ring(A: PresentedGradedRing, B: PresentedGradedRing) -> PresentedGrad
     def half_product(src: PresentedGradedRing, x, y) -> dict:
         """Component product in one factor; key None stands for the unit."""
         if x is None and y is None:
-            return {None: ring.one()}
+            return {None: 1}
         if x is None:
-            return {y.id: ring.one()}
+            return {y.id: 1}
         if y is None:
-            return {x.id: ring.one()}
+            return {x.id: 1}
         return src.products.get((x.id, y.id), {})
 
     products = {}
@@ -379,15 +378,14 @@ def tensor_ring(A: PresentedGradedRing, B: PresentedGradedRing) -> PresentedGrad
         out = {}
         for ka, ca in half_product(A, a1, a2).items():
             for kb, cb in half_product(B, b1, b2).items():
-                coeff = ring.convert(sign) * ca * cb
                 key = index[(ka, kb)]
-                out[key] = out.get(key, ring.zero()) + coeff
-        out = {k: v for k, v in out.items() if v != ring.zero()}
+                out[key] = out.get(key, 0) + sign * ca * cb
+        out = {k: v for k, v in out.items() if v}
         if out:
             ia = index[(a1.id if a1 else None, b1.id if b1 else None)]
             ib = index[(a2.id if a2 else None, b2.id if b2 else None)]
             products[(ia, ib)] = out
-    return PresentedGradedRing(ring, A.top_degree + B.top_degree, basis, products)
+    return PresentedGradedRing(Z, A.top_degree + B.top_degree, basis, products)
 
 
 def connsum_ring(A1: PresentedGradedRing, A2: PresentedGradedRing) -> PresentedGradedRing:
@@ -399,9 +397,6 @@ def connsum_ring(A1: PresentedGradedRing, A2: PresentedGradedRing) -> PresentedG
     differs by one basis sign, which no pairing invariant can see.  The
     classes below the top keep their provenance.
     """
-    if A1.ring != A2.ring:
-        raise RingMismatchError("connected-sum factors over different rings")
-    ring = A1.ring
     d = A1.top_degree
     if d != A2.top_degree or d < 1:
         raise ValueError(
@@ -435,30 +430,30 @@ def connsum_ring(A1: PresentedGradedRing, A2: PresentedGradedRing) -> PresentedG
             out = {}
             for ic, c in vec.items():
                 if ic == top_old:
-                    out[top_id] = out.get(top_id, ring.zero()) + ring.convert(orient) * c
+                    out[top_id] = out.get(top_id, 0) + orient * c
                 else:
                     out[index[(side, ic)]] = c
-            out = {k: v for k, v in out.items() if v != ring.zero()}
+            out = {k: v for k, v in out.items() if v}
             if out:
                 products[(index[(side, ia)], index[(side, ib)])] = out
-    return PresentedGradedRing(ring, d, basis, products)
+    return PresentedGradedRing(Z, d, basis, products)
 
 
-def cps_cohomology(e: ManifoldExpr, R: CoefficientRing) -> PresentedGradedRing:
+def cps_cohomology(e: ManifoldExpr) -> PresentedGradedRing:
     """Cohomology ring of a sphere/product/connected-sum expression."""
     validate_expr(e)
-    return _cps(e, R)
+    return _cps(e)
 
 
-def _cps(e: ManifoldExpr, R: CoefficientRing) -> PresentedGradedRing:
+def _cps(e: ManifoldExpr) -> PresentedGradedRing:
     if isinstance(e, Sphere):
-        return sphere_ring(e.k, R)
+        return sphere_ring(e.k)
     if isinstance(e, Product):
-        return tensor_ring(_cps(e.left, R), _cps(e.right, R))
-    return connsum_ring(_cps(e.left, R), _cps(e.right, R))
+        return tensor_ring(_cps(e.left), _cps(e.right))
+    return connsum_ring(_cps(e.left), _cps(e.right))
 
 
-def gcps_cohomology(summands, R: CoefficientRing) -> PresentedGradedRing:
+def gcps_cohomology(summands) -> PresentedGradedRing:
     """Cohomology ring of a wedge of expression manifolds, built in one pass.
 
     Positive degrees are the direct sum of the summands' positive parts;
@@ -480,7 +475,7 @@ def gcps_cohomology(summands, R: CoefficientRing) -> PresentedGradedRing:
         if isinstance(e, Sphere):
             classes, table = (BasisElement(None, e.k, SPHERE),), {}
         else:
-            core = _cps(e, R)
+            core = _cps(e)
             classes, table = core.basis, core.products
         index = {}
         for c in classes:
@@ -492,7 +487,7 @@ def gcps_cohomology(summands, R: CoefficientRing) -> PresentedGradedRing:
             basis.append(BasisElement(index[c.id], c.degree))
         for (ia, ib), vec in table.items():
             products[(index[ia], index[ib])] = {index[ic]: v for ic, v in vec.items()}
-    return PresentedGradedRing(R, top, basis, products)
+    return PresentedGradedRing(Z, top, basis, products)
 
 
 # ---------------------------------------------------------------------------
@@ -519,22 +514,8 @@ class PairingInvariants:
     form_divisors: tuple[int, ...] | None = None
 
 
-def _invariants_of_matrix(ring: CoefficientRing, columns: list[dict]):
-    """Rank, and over Z the elementary divisors, of ``{row: value}`` columns.
-
-    ``columns`` holds only the nonzero columns: dropping zero columns
-    changes neither the rank nor the nonzero elementary divisors.
-    """
-    if not columns:
-        return 0, (() if ring.kind == "Z" else None)
-    if ring.kind == "Z":
-        divisors = integer_elementary_divisors(columns)
-        return len(divisors), divisors
-    return field_reduce(ring, columns), None
-
-
 def _pairing_matrices(A: PresentedGradedRing, p: int, q: int):
-    """The map's and the form's nonzero ``{row: value}`` columns over A's ring."""
+    """The map's and the form's nonzero ``{row: value}`` integer columns."""
     P = A.degree_basis(p)
     Q = A.degree_basis(q)
     T = A.degree_basis(p + q)
@@ -564,30 +545,25 @@ def pairing_invariants(A: PresentedGradedRing, p: int, q: int) -> PairingInvaria
     columns; the table holds no zero entries, so only the nonzero columns
     are built and no dense matrix is allocated.  The map has one row per
     target class and one column per basis pair; the form has one row per
-    (H^q class, target class) pair and one column per H^p class.
+    (H^q class, target class) pair and one column per H^p class.  A zero
+    column changes no nonzero elementary divisor.
 
-    A ring made by :meth:`PresentedGradedRing.reduced` has the matrices of
-    its integral ring reduced into its coefficients, so its invariants are
-    read off the integral divisors by
-    :func:`~reeb_bubble.coefficients.rank_over`: over Q their count, over
-    Z/p those prime to p.  The divisors are kept on the integral ring, so
-    its reductions into every ring share one elimination per matrix.  Any
-    other ring's matrices are eliminated over its own coefficients.
+    Both matrices are eliminated over Z, once per table: the divisors are
+    kept in the cache that every ring read off the table by
+    :meth:`PresentedGradedRing.over` shares.  The matrices over A's ring are
+    the integral ones reduced, so its ranks are
+    :func:`~reeb_bubble.coefficients.rank_over` of the integral divisors:
+    over Q their count, over Z/p those prime to p.  Only over Z are the
+    divisors themselves an invariant and kept.
     """
     if p < 1 or q < 1 or p + q > A.top_degree:
         raise ValueError(f"degree pair ({p},{q}) out of range for top {A.top_degree}")
-    Z = A.integral
-    if Z is None:
-        map_cols, form_cols = _pairing_matrices(A, p, q)
-        map_rank, map_div = _invariants_of_matrix(A.ring, map_cols)
-        form_rank, form_div = _invariants_of_matrix(A.ring, form_cols)
-        return PairingInvariants(
-            p, q, A.ring.label, map_rank, form_rank, map_div, form_div
-        )
-    divisors = Z._divisors.get((p, q))
+    divisors = A._pairing_divisors.get((p, q))
     if divisors is None:
-        divisors = Z._divisors[(p, q)] = tuple(
-            _invariants_of_matrix(Z.ring, cols)[1] for cols in _pairing_matrices(Z, p, q)
+        map_cols, form_cols = _pairing_matrices(A, p, q)
+        divisors = A._pairing_divisors[(p, q)] = (
+            integer_elementary_divisors(map_cols) if map_cols else (),
+            integer_elementary_divisors(form_cols) if form_cols else (),
         )
     map_div, form_div = divisors
     R = A.ring

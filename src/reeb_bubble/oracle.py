@@ -370,31 +370,32 @@ def _homology_witnesses(expected, cx, K, R) -> list:
 
 
 class _OverZ:
-    """The formula ring against the measured integral ring, compared once.
+    """The formula ring against the measured ring read over Z, compared once.
 
-    The measured integral ring is compared at the measured rings' top
-    degree, the descriptor's dimension, which a model of lower dimension
-    lacks.  Every ring's measured ring, and every reduction of the formula
-    ring, keeps the top degree and ranks of its integral ring and reads its
-    pairing invariants off the same integral divisors by ``rank_over``
-    (see :meth:`~reeb_bubble.graded.PresentedGradedRing.reduced`).  So when
-    the comparison over Z is consistent, so is every ring's.  ``seconds``
-    is the time spent here, which no ring is charged.
+    Within one verify every measured ring is a view of the one integral
+    table that ``cup_ring_of_complex`` caches on the model's chain complex
+    for the descriptor's dimension, at that top degree, which a model of
+    lower dimension lacks.  Every ring's measured ring, and the formula ring
+    over every ring, keeps the top degree and ranks of its table and reads
+    its pairing invariants off the same integral divisors by ``rank_over``
+    (see :func:`~reeb_bubble.graded.pairing_invariants`).  So the first
+    measured ring read over Z stands for all of them, and when that
+    comparison is consistent, so is every ring's.  ``seconds`` is the time
+    spent here, which no ring is charged.
     """
 
     def __init__(self, formula):
         self.formula = formula
-        self.agrees = {}  # measured integral ring -> does the formula agree
+        self.agrees = None  # does the formula agree with the measured table
         self.seconds = 0.0
 
     def __call__(self, measured) -> bool:
-        integral = measured.integral
-        if integral not in self.agrees:
+        if self.agrees is None:
             start = time.perf_counter()
-            at_top = integral.reduced(integral.ring, measured.top_degree)
-            self.agrees[integral] = compare_invariants(self.formula, at_top).is_consistent
+            over_z = measured.over(self.formula.ring)
+            self.agrees = compare_invariants(self.formula, over_z).is_consistent
             self.seconds += time.perf_counter() - start
-        return self.agrees[integral]
+        return self.agrees
 
 
 def _ring_witness(d: ReebDescriptor, formula, R, K, over_z) -> str | None:
@@ -404,7 +405,7 @@ def _ring_witness(d: ReebDescriptor, formula, R, K, over_z) -> str | None:
     ``formula`` is the checked integral formula ring, or the message of the
     check it failed; either holds for every ring.  The verdict is read off
     the comparison over Z (``over_z``), made once per verify; this ring's
-    own comparison of the reductions runs only where that one finds a
+    own comparison of the two rings over R runs only where that one finds a
     difference, and gives this ring's witness, if any.
     """
     if isinstance(formula, str):
@@ -416,7 +417,7 @@ def _ring_witness(d: ReebDescriptor, formula, R, K, over_z) -> str | None:
         return f"tier-2 oracle: {exc}"
     if over_z(measured):
         return None
-    verdict = compare_invariants(formula.reduced(R), measured)
+    verdict = compare_invariants(formula.over(R), measured)
     return None if verdict.is_consistent else f"ring invariants: {verdict.witness}"
 
 
@@ -441,10 +442,11 @@ def verify_descriptor(
     read over Z for every module check and the Euler check; it and the
     tier-1 complex take the base classes off the handle expressions, so
     tier 1 builds no ring.  At tier 2 the formula ring and the measured cup
-    ring are each built and checked once, over Z, and every ring reads
-    their reductions, whose pairings are read off the integral divisors
-    (see :func:`~reeb_bubble.graded.pairing_invariants`).  So a table that
-    fails its check over Z gives its witness on every ring, also where the
+    ring are each one integer table, built and checked once, and every ring
+    reads them over R (:meth:`~reeb_bubble.graded.PresentedGradedRing.over`),
+    with pairings read off the integral divisors, eliminated once per
+    table (see :func:`~reeb_bubble.graded.pairing_invariants`).  So a table
+    that fails its check gives its witness on every ring, also where the
     reduced table would pass, as a sign error does over Z/2.
 
     Verdicts are compared once over Z: the tier-1 and tier-2 integral

@@ -214,7 +214,7 @@ class ChainComplexZ:
     the divisors once and is cached here; every other ring's homology is
     derived from it.  The integral cocycle solvers read the cleared
     splitting, and :func:`top_cycle` reads the top degree, where nothing is
-    cleared.  Cup rings over every ring reduce the one integral cup ring,
+    cleared.  Cup rings over every ring read the one integral cup ring,
     checked once and cached here per top degree (the integral solvers that
     build it are not kept), so a Z/p cup ring of a complex with torsion,
     whose Tor classes no integral cocycle carries, is refused.
@@ -870,10 +870,11 @@ def cup_ring_of_complex(
     complex and top degree, with one integral solver built per degree, and
     checked once over Z by ``PresentedGradedRing`` before it is cached on
     the chain complex; a table that fails the check is not cached, so every
-    ring that asks for it raises.  Each ring is the cached integral ring
-    reduced into R, unchecked (see :meth:`PresentedGradedRing.reduced`),
-    which is a ring isomorphism onto the free part over Q, and over every
-    ring when the integral homology is torsion-free.
+    ring that asks for it raises.  Each ring is the cached integral table
+    read over R, unchecked (see :meth:`PresentedGradedRing.over`), which is
+    a ring isomorphism onto the free part over Q, and over every ring when
+    the integral homology is torsion-free; every ring of one table shares
+    its pairing eliminations.
     Both refusals read the cached integral homology; a complex whose H_0 is
     not Z, the empty one included, is not connected.
     Torsion in H_{k-1} is torsion in integral H^k, and over Z/p torsion in
@@ -907,4 +908,4 @@ def cup_ring_of_complex(
         basis, products = _cup_products(K, cx, reach, homz)
         integral = PresentedGradedRing(CoefficientRing.integers(), reach, basis, products)
         cx._products[reach] = integral
-    return integral.reduced(R, top)
+    return integral.over(R, top)

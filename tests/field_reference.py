@@ -48,8 +48,8 @@ def field_row_reduce(ring, rows, cols: int):
     for free in range(cols):
         if free in pivots:
             continue
-        vec = [ring.zero()] * cols
-        vec[free] = ring.one()
+        vec = [ring.convert(0)] * cols
+        vec[free] = ring.convert(1)
         for k, c in enumerate(pivots):
             vec[c] = ring.convert(-M[k][free])
         kernel.append(tuple(vec))

@@ -9,6 +9,7 @@ the rows that the dense references in ``*_reference.py`` read.
 """
 
 from reeb_bubble.catalog import ENTRIES, CatalogEntry
+from reeb_bubble.coefficients import CoefficientRing
 from reeb_bubble.descriptor import base_classes
 from reeb_bubble.graded import (
     BasisElement,
@@ -94,12 +95,13 @@ def random_expr(rng, dim: int, depth: int):
     return ConnSum(random_expr(rng, dim, depth - 1), random_expr(rng, dim, depth - 1))
 
 
-def reference_base_ring(base, R) -> PresentedGradedRing:
+def reference_base_ring(base) -> PresentedGradedRing:
     """The base ring in two steps: a checked wedge of the cores' rings whose
     classes take fresh ids e1, e2, ... by position, then a copy renamed by
     ``base_classes``.  Each core is built by ``cps_cohomology``, so a sphere
     core is a ring of its own here."""
-    rings = [cps_cohomology(h, R) for h in base.handles]
+    Z = CoefficientRing.integers()
+    rings = [cps_cohomology(h) for h in base.handles]
     basis, index, products = [], {}, {}
     for i, src in enumerate(rings):
         for e in src.basis:
@@ -110,18 +112,17 @@ def reference_base_ring(base, R) -> PresentedGradedRing:
                 index[(i, ic)]: c for ic, c in vec.items()
             }
     top = max((r.top_degree for r in rings), default=0)
-    wedge = PresentedGradedRing(R, top, basis, products)
+    wedge = PresentedGradedRing(Z, top, basis, products)
 
     classes = base_classes(base)
     assert [e.degree for e in wedge.basis] == [k for _, k in classes]
     name = {e.id: ident for e, (ident, _) in zip(wedge.basis, classes)}
     return PresentedGradedRing(
-        R,
+        Z,
         top,
         [BasisElement(name[e.id], e.degree, e.provenance) for e in wedge.basis],
         {
             (name[ia], name[ib]): {name[ic]: c for ic, c in vec.items()}
             for (ia, ib), vec in wedge.products.items()
         },
-        check=False,
     )

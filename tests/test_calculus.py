@@ -215,7 +215,7 @@ def test_inclusion_subtable_matches_base():
     )
     from reeb_bubble.descriptor import base_cohomology
 
-    base = base_cohomology(d.base, Z)
+    base = base_cohomology(d.base)
     ring = cohomology_ring_of_descriptor(d, Z).ring
     base_ids = {e.id for e in base.basis}
     for ia in base_ids:

@@ -15,6 +15,7 @@ from helpers import catalog_entry, full_simplex, random_expr, tier2_entries
 from test_simplicial import rp2
 
 from reeb_bubble import calculus as calculus_module
+from reeb_bubble import cli as cli_module
 from reeb_bubble import coefficients as coefficients_module
 from reeb_bubble import descriptor as descriptor_module
 from reeb_bubble import graded as graded_module
@@ -709,7 +710,7 @@ def test_random_descriptors_verify_end_to_end():
 
 
 # ---------------------------------------------------------------------------
-# rings once over Z: reductions, derived pairings, counts
+# rings once over Z: one table per ring, derived pairings, counts
 # ---------------------------------------------------------------------------
 
 
@@ -723,30 +724,108 @@ def _small_tier2_draws():
     ]
 
 
-@pytest.mark.parametrize("source", ["catalog", "draws"])
-def test_derived_pairings_equal_field_reduce(monkeypatch, source):
-    # a reduction reads its pairings off the integral divisors; the same
-    # table as a ring of its own eliminates its matrices over the field
-    reduced = []
-    real = graded_module.field_reduce
+def _field_pairing_ranks(A, R, p, q):
+    """The map's and the form's ranks over the field R, by ``field_reduce``
+    on A's pairing matrices with every entry converted into R."""
+    P, Q_, T = A.degree_basis(p), A.degree_basis(q), A.degree_basis(p + q)
+    tindex = {e.id: t for t, e in enumerate(T)}
+    map_cols, form_cols = [], [{} for _ in P]
+    for i, a in enumerate(P):
+        for j, b in enumerate(Q_):
+            col = {}
+            for ic, c in A.products.get((a.id, b.id), {}).items():
+                if c := R.convert(c):
+                    col[tindex[ic]] = c
+                    form_cols[i][j * len(T) + tindex[ic]] = c
+            map_cols.append(col)
+    field_reduce = coefficients_module.field_reduce
+    return tuple(field_reduce(R, [c for c in cols if c]) for cols in (map_cols, form_cols))
 
-    def counted(R, columns):
-        reduced.append(R)
-        return real(R, columns)
 
-    monkeypatch.setattr(graded_module, "field_reduce", counted)
-    pool = [e.descriptor for e in tier2_entries()] if source == "catalog" else _small_tier2_draws()
-    assert pool
-    for d in pool:
-        formula = cohomology_ring_of_descriptor(d, Z).ring
-        K = simplicial_model(d)
-        for R in RINGS:
-            for A in (formula.reduced(R), cup_ring_of_complex(K, R, top_degree=d.n)):
-                assert A.integral is not None and A.ring == R
-                alone = PresentedGradedRing(R, A.top_degree, A.basis, A.products)
-                for p, q in _pairing_cells(d.n):
-                    assert pairing_invariants(A, p, q) == pairing_invariants(alone, p, q)
-    assert set(reduced) == {Q, Z2, Z3}
+def _ring_command_rings(monkeypatch, tmp_path, descriptors):
+    """Every ring whose pairings ``reeb-bubble ring`` reads, over Z, Q, Z/2
+    and Z/3, for each descriptor."""
+    rings = []
+    real = cli_module.pairing_invariants
+
+    def tapped(A, p, q):
+        if not rings or rings[-1] is not A:
+            rings.append(A)
+        return real(A, p, q)
+
+    monkeypatch.setattr(cli_module, "pairing_invariants", tapped)
+    path, report = tmp_path / "d.json", tmp_path / "ring.json"
+    flags = ["--ring", "Z", "--ring", "Q", "--ring", "Zp", "--p", "2", "--ring", "Zp", "--p", "3"]
+    for d in descriptors:
+        path.write_text(serialize_descriptor(d))
+        assert cli_main(["ring", "-d", str(path), *flags, "--json", str(report)]) == 0
+    return rings
+
+
+@pytest.mark.parametrize("source", ["catalog", "draws", "ring-command"])
+def test_field_pairings_equal_field_reduce_on_converted_matrices(monkeypatch, tmp_path, source):
+    # every ring reads its pairings off the integral divisors of its one
+    # table; the reference reduces each matrix into the field first and
+    # eliminates it there
+    if source == "ring-command":
+        rings = _ring_command_rings(monkeypatch, tmp_path, [e.descriptor for e in ENTRIES])
+        assert len(rings) == 4 * len(ENTRIES)
+    else:
+        pool = [e.descriptor for e in tier2_entries()] if source == "catalog" else _small_tier2_draws()
+        assert pool
+        rings = []
+        for d in pool:
+            formula = cohomology_ring_of_descriptor(d, Z).ring
+            K = simplicial_model(d)
+            for R in RINGS:
+                rings += [formula.over(R), cup_ring_of_complex(K, R, top_degree=d.n)]
+    fields = set()
+    for A in rings:
+        R = A.ring
+        for p, q in _pairing_cells(A.top_degree):
+            inv = pairing_invariants(A, p, q)
+            if R.is_field:
+                fields.add(R.label)
+                assert (inv.map_rank, inv.form_rank) == _field_pairing_ranks(A, R, p, q), (A, p, q)
+                assert inv.map_divisors is inv.form_divisors is None
+            else:
+                assert (inv.map_rank, inv.form_rank) == (len(inv.map_divisors), len(inv.form_divisors))
+    assert fields == {"Q", "Z/2", "Z/3"}
+
+
+def test_ring_command_checks_one_table_and_eliminates_each_matrix_once(monkeypatch, tmp_path):
+    # four rings read one integral table: it is checked once, beside its
+    # base ring, and each pairing matrix is eliminated once, over Z, as for
+    # Z alone; no field elimination runs
+    checked = []
+    real_check = PresentedGradedRing._check
+
+    def check(self):
+        checked.append(self.ring)
+        return real_check(self)
+
+    eliminated = []
+    real_divisors = graded_module.integer_elementary_divisors
+
+    def divisors(columns):
+        eliminated.append(len(columns))
+        return real_divisors(columns)
+
+    field_calls = []
+    monkeypatch.setattr(PresentedGradedRing, "_check", check)
+    monkeypatch.setattr(graded_module, "integer_elementary_divisors", divisors)
+    monkeypatch.setattr(coefficients_module, "field_reduce", lambda *a: field_calls.append(a))
+    path = tmp_path / "d.json"
+    path.write_text(serialize_descriptor(_torsion_free_model_descriptor()))
+    assert cli_main(["ring", "-d", str(path), "--json", str(tmp_path / "z.json")]) == 0
+    alone = list(eliminated)
+    checked.clear()
+    eliminated.clear()
+    flags = ["--ring", "Zp", "--p", "2", "--ring", "Q", "--ring", "Z", "--ring", "Zp", "--p", "3"]
+    assert cli_main(["ring", "-d", str(path), *flags, "--json", str(tmp_path / "four.json")]) == 0
+    assert checked == [Z, Z]  # the base wedge and the formula table
+    assert alone and eliminated == alone
+    assert field_calls == []
 
 
 def _verdicts(rep):
@@ -797,7 +876,7 @@ def test_verify_builds_and_checks_each_ring_once_over_z(monkeypatch):
 
     monkeypatch.setattr(oracle_module, "cohomology_ring_of_descriptor", presentation)
     monkeypatch.setattr(PresentedGradedRing, "_check", check)
-    monkeypatch.setattr(graded_module, "field_reduce", lambda *a: field_calls.append(a))
+    monkeypatch.setattr(coefficients_module, "field_reduce", lambda *a: field_calls.append(a))
     monkeypatch.setattr(graded_module, "integer_elementary_divisors", divisors)
     assert verify_descriptor(d, [Z]).ok
     alone = len(eliminated)
@@ -831,9 +910,9 @@ def test_verify_asks_the_oracle_binding_for_every_ring(monkeypatch):
 
 
 def test_formula_sign_error_is_a_witness_on_every_ring(monkeypatch):
-    # the table is wrong by one sign, which Z/2 cannot see: the check over
-    # Z fails, and its witness lands on every ring, Z/2 included, also when
-    # Z is not asked for
+    # the table is wrong by one sign, which Z/2 cannot see: the check, made
+    # over Z whatever ring labels the table, fails, and its witness lands on
+    # every ring, Z/2 included, also when Z is not asked for
     d = _torsion_free_model_descriptor()
     real = oracle_module.cohomology_ring_of_descriptor
 
@@ -844,10 +923,9 @@ def test_formula_sign_error_is_a_witness_on_every_ring(monkeypatch):
         products[("nu2", "b2.1")] = {t: -c for t, c in products[("nu2", "b2.1")].items()}
         return replace(report, ring=PresentedGradedRing(R, A.top_degree, A.basis, products))
 
-    # over Z/2 alone the wrong table passes its check
-    assert signed(d, Z2).ring.products
-    with pytest.raises(ValueError, match="graded commutativity"):
-        signed(d, Z)
+    for R in (Z, Z2):
+        with pytest.raises(ValueError, match="graded commutativity"):
+            signed(d, R)
     monkeypatch.setattr(oracle_module, "cohomology_ring_of_descriptor", signed)
     for rings in (RINGS, [Z2, Q]):
         rep = verify_descriptor(d, rings)
@@ -967,32 +1045,6 @@ def test_cli_verify_builds_the_formula_ring_once(monkeypatch, tmp_path, capsys):
     assert calls == {"base_cohomology": 1, "validate": 1}
 
 
-def test_rings_built_directly_take_the_field_path(monkeypatch):
-    # the control: a ring that is not a reduction keeps no divisors and
-    # eliminates its own matrices, over Z and over a field
-    d = _torsion_free_model_descriptor()
-    reduced = []
-    real = graded_module.field_reduce
-
-    def counted(R, columns):
-        reduced.append(R)
-        return real(R, columns)
-
-    monkeypatch.setattr(graded_module, "field_reduce", counted)
-    for R in RINGS:
-        A = cohomology_ring_of_descriptor(d, R).ring
-        assert A.integral is None
-        invariants = [pairing_invariants(A, p, q) for p, q in _pairing_cells(d.n)]
-        assert "_divisors" not in vars(A) and A.integral is None
-        assert invariants == [
-            pairing_invariants(cohomology_ring_of_descriptor(d, Z).ring.reduced(R), p, q)
-            for p, q in _pairing_cells(d.n)
-        ]
-    assert reduced and set(reduced) == {Q, Z2, Z3}
-    with pytest.raises(coefficients_module.RingMismatchError):
-        cohomology_ring_of_descriptor(d, Q).ring.reduced(Z2)
-
-
 # ---------------------------------------------------------------------------
 # base classes read off the handle expressions, checked two other ways
 # ---------------------------------------------------------------------------
@@ -1029,7 +1081,7 @@ def test_base_classes_match_the_ring_and_the_core_complexes():
     cores = {}
     for base in bases:
         classes = base_classes(base)
-        ring = gcps_cohomology(base.handles, Z)
+        ring = gcps_cohomology(base.handles)
         assert [k for _, k in classes] == [e.degree for e in ring.basis], base
         for h in base.handles:
             if not oracle_module._has_connsum(h):
