@@ -1,6 +1,7 @@
 """Shared test helpers: matrix literals in the package's layout, the split
-of a column reduction, the full simplex, catalog lookups, random cores,
-and the two-step base ring that the one-pass wedge builder replaced.
+of a column reduction, the full simplex, catalog lookups, random cores
+and bases, and the two-step base ring that the one-pass wedge builder
+replaced.
 
 The package stores every matrix as a list of ``{row: value}`` columns.
 Tests write small matrices as dense row-major literals and hand them over
@@ -8,9 +9,11 @@ through :func:`transpose`, which also turns boundary columns back into
 the rows that the dense references in ``*_reference.py`` read.
 """
 
+import random
+
 from reeb_bubble.catalog import ENTRIES, CatalogEntry
 from reeb_bubble.coefficients import CoefficientRing
-from reeb_bubble.descriptor import base_classes
+from reeb_bubble.descriptor import BaseSpec, base_classes
 from reeb_bubble.graded import (
     BasisElement,
     ConnSum,
@@ -18,6 +21,7 @@ from reeb_bubble.graded import (
     Product,
     Sphere,
     cps_cohomology,
+    dimension,
 )
 from reeb_bubble.oracle import tier2_obstruction
 from reeb_bubble.simplicial import SimplicialComplex
@@ -93,6 +97,17 @@ def random_expr(rng, dim: int, depth: int):
         k = rng.randint(1, dim - 1)
         return Product(random_expr(rng, k, depth - 1), random_expr(rng, dim - k, depth - 1))
     return ConnSum(random_expr(rng, dim, depth - 1), random_expr(rng, dim, depth - 1))
+
+
+def random_bases(seed):
+    """60 seeded bases of up to three random cores of dimension at most 4."""
+    rng = random.Random(4100 + seed)
+    for _ in range(60):
+        handles = [
+            random_expr(rng, rng.randint(1, 4), rng.randint(0, 3))
+            for _ in range(rng.randint(0, 3))
+        ]
+        yield BaseSpec(max([dimension(h) for h in handles], default=1) + 1, tuple(handles))
 
 
 def reference_base_ring(base) -> PresentedGradedRing:

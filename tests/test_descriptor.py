@@ -1,9 +1,7 @@
 """Descriptor validation, base classes and the wire format."""
 
-import random
-
 import pytest
-from helpers import random_expr, reference_base_ring
+from helpers import random_bases, reference_base_ring
 
 from reeb_bubble import descriptor as descriptor_module
 from reeb_bubble import graded as graded_module
@@ -30,7 +28,6 @@ from reeb_bubble.graded import (
     ConnSum,
     Product,
     Sphere,
-    dimension,
     gcps_cohomology,
 )
 
@@ -183,20 +180,9 @@ def test_base_classes_connsum_drops_top_classes():
     assert base_sphere_classes(d) == [("nu1", 1), ("nu2", 2), ("nu3", 1), ("nu4", 2), ("nu5", 3)]
 
 
-def _random_bases(seed):
-    """60 seeded bases of up to three random cores of dimension at most 4."""
-    rng = random.Random(4100 + seed)
-    for _ in range(60):
-        handles = [
-            random_expr(rng, rng.randint(1, 4), rng.randint(0, 3))
-            for _ in range(rng.randint(0, 3))
-        ]
-        yield BaseSpec(max([dimension(h) for h in handles], default=1) + 1, tuple(handles))
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_base_classes_match_the_base_ring_order(seed):
-    for base in _random_bases(seed):
+    for base in random_bases(seed):
         # the ring constructors list their basis independently of the walk
         ring = gcps_cohomology(base.handles)
         assert [k for _, k in base_classes(base)] == [e.degree for e in ring.basis]
@@ -266,7 +252,7 @@ def _walked_descriptors():
     yield from (plan_descriptor(p) for p in random_plans(0, 80))
     yield from random_descriptors(0, 160)
     for seed in range(4):
-        yield from (ReebDescriptor(base) for base in _random_bases(seed))
+        yield from (ReebDescriptor(base) for base in random_bases(seed))
 
 
 def test_one_pass_base_ring_matches_the_two_step_reference():
