@@ -31,7 +31,6 @@ from .graded import (
 )
 
 __all__ = [
-    "RecordClasses",
     "RingPresentationReport",
     "InferenceReport",
     "homology_of_descriptor",
@@ -78,24 +77,16 @@ def homology_of_descriptor(d: ReebDescriptor, R: CoefficientRing) -> GradedModul
 
 
 @dataclass(frozen=True)
-class RecordClasses:
-    """Basis ids contributed by one record.
+class RingPresentationReport:
+    """The formula ring of a descriptor and its homology.
 
-    ``bubbled`` aligns with the record's sphere list; a ``None`` entry marks
-    a dimension-0 component, which contributes no class of its own.
+    A class's id says where it comes from: the base ring's nu<j> and e<i>,
+    b<r>.<j> for the j-th sphere of record r (none for a dimension-0
+    sphere), t<r> for record r's top class.
     """
 
-    index: int
-    kind: RecordKind
-    bubbled: tuple
-    top: str
-
-
-@dataclass(frozen=True)
-class RingPresentationReport:
     homology: GradedModule
     ring: PresentedGradedRing
-    record_classes: tuple
 
 
 def cohomology_ring_of_descriptor(
@@ -103,13 +94,14 @@ def cohomology_ring_of_descriptor(
 ) -> RingPresentationReport:
     """Cup-product presentation of the quotient space's cohomology.
 
-    Basis: the base ring's classes (inclusion images, ids kept), one class
-    b<r>.<j> of degree n - l per positive-dimensional sphere, one top class
-    t<r> of degree n per record.  Products: inclusion is a ring map, so the
-    base table carries over; two bubbled classes multiply to zero; a base
-    sphere class nu paired against b<r>.<j> gives coefficient-times-t<r>
-    when the degrees match and zero otherwise; top classes annihilate all
-    positive degrees.  t<r> is normalized so the stored-order constant is
+    Basis: the base ring's classes (inclusion images, ids kept: nu<j> for
+    a sphere factor's class, e<i> for any other), one class b<r>.<j> of
+    degree n - l per positive-dimensional sphere j of record r, one top
+    class t<r> of degree n per record; an id is all that marks a class's
+    origin.  Products: inclusion is a ring map, so the base table carries
+    over; two bubbled classes multiply to zero; a base sphere class nu
+    paired against b<r>.<j> gives coefficient-times-t<r> when the degrees
+    match and zero otherwise; top classes annihilate all positive degrees.  t<r> is normalized so the stored-order constant is
     exactly the descriptor coefficient, with the sign on the reversed order
     supplied by graded commutativity.  Two integer tables are built and
     checked, once each: the base ring, by
@@ -124,32 +116,27 @@ def cohomology_ring_of_descriptor(
     if base.products and all(isinstance(h, Sphere) for h in d.base.handles):
         raise RuntimeError("sphere cores must have a zero product table")
 
-    basis = [BasisElement(e.id, e.degree, ("inclusion",)) for e in base.basis]
+    basis = list(base.basis)
     products = dict(base.products)
-    per_record = []
     for r, rec in enumerate(d.records, start=1):
         top_id = f"t{r}"
-        bubbled = []
         for j, sph in enumerate(rec.spheres, start=1):
             if sph.dim == 0:
-                bubbled.append(None)
                 continue
             beta = f"b{r}.{j}"
-            bubbled.append(beta)
             l = sph.dim
-            basis.append(BasisElement(beta, n - l, ("bubbled", r, j)))
+            basis.append(BasisElement(beta, n - l))
             sign = -1 if (l % 2 and (n - l) % 2) else 1
             for target, value in sph.coefficients:
                 products[(target, beta)] = {top_id: value}
                 products[(beta, target)] = {top_id: sign * value}
-        basis.append(BasisElement(top_id, n, ("top", r)))
-        per_record.append(RecordClasses(r, rec.kind, tuple(bubbled), top_id))
+        basis.append(BasisElement(top_id, n))
 
     ring = PresentedGradedRing(R, n, basis, products)
     homology = homology_of_descriptor(d, R)
     if homology.free_ranks != ring.free_ranks():
         raise RuntimeError("rank bookkeeping out of sync")
-    return RingPresentationReport(homology, ring, tuple(per_record))
+    return RingPresentationReport(homology, ring)
 
 
 # ---------------------------------------------------------------------------

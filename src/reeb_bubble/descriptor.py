@@ -212,10 +212,11 @@ def validate(d: ReebDescriptor) -> list[str]:
 
 
 def _walk(e: ManifoldExpr) -> list[tuple[int, bool]]:
-    # (degree, is a sphere class) per class, in the basis order of graded's
-    # ring constructors: a product lists its factors' classes, then their
-    # cross products; a connected sum its factors' classes below the top,
-    # which it identifies into the fundamental class
+    # (degree, is a sphere class) per class, in the order that graded's
+    # core listing (_core_table) gives independently: a product lists its
+    # factors' classes, then their cross products; a connected sum its
+    # factors' classes below the top, which it identifies into the
+    # fundamental class
     if isinstance(e, Sphere):
         return [(e.k, True)]
     left, right = _walk(e.left), _walk(e.right)
@@ -257,9 +258,10 @@ def base_cohomology(base: BaseSpec) -> PresentedGradedRing:
 
     The base space deformation-retracts to this wedge, so its positive
     cohomology is the direct sum of the cores' with vanishing cross
-    products.  ``gcps_cohomology`` builds and checks it in one pass, naming
-    each class as the walk does, from the ring constructors' own listing;
-    an id or degree that differs from the walk's raises ``RuntimeError``.
+    products.  ``gcps_cohomology`` builds and checks it as one ring, naming
+    each class as the walk does, from its own recursive listing of each
+    core's classes and products; an id or degree that differs from the
+    walk's raises ``RuntimeError``.
     """
     ring = gcps_cohomology(base.handles)
     if [(e.id, e.degree) for e in ring.basis] != base_classes(base):

@@ -3,16 +3,17 @@
 Every ring here is a free module with a distinguished homogeneous basis,
 an implicit unit in degree 0, and multiplication stored as integer
 structure constants; the coefficient ring is read only where an invariant
-is.  The constructors build the integral cohomology rings of spheres,
-products, connected sums and wedges of such manifolds; the comparison
-layer reduces rings to basis-free pairing invariants so that two
-independently produced presentations can be matched honestly.
+is.  The integral cohomology ring of a sphere, product or connected-sum
+expression, or of a wedge of them, is listed by one recursion over the
+expression (Künneth and connected-sum rules, Hatcher §3.2 and Thm 3.15)
+and built and checked as one ring; the comparison layer reduces rings to
+basis-free pairing invariants so that two independently produced
+presentations can be matched honestly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 from .coefficients import (
     CoefficientRing,
@@ -31,9 +32,6 @@ __all__ = [
     "ConnSum",
     "dimension",
     "validate_expr",
-    "sphere_ring",
-    "tensor_ring",
-    "connsum_ring",
     "cps_cohomology",
     "gcps_cohomology",
     "PairingInvariants",
@@ -57,7 +55,10 @@ class GradedModule:
     torsion: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        ranks = tuple(int(r) for r in self.free_ranks)
+        ranks = tuple(self.free_ranks)
+        for r in ranks:
+            if not is_int(r):
+                raise TypeError(f"rank must be an integer, got {r!r}")
         tors = tuple(tuple(t) for t in self.torsion)
         if len(tors) < len(ranks):
             tors = tors + ((),) * (len(ranks) - len(tors))
@@ -66,8 +67,11 @@ class GradedModule:
         if any(r < 0 for r in ranks):
             raise ValueError("negative rank")
         for t in tors if any(tors) else ():  # a free module has nothing to check
-            if any(d < 2 for d in t):
-                raise ValueError("torsion divisors must exceed 1")
+            for d in t:
+                if not is_int(d):
+                    raise TypeError(f"torsion divisor must be an integer, got {d!r}")
+                if d < 2:
+                    raise ValueError("torsion divisors must exceed 1")
             if t and self.ring.is_field:
                 raise ValueError("torsion over a field")
         object.__setattr__(self, "free_ranks", ranks)
@@ -109,14 +113,14 @@ class GradedModule:
 class BasisElement:
     """A homogeneous basis class of a presented ring.
 
-    ``provenance`` is a tagged tuple: ("base",), ("inclusion",),
-    ("bubbled", record_index, sphere_index), ("top", record_index), or
-    ("sphere",) on a core's class that one of its sphere factors gives.
+    The id carries the class's origin: in a base ring nu<j> is the j-th
+    class that a sphere factor gives and e<i> any other class at wedge
+    position i; the formula ring adds b<r>.<j> for the j-th sphere of
+    record r and t<r> for the record's top class.
     """
 
     id: str
     degree: int
-    provenance: tuple = ("base",)
 
 
 class PresentedGradedRing:
@@ -127,8 +131,9 @@ class PresentedGradedRing:
     torsion-free, so its ring over any coefficient ring is the integral
     ring reduced (Hatcher, Thm 3A.3 and §3.2): the table is integral on
     every ring, and ``ring`` is a label read only where an invariant is
-    (:func:`pairing_invariants`) or an entry is printed.  A constant that
-    is not an ``int`` raises ``TypeError``.
+    (:func:`pairing_invariants`) or an entry is printed.  A constant, top
+    degree or basis degree that is not an ``int`` (``True`` and ``2.0`` are
+    not) raises ``TypeError``.
 
     Construction validates degree additivity, graded commutativity and
     associativity exhaustively, in integer arithmetic, but visits only the
@@ -143,11 +148,15 @@ class PresentedGradedRing:
     """
 
     def __init__(self, ring, top_degree, basis, products):
+        if not is_int(top_degree):
+            raise TypeError(f"top degree must be an integer, got {top_degree!r}")
         self.ring = ring
-        self.top_degree = int(top_degree)
+        self.top_degree = top_degree
         self.basis = tuple(basis)
         by_id, by_degree = self.by_id, self._by_degree = {}, {}
         for e in self.basis:
+            if not is_int(e.degree):
+                raise TypeError(f"degree of {e.id} is not an integer: {e.degree!r}")
             if e.degree < 1:
                 raise ValueError(f"basis element {e.id} has degree < 1")
             if e.id in by_id:
@@ -328,129 +337,102 @@ def validate_expr(e: ManifoldExpr) -> None:
 # ---------------------------------------------------------------------------
 
 
-SPHERE = ("sphere",)  # provenance of a class that a sphere factor gives
-
-
 Z = CoefficientRing.integers()  # the label of every ring the constructors build
 
 
-def sphere_ring(k: int) -> PresentedGradedRing:
-    """Cohomology ring of the k-sphere: one generator squaring to zero."""
-    if k < 1:
-        raise ValueError("sphere_ring needs k >= 1; the 0-sphere ring is not free rank-1 in top degree")
-    gen = BasisElement("e1", k, SPHERE)
-    return PresentedGradedRing(Z, k, (gen,), {})
+def _core_table(e: ManifoldExpr) -> tuple[list, dict]:
+    """The integral cohomology of a validated expression, listed by position.
 
-
-def tensor_ring(A: PresentedGradedRing, B: PresentedGradedRing) -> PresentedGradedRing:
-    """Graded tensor product with the Koszul sign (-1)^{deg b1 · deg a2}.
-
-    Basis order: A's classes paired with the unit, then the unit paired
-    with B's classes, then the mixed pairs, the order that
-    ``descriptor.base_classes`` walks.  A class paired with the unit keeps
-    its provenance, so a sphere factor's class stays marked ("sphere",).
+    Returns its positive-degree classes as (degree, given by a sphere
+    factor) in the order that ``descriptor.base_classes`` walks, and its
+    products as {(i, j): {k: c}} over those positions, zeros left out.  The
+    factors' tables hold no zeros, so neither does the result.  A product
+    lists the left factor's classes, then the right factor's, then the
+    mixed pairs, with the Koszul sign (-1)^{deg b1 · deg a2} on
+    (a1⊗b1)(a2⊗b2).  A connected sum lists both sides' classes below the
+    top, then the top; a product of two classes below the top is copied
+    from its side, with the first side's top sent to the top and the
+    second side's to MINUS the top, the literal rule that the pair of top
+    generators becomes zero.  The oriented identification differs by one
+    basis sign, which no pairing invariant can see.  Nothing is checked
+    here: the one ring built from the table is.
     """
-    pairs: list[tuple] = [(a, None) for a in A.basis]
-    pairs += [(None, b) for b in B.basis]
-    pairs += [(a, b) for a in A.basis for b in B.basis]
-    ids = [f"e{i}" for i in range(1, len(pairs) + 1)]
-    index = {}
-    basis = []
-    for ident, (a, b) in zip(ids, pairs):
-        degree = (a.degree if a else 0) + (b.degree if b else 0)
-        provenance = b.provenance if a is None else a.provenance if b is None else ("base",)
-        basis.append(BasisElement(ident, degree, provenance))
-        index[(a.id if a else None, b.id if b else None)] = ident
+    if isinstance(e, Sphere):
+        return [(e.k, True)], {}
+    left, ltable = _core_table(e.left)
+    right, rtable = _core_table(e.right)
+    if isinstance(e, Product):
+        nl, nr = len(left), len(right)
 
-    def half_product(src: PresentedGradedRing, x, y) -> dict:
-        """Component product in one factor; key None stands for the unit."""
-        if x is None and y is None:
-            return {None: 1}
-        if x is None:
-            return {y.id: 1}
-        if y is None:
-            return {x.id: 1}
-        return src.products.get((x.id, y.id), {})
+        def pos(a, b):  # a⊗b, None standing for the unit
+            return a if b is None else nl + b if a is None else nl + nr + a * nr + b
 
-    products = {}
-    for (a1, b1), (a2, b2) in iter_product(pairs, pairs):
-        sign = -1 if ((b1.degree if b1 else 0) % 2 and (a2.degree if a2 else 0) % 2) else 1
-        out = {}
-        for ka, ca in half_product(A, a1, a2).items():
-            for kb, cb in half_product(B, b1, b2).items():
-                key = index[(ka, kb)]
-                out[key] = out.get(key, 0) + sign * ca * cb
-        out = {k: v for k, v in out.items() if v}
-        if out:
-            ia = index[(a1.id if a1 else None, b1.id if b1 else None)]
-            ib = index[(a2.id if a2 else None, b2.id if b2 else None)]
-            products[(ia, ib)] = out
-    return PresentedGradedRing(Z, A.top_degree + B.top_degree, basis, products)
+        def deg(classes, i):
+            return 0 if i is None else classes[i][0]
+
+        def unit_terms(classes, table):
+            # (x, y, x·y) for every nonzero product in the factor, unit included
+            terms = [(None, None, {None: 1})]
+            for a in range(len(classes)):
+                terms += [(None, a, {a: 1}), (a, None, {a: 1})]
+            return terms + [(a, b, vec) for (a, b), vec in table.items()]
+
+        classes = left + right + [(da + db, False) for da, _ in left for db, _ in right]
+        table = {}
+        for a1, a2, avec in unit_terms(left, ltable):
+            for b1, b2, bvec in unit_terms(right, rtable):
+                if (a1, b1) == (None, None) or (a2, b2) == (None, None):
+                    continue  # the unit is no basis class
+                sign = -1 if deg(right, b1) % 2 and deg(left, a2) % 2 else 1
+                table[(pos(a1, b1), pos(a2, b2))] = {
+                    pos(ka, kb): sign * ca * cb
+                    for ka, ca in avec.items()
+                    for kb, cb in bvec.items()
+                }
+        return classes, table
+    d = dimension(e)
+    sides = ((left, ltable, 1), (right, rtable, -1))
+    classes, below = [], []
+    for side, _, _ in sides:
+        if sum(k == d for k, _ in side) != 1:
+            raise ValueError("connected sum needs rank-1 free top pieces")
+        index = {}
+        for i, c in enumerate(side):
+            if c[0] < d:
+                index[i] = len(classes)
+                classes.append(c)
+        below.append(index)
+    top = len(classes)
+    classes.append((d, False))
+    table = {}
+    for (_, side_table, orient), index in zip(sides, below):
+        for (a, b), vec in side_table.items():
+            # a product with the top is above it, so a and b are below it
+            table[(index[a], index[b])] = {
+                index[c] if c in index else top: v if c in index else orient * v
+                for c, v in vec.items()
+            }
+    return classes, table
 
 
-def connsum_ring(A1: PresentedGradedRing, A2: PresentedGradedRing) -> PresentedGradedRing:
-    """Connected-sum ring: middle degrees add, top degrees are identified.
-
-    The top-degree quotient follows the literal rule that the pair
-    (a1, a2) of top generators becomes zero, so A2's top generator maps to
-    MINUS the surviving class.  The conventional oriented identification
-    differs by one basis sign, which no pairing invariant can see.  The
-    classes below the top keep their provenance.
-    """
-    d = A1.top_degree
-    if d != A2.top_degree or d < 1:
-        raise ValueError(
-            f"connected sum needs equal positive top degrees, got {A1.top_degree} and {A2.top_degree}"
-        )
-    tops1 = A1.degree_basis(d)
-    tops2 = A2.degree_basis(d)
-    if len(tops1) != 1 or len(tops2) != 1:
-        raise ValueError("connected sum needs rank-1 free top pieces")
-    top1, top2 = tops1[0].id, tops2[0].id
-
-    sides = (("l", A1, top1, 1), ("r", A2, top2, -1))
-    middle = [
-        (side, e) for side, src, _, _ in sides for e in src.basis if e.degree < d
-    ]
-    ids = [f"e{i}" for i in range(1, len(middle) + 2)]
-    top_id = ids[-1]
-    index = {}
-    basis = []
-    for ident, (side, e) in zip(ids, middle):
-        basis.append(BasisElement(ident, e.degree, e.provenance))
-        index[(side, e.id)] = ident
-    basis.append(BasisElement(top_id, d))
-
-    products = {}
-    for side, src, top_old, orient in sides:
-        for (ia, ib), vec in src.products.items():
-            ea, eb = src.by_id[ia], src.by_id[ib]
-            if ea.degree >= d or eb.degree >= d:
-                continue
-            out = {}
-            for ic, c in vec.items():
-                if ic == top_old:
-                    out[top_id] = out.get(top_id, 0) + orient * c
-                else:
-                    out[index[(side, ic)]] = c
-            out = {k: v for k, v in out.items() if v}
-            if out:
-                products[(index[(side, ia)], index[(side, ib)])] = out
-    return PresentedGradedRing(Z, d, basis, products)
+def _named(ids, table) -> dict:
+    """A positional product table with each position named by ``ids``."""
+    return {
+        (ids[a], ids[b]): {ids[c]: v for c, v in vec.items()} for (a, b), vec in table.items()
+    }
 
 
 def cps_cohomology(e: ManifoldExpr) -> PresentedGradedRing:
-    """Cohomology ring of a sphere/product/connected-sum expression."""
+    """Cohomology ring of a sphere/product/connected-sum expression.
+
+    One checked ring, its classes listed by :func:`_core_table` and named
+    e1, e2, ... by position.
+    """
     validate_expr(e)
-    return _cps(e)
-
-
-def _cps(e: ManifoldExpr) -> PresentedGradedRing:
-    if isinstance(e, Sphere):
-        return sphere_ring(e.k)
-    if isinstance(e, Product):
-        return tensor_ring(_cps(e.left), _cps(e.right))
-    return connsum_ring(_cps(e.left), _cps(e.right))
+    classes, table = _core_table(e)
+    ids = [f"e{i}" for i in range(1, len(classes) + 1)]
+    basis = [BasisElement(ident, k) for ident, (k, _) in zip(ids, classes)]
+    return PresentedGradedRing(Z, dimension(e), basis, _named(ids, table))
 
 
 def gcps_cohomology(summands) -> PresentedGradedRing:
@@ -458,13 +440,11 @@ def gcps_cohomology(summands) -> PresentedGradedRing:
 
     Positive degrees are the direct sum of the summands' positive parts;
     products across different wedge summands vanish.  The empty wedge is
-    the one-point space: the unit-only ring.  A sphere summand adds one
-    class and builds no ring; a product or connected-sum summand is built
-    by :func:`tensor_ring` and :func:`connsum_ring`, and its table copied.
-    Each class is named as it is listed, with the ids of
-    ``descriptor.base_classes``: the j-th class a sphere factor gives
-    (provenance ("sphere",)) is nu<j>, the class at wedge position i is
-    otherwise e<i>.  The wedge's classes have provenance ("base",).
+    the one-point space: the unit-only ring.  Each summand, a sphere too,
+    is listed by :func:`_core_table` and its table copied into one checked
+    ring.  Each class is named as it is listed, with the ids of
+    ``descriptor.base_classes``: the j-th class a sphere factor gives is
+    nu<j>, the class at wedge position i is otherwise e<i>.
     """
     basis: list[BasisElement] = []
     products = {}
@@ -472,21 +452,16 @@ def gcps_cohomology(summands) -> PresentedGradedRing:
     for e in summands:
         validate_expr(e)
         top = max(top, dimension(e))
-        if isinstance(e, Sphere):
-            classes, table = (BasisElement(None, e.k, SPHERE),), {}
-        else:
-            core = _cps(e)
-            classes, table = core.basis, core.products
-        index = {}
-        for c in classes:
-            if c.provenance == SPHERE:
+        classes, table = _core_table(e)
+        ids = []
+        for k, sphere in classes:
+            if sphere:
                 spheres += 1
-                index[c.id] = f"nu{spheres}"
+                ids.append(f"nu{spheres}")
             else:
-                index[c.id] = f"e{len(basis) + 1}"
-            basis.append(BasisElement(index[c.id], c.degree))
-        for (ia, ib), vec in table.items():
-            products[(index[ia], index[ib])] = {index[ic]: v for ic, v in vec.items()}
+                ids.append(f"e{len(basis) + 1}")
+            basis.append(BasisElement(ids[-1], k))
+        products.update(_named(ids, table))
     return PresentedGradedRing(Z, top, basis, products)
 
 

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 
 from .calculus import cohomology_ring_of_descriptor, homology_of_descriptor
-from .coefficients import CoefficientRing
+from .coefficients import CoefficientRing, is_int
 from .descriptor import ReebDescriptor, base_classes, serialize_descriptor
 from .graded import ConnSum, PresentedGradedRing, Product, Sphere, compare_invariants
 from .simplicial import (
@@ -465,10 +465,8 @@ def verify_descriptor(
         raise ValueError("verify_descriptor needs at least one coefficient ring")
     if tier == "auto":
         use_tier2 = tier2_obstruction(d) is None
-    elif tier in (2, "2"):
-        use_tier2 = True
-    elif tier in (1, "1"):
-        use_tier2 = False
+    elif tier in ("1", "2") or is_int(tier) and tier in (1, 2):
+        use_tier2 = int(tier) == 2
     else:
         raise ValueError(f"unknown tier {tier!r}")
     # raises TierError when d has no simplicial model
@@ -483,6 +481,7 @@ def verify_descriptor(
         except (RuntimeError, ValueError) as exc:
             # a failed self-check of the formula ring, such as graded commutativity
             formula = str(exc)
+    # both over-Z shortcuts pay: checked ring by ring, p50 read x1.11, and x1.20 without _OverZ
     homology_agrees = expected.is_free and not _homology_witnesses(expected, cx, K, Z)
     over_z = _OverZ(formula)
 

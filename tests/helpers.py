@@ -1,6 +1,6 @@
 """Shared test helpers: matrix literals in the package's layout, the split
-of a column reduction, the full simplex, catalog lookups, random cores
-and bases, and the two-step base ring that the one-pass wedge builder
+of a column reduction, the full simplex, catalog lookups, descriptor
+literals, random cores, bases and descriptors, and the two-step base ring that the one-pass wedge builder
 replaced.
 
 The package stores every matrix as a list of ``{row: value}`` columns.
@@ -13,7 +13,15 @@ import random
 
 from reeb_bubble.catalog import ENTRIES, CatalogEntry
 from reeb_bubble.coefficients import CoefficientRing
-from reeb_bubble.descriptor import BaseSpec, base_classes
+from reeb_bubble.descriptor import (
+    BaseSpec,
+    BubblingRecord,
+    RecordKind,
+    ReebDescriptor,
+    SphereSpec,
+    base_classes,
+    base_sphere_classes,
+)
 from reeb_bubble.graded import (
     BasisElement,
     ConnSum,
@@ -87,6 +95,42 @@ def tier2_entries() -> tuple[CatalogEntry, ...]:
     return tuple(e for e in ENTRIES if tier2_obstruction(e.descriptor) is None)
 
 
+def desc(n, handles, records):
+    return ReebDescriptor(BaseSpec(n, tuple(handles)), tuple(records))
+
+
+def record(kind, *spheres):
+    return BubblingRecord(kind, tuple(spheres))
+
+
+def random_descriptor(rng, n=None):
+    """A random descriptor of dimension ``n`` (2 to 5 if not given) on up to
+    three sphere cores, with up to three records of random kinds."""
+    n = n or rng.randint(2, 5)
+    handles = [Sphere(rng.randint(1, n - 1)) for _ in range(rng.randint(0, 3))]
+    classes = base_sphere_classes(desc(n, handles, []))
+    records = []
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(list(RecordKind))
+        if kind.is_point:
+            records.append(record(kind))
+            continue
+        arity = 1 if kind.is_normal else rng.randint(0, 2)
+        spheres = []
+        for _ in range(arity):
+            dim = 0 if n < 3 else rng.randint(0, n - 2)
+            coeffs = {}
+            if dim >= 1:
+                for ident, deg in classes:
+                    if deg == dim and rng.random() < 0.6:
+                        c = rng.randint(-3, 3)
+                        if c:
+                            coeffs[ident] = c
+            spheres.append(SphereSpec(dim, coeffs))
+        records.append(record(kind, *spheres))
+    return desc(n, handles, records)
+
+
 def random_expr(rng, dim: int, depth: int):
     """A random Sphere/Product/ConnSum expression of dimension ``dim``,
     nested at most ``depth`` deep."""
@@ -135,7 +179,7 @@ def reference_base_ring(base) -> PresentedGradedRing:
     return PresentedGradedRing(
         Z,
         top,
-        [BasisElement(name[e.id], e.degree, e.provenance) for e in wedge.basis],
+        [BasisElement(name[e.id], e.degree) for e in wedge.basis],
         {
             (name[ia], name[ib]): {name[ic]: c for ic, c in vec.items()}
             for (ia, ib), vec in wedge.products.items()

@@ -146,11 +146,11 @@ def test_criterion_4_planner_round_trip():
                 (j, k1, k2, k3): v for j, k1, k2, k3, v in plan["coefficients"]
             }
             classes = base_sphere_classes(d)
-            for j, (record, rc) in enumerate(
-                zip(d.records, rep.record_classes), start=1
-            ):
+            for j, record in enumerate(d.records, start=1):
+                top = f"t{j}"
                 seen = {}
-                for b_id, sphere in zip(rc.bubbled, record.spheres):
+                for m, sphere in enumerate(record.spheres, start=1):
+                    b_id = f"b{j}.{m}"
                     k1 = n - sphere.dim
                     seen[k1] = seen.get(k1, 0) + 1
                     k2 = seen[k1]
@@ -158,8 +158,8 @@ def test_criterion_4_planner_round_trip():
                     matching = [i for i, deg in classes if deg == sphere.dim]
                     for k3, nu in enumerate(matching, start=1):
                         want = coeff.get((j, k1, k2, k3), 0)
-                        expected = {rc.top: want} if want else {}
-                        reversed_ = {rc.top: sign * want} if want else {}
+                        expected = {top: want} if want else {}
+                        reversed_ = {top: sign * want} if want else {}
                         assert rep.ring.product(nu, b_id) == expected, (
                             plan, j, k1, k2, k3,
                         )

@@ -7,6 +7,7 @@ rules themselves and cross-checked independently by the oracle suite.
 import random
 
 import pytest
+from helpers import desc, random_descriptor, record
 
 from reeb_bubble import calculus as calculus_module
 from reeb_bubble.calculus import (
@@ -17,14 +18,7 @@ from reeb_bubble.calculus import (
     truncate_ring,
 )
 from reeb_bubble.coefficients import CoefficientRing
-from reeb_bubble.descriptor import (
-    BaseSpec,
-    BubblingRecord,
-    InvalidDescriptorError,
-    RecordKind,
-    ReebDescriptor,
-    SphereSpec,
-)
+from reeb_bubble.descriptor import InvalidDescriptorError, RecordKind, SphereSpec
 from reeb_bubble.graded import (
     ConnSum,
     GradedModule,
@@ -42,52 +36,9 @@ Z3 = CoefficientRing.prime_field(3)
 RINGS = [Z, Q, Z2, Z3]
 
 
-def desc(n, handles, records):
-    return ReebDescriptor(BaseSpec(n, tuple(handles)), tuple(records))
-
-
-def record(kind, *spheres):
-    return BubblingRecord(kind, tuple(spheres))
-
-
 REMARK_FAMILY = desc(
     3, [Sphere(1)], [record(RecordKind.M, SphereSpec(1, {"nu1": 2}))]
 )
-
-
-def random_descriptor(rng, n=None):
-    n = n or rng.randint(2, 5)
-    handles = []
-    for _ in range(rng.randint(0, 3)):
-        k = rng.randint(1, n - 1)
-        handles.append(Sphere(k))
-    d0 = desc(n, handles, [])
-    from reeb_bubble.descriptor import base_sphere_classes
-
-    classes = base_sphere_classes(d0)
-    records = []
-    for _ in range(rng.randint(0, 3)):
-        kind = rng.choice(list(RecordKind))
-        if kind.is_point:
-            records.append(record(kind))
-            continue
-        arity = 1 if kind.is_normal else rng.randint(0, 2)
-        spheres = []
-        for _ in range(arity):
-            if n < 3:
-                dim = 0
-            else:
-                dim = rng.randint(0, n - 2)
-            coeffs = {}
-            if dim >= 1:
-                for ident, deg in classes:
-                    if deg == dim and rng.random() < 0.6:
-                        c = rng.randint(-3, 3)
-                        if c:
-                            coeffs[ident] = c
-            spheres.append(SphereSpec(dim, coeffs))
-        records.append(record(kind, *spheres))
-    return desc(n, handles, records)
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +149,9 @@ def test_record_class_map():
         ],
     )
     rep = cohomology_ring_of_descriptor(d, Z)
-    first, second = rep.record_classes
-    assert first.bubbled == ("b1.1", None)
-    assert first.top == "t1"
-    assert second.bubbled == ()
-    assert second.top == "t2"
+    # the dimension-0 sphere b1.2 and the point record give no bubbled class
     degrees = {e.id: e.degree for e in rep.ring.basis}
-    assert degrees["b1.1"] == 2 and degrees["t1"] == degrees["t2"] == 4
+    assert degrees == {"nu1": 2, "b1.1": 2, "t1": 4, "t2": 4}
 
 
 def test_inclusion_subtable_matches_base():
@@ -221,8 +168,7 @@ def test_inclusion_subtable_matches_base():
     for ia in base_ids:
         for ib in base_ids:
             assert ring.product(ia, ib) == base.product(ia, ib)
-    incl = [e for e in ring.basis if e.provenance == ("inclusion",)]
-    assert {e.id for e in incl} == base_ids
+    assert ring.basis[: len(base.basis)] == base.basis
 
 
 @pytest.mark.parametrize(
@@ -230,8 +176,8 @@ def test_inclusion_subtable_matches_base():
     [
         # the wedge and the result; a sphere core builds no ring of its own
         ((Sphere(1), Sphere(2)), 2),
-        # plus the product core: two sphere rings and their tensor ring
-        ((Product(Sphere(1), Sphere(2)), Sphere(2)), 5),
+        # a product core is listed into the wedge, no ring of its own
+        ((Product(Sphere(1), Sphere(2)), Sphere(2)), 2),
     ],
 )
 def test_formula_ring_builds_each_ring_once(monkeypatch, handles, rings_built):
@@ -259,8 +205,8 @@ def test_structure_rules_on_random_descriptors():
         rep = cohomology_ring_of_descriptor(d, Z)
         ring = rep.ring
         assert rep.homology.free_ranks == ring.free_ranks()
-        bub = [e for e in ring.basis if e.provenance[0] == "bubbled"]
-        tops = [e for e in ring.basis if e.provenance[0] == "top"]
+        bub = [e for e in ring.basis if e.id.startswith("b")]
+        tops = [e for e in ring.basis if e.id.startswith("t")]
         assert len(tops) == len(d.records)
         for a in bub:
             for b in bub:
@@ -268,14 +214,12 @@ def test_structure_rules_on_random_descriptors():
         for t in tops:
             for b in ring.basis:
                 assert ring.product(t.id, b.id) == {}
+        assert len(bub) == sum(sph.dim > 0 for rec in d.records for sph in rec.spheres)
         # every stored constant matches the descriptor coefficient
-        for rc in rep.record_classes:
-            rec = d.records[rc.index - 1]
-            for beta_id, sph in zip(rc.bubbled, rec.spheres):
-                if beta_id is None:
-                    continue
+        for r, rec in enumerate(d.records, start=1):
+            for j, sph in enumerate(rec.spheres, start=1):
                 for target, value in sph.coefficients:
-                    assert ring.product(target, beta_id) == {rc.top: value}
+                    assert ring.product(target, f"b{r}.{j}") == {f"t{r}": value}
 
 
 def test_prefix_growth_rules():
@@ -428,10 +372,8 @@ def test_plan_round_trip_seeded():
         for (j, k1, k2, k3), c in coeffs.items():
             dim = n - k1
             beta_ids = [
-                b
-                for b, sph in zip(
-                    rep.record_classes[j - 1].bubbled, d.records[j - 1].spheres
-                )
+                f"b{j}.{i}"
+                for i, sph in enumerate(d.records[j - 1].spheres, start=1)
                 if sph.dim == dim
             ]
             beta = beta_ids[k2 - 1]

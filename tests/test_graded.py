@@ -1,4 +1,4 @@
-"""Tests for graded modules, ring constructors and pairing invariants.
+"""Tests for graded modules, expression rings and pairing invariants.
 
 Expected ranks and products are the classical ones for spheres, tori and
 their products, connected sums and wedges; each is small enough to check
@@ -6,6 +6,7 @@ by hand.
 """
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from field_reference import field_rank
 
 from reeb_bubble.calculus import cohomology_ring_of_descriptor
 from reeb_bubble.catalog import random_descriptors
+from reeb_bubble import graded as graded_module
 from reeb_bubble.coefficients import CoefficientRing, RingMismatchError
 from reeb_bubble.descriptor import BaseSpec, base_classes
 from reeb_bubble.graded import (
@@ -26,13 +28,10 @@ from reeb_bubble.graded import (
     Product,
     Sphere,
     compare_invariants,
-    connsum_ring,
     cps_cohomology,
     dimension,
     gcps_cohomology,
     pairing_invariants,
-    sphere_ring,
-    tensor_ring,
     validate_expr,
 )
 
@@ -96,7 +95,7 @@ def test_module_torsion_normalization():
     [(1, (1, 1)), (2, (1, 0, 1)), (3, (1, 0, 0, 1))],
 )
 def test_sphere_ring_ranks(k, ranks):
-    A = sphere_ring(k)
+    A = cps_cohomology(Sphere(k))
     assert A.free_ranks() == ranks
     gen = A.basis[0]
     assert A.product(gen.id, gen.id) == {}
@@ -104,16 +103,16 @@ def test_sphere_ring_ranks(k, ranks):
 
 def test_sphere_ring_rejects_zero():
     with pytest.raises(ValueError):
-        sphere_ring(0)
+        cps_cohomology(Sphere(0))
 
 
 # ---------------------------------------------------------------------------
-# tensor rings
+# product rings
 # ---------------------------------------------------------------------------
 
 
 def test_torus_ring_table():
-    A = tensor_ring(sphere_ring(1), sphere_ring(1))
+    A = cps_cohomology(TORUS)
     assert A.free_ranks() == (1, 2, 1)
     x, y = A.degree_basis(1)
     (top,) = A.degree_basis(2)
@@ -123,7 +122,7 @@ def test_torus_ring_table():
 
 
 def test_s2_times_s2_ring():
-    A = tensor_ring(sphere_ring(2), sphere_ring(2))
+    A = cps_cohomology(S2XS2)
     assert A.free_ranks() == (1, 0, 2, 0, 1)
     u, v = A.degree_basis(2)
     (top,) = A.degree_basis(4)
@@ -133,15 +132,6 @@ def test_s2_times_s2_ring():
     assert A.product(u.id, u.id) == {}
 
 
-def test_tensor_with_unit_ring_is_identity():
-    unit = gcps_cohomology([])
-    assert unit.free_ranks() == (1,)
-    A = cps_cohomology(TORUS)
-    B = tensor_ring(A, unit)
-    assert B.free_ranks() == A.free_ranks()
-    assert compare_invariants(A, B).is_consistent
-
-
 def test_tensor_kunneth_convolution_of_ranks():
     for left, right in [
         (TORUS, Sphere(2)),
@@ -149,7 +139,7 @@ def test_tensor_kunneth_convolution_of_ranks():
         (Sphere(3), GENUS2),
     ]:
         A, B = cps_cohomology(left), cps_cohomology(right)
-        C = tensor_ring(A, B)
+        C = cps_cohomology(Product(left, right))
         ra, rb, rc = A.free_ranks(), B.free_ranks(), C.free_ranks()
         for k in range(len(rc)):
             conv = sum(
@@ -188,21 +178,28 @@ def test_connsum_of_sphere_products_is_hyperbolic():
 
 
 def test_connsum_of_spheres_collapses():
-    A = connsum_ring(sphere_ring(2), sphere_ring(2))
+    A = cps_cohomology(ConnSum(Sphere(2), Sphere(2)))
     assert A.free_ranks() == (1, 0, 1)
     # the one class left is the fundamental class, which no sphere represents
     assert base_classes(BaseSpec(2, (ConnSum(Sphere(2), Sphere(2)),))) == [("e1", 2)]
 
 
 def test_connsum_top_degree_mismatch():
-    with pytest.raises(ValueError):
-        connsum_ring(sphere_ring(1), sphere_ring(2))
+    with pytest.raises(ValueError, match="share a dimension"):
+        cps_cohomology(ConnSum(Sphere(1), Sphere(2)))
 
 
-def test_connsum_needs_rank_one_top():
-    wedge = gcps_cohomology([Sphere(2), Sphere(2)])
-    with pytest.raises(ValueError):
-        connsum_ring(wedge, sphere_ring(2))
+def test_connsum_needs_rank_one_top(monkeypatch):
+    # no expression has two top classes, so a listing that gives the
+    # 2-sphere two of them stands in for a fault in the recursion
+    real = graded_module._core_table
+
+    def doubled(e):
+        return ([(2, True), (2, True)], {}) if e == Sphere(2) else real(e)
+
+    monkeypatch.setattr(graded_module, "_core_table", doubled)
+    with pytest.raises(ValueError, match="rank-1 free top"):
+        cps_cohomology(ConnSum(Sphere(2), Sphere(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +358,10 @@ def _rings_under_test(R):
         yield cohomology_ring_of_descriptor(d, R).ring
     for expr in (TORUS, GENUS2, S2XS2, Product(GENUS2, Sphere(1))):
         yield cps_cohomology(expr).over(R)
-    yield tensor_ring(cps_cohomology(GENUS2), cps_cohomology(Product(Sphere(1), Sphere(2)))).over(R)
-    yield connsum_ring(cps_cohomology(S2XS2), cps_cohomology(Product(TORUS, TORUS))).over(R)
-    yield connsum_ring(
-        cps_cohomology(Product(TORUS, Sphere(1))), cps_cohomology(Product(Sphere(1), Sphere(2)))
+    yield cps_cohomology(Product(GENUS2, Product(Sphere(1), Sphere(2)))).over(R)
+    yield cps_cohomology(ConnSum(S2XS2, Product(TORUS, TORUS))).over(R)
+    yield cps_cohomology(
+        ConnSum(Product(TORUS, Sphere(1)), Product(Sphere(1), Sphere(2)))
     ).over(R)
     yield gcps_cohomology([Sphere(1), Sphere(3), TORUS]).over(R)
 
@@ -434,13 +431,13 @@ def test_compare_distinguishes_rank():
 
 
 def test_compare_distinguishes_top_degree():
-    v = compare_invariants(sphere_ring(1), sphere_ring(2))
+    v = compare_invariants(cps_cohomology(Sphere(1)), cps_cohomology(Sphere(2)))
     assert v.kind == "distinguished"
 
 
 def test_compare_ring_mismatch():
     with pytest.raises(RingMismatchError):
-        compare_invariants(sphere_ring(1), sphere_ring(1).over(Q))
+        compare_invariants(cps_cohomology(Sphere(1)), cps_cohomology(Sphere(1)).over(Q))
 
 
 def test_wedge_vs_torus_distinguished_by_pairing():
@@ -549,6 +546,30 @@ def test_constructor_rejects_non_integer_constants(bad):
     for R in (Z, Q, Z2):
         with pytest.raises(TypeError, match=r"\(a,b\)"):
             PresentedGradedRing(R, 3, basis, products)
+
+
+NOT_INTEGERS = [2.9, True, Fraction(2), 2.0]
+NOT_INTEGER_IDS = ["2.9", "True", "Fraction(2)", "2.0"]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_constructor_rejects_non_integer_degrees(bad):
+    # a top degree of 2.9 was stored as 2, and a basis degree of 1.5 failed
+    # later, indexing a list
+    basis = (BasisElement("a", 1), BasisElement("t", 2))
+    with pytest.raises(TypeError, match=re.escape(f"top degree must be an integer, got {bad!r}")):
+        PresentedGradedRing(Z, bad, basis, {})
+    with pytest.raises(TypeError, match=re.escape(f"degree of a is not an integer: {bad!r}")):
+        PresentedGradedRing(Z, 3, (BasisElement("a", bad),), {})
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_module_rejects_non_integer_ranks_and_divisors(bad):
+    # a rank of 2.9 was stored as 2, and a divisor of 2.9 was accepted
+    with pytest.raises(TypeError, match=re.escape(f"rank must be an integer, got {bad!r}")):
+        GradedModule(Z, (1, bad))
+    with pytest.raises(TypeError, match=re.escape(f"torsion divisor must be an integer, got {bad!r}")):
+        GradedModule(Z, (1, 0), ((), (bad,)))
 
 
 def test_convert_rejects_non_integers_other_than_fractions():

@@ -11,7 +11,15 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from helpers import catalog_entry, full_simplex, random_expr, tier2_entries
+from helpers import (
+    catalog_entry,
+    desc,
+    full_simplex,
+    random_descriptor,
+    random_expr,
+    record,
+    tier2_entries,
+)
 from test_simplicial import rp2
 
 from reeb_bubble import calculus as calculus_module
@@ -27,12 +35,9 @@ from reeb_bubble.cli import main as cli_main
 from reeb_bubble.coefficients import CoefficientRing
 from reeb_bubble.descriptor import (
     BaseSpec,
-    BubblingRecord,
     RecordKind,
-    ReebDescriptor,
     SphereSpec,
     base_classes,
-    base_sphere_classes,
     serialize_descriptor,
 )
 from reeb_bubble.graded import (
@@ -76,40 +81,6 @@ Q = CoefficientRing.rationals()
 Z2 = CoefficientRing.prime_field(2)
 Z3 = CoefficientRing.prime_field(3)
 RINGS = [Z, Q, Z2, Z3]
-
-
-def desc(n, handles, records):
-    return ReebDescriptor(BaseSpec(n, tuple(handles)), tuple(records))
-
-
-def record(kind, *spheres):
-    return BubblingRecord(kind, tuple(spheres))
-
-
-def random_descriptor(rng, n=None):
-    n = n or rng.randint(2, 5)
-    handles = [Sphere(rng.randint(1, n - 1)) for _ in range(rng.randint(0, 3))]
-    classes = base_sphere_classes(desc(n, handles, []))
-    records = []
-    for _ in range(rng.randint(0, 3)):
-        kind = rng.choice(list(RecordKind))
-        if kind.is_point:
-            records.append(record(kind))
-            continue
-        arity = 1 if kind.is_normal else rng.randint(0, 2)
-        spheres = []
-        for _ in range(arity):
-            dim = 0 if n < 3 else rng.randint(0, n - 2)
-            coeffs = {}
-            if dim >= 1:
-                for ident, deg in classes:
-                    if deg == dim and rng.random() < 0.6:
-                        c = rng.randint(-3, 3)
-                        if c:
-                            coeffs[ident] = c
-            spheres.append(SphereSpec(dim, coeffs))
-        records.append(record(kind, *spheres))
-    return desc(n, handles, records)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +402,15 @@ def test_verify_forced_tier1_skips_simplicial():
     rep = verify_descriptor(d, [Z], tier=1)
     assert rep.tier == 1
     assert rep.euler_match is None
+
+
+@pytest.mark.parametrize("tier", [True, 2.0, "3", 3, None], ids=repr)
+def test_verify_rejects_a_tier_that_is_not_1_2_or_auto(tier):
+    # True == 1 once ran tier 1 silently, also where "auto" runs tier 2
+    d = catalog_entry("projected-disc").descriptor
+    assert verify_descriptor(d, [Z]).tier == 2
+    with pytest.raises(ValueError, match=f"unknown tier {tier!r}"):
+        verify_descriptor(d, [Z], tier=tier)
 
 
 @pytest.mark.parametrize("tier", [1, 2])
