@@ -20,7 +20,6 @@ from .descriptor import (
     RecordKind,
     ReebDescriptor,
     SphereSpec,
-    base_classes,
     base_cohomology,
 )
 from .graded import (
@@ -54,14 +53,14 @@ def homology_of_descriptor(d: ReebDescriptor, R: CoefficientRing) -> GradedModul
     Dimension-0 bouquet components merge into the new top class and add
     nothing of their own.  Everything stays free because the base family is
     torsion-free and the surgery only adds free summands, so the ranks are
-    the same over every ring.  The base's classes are read off its handle
-    expressions (:func:`~reeb_bubble.descriptor.base_classes`); no ring is
+    the same over every ring.  The base's classes are those its
+    :attr:`~reeb_bubble.descriptor.BaseSpec.classes` lists; no ring is
     built.
     """
     n = d.n
     ranks = [0] * (n + 1)
     ranks[0] = 1
-    for _, k in base_classes(d.base):
+    for _, k in d.base.classes:
         ranks[k] += 1
     for rec in d.records:
         ranks[n] += 1
@@ -273,13 +272,12 @@ def realize_plan(
     if errors:
         raise ValueError("; ".join(errors))
 
-    handles = []
-    offsets = {}
-    running = 0
-    for k in range(1, n):
-        offsets[k] = running
-        handles.extend(Sphere(k) for _ in range(handle_counts[k - 1]))
-        running += handle_counts[k - 1]
+    base = BaseSpec(
+        n, tuple(Sphere(k) for k in range(1, n) for _ in range(handle_counts[k - 1]))
+    )
+    nus = {}  # degree -> its base classes, all nu<j>, in order
+    for ident, k in base.classes:
+        nus.setdefault(k, []).append(ident)
 
     records = []
     for j, row in enumerate(rows, start=1):
@@ -288,10 +286,10 @@ def realize_plan(
             dim = n - k1
             for k2 in range(1, row[k1 - 1] + 1):
                 coeffs = {}
-                for k3 in range(1, handle_counts[dim - 1] + 1):
+                for k3, ident in enumerate(nus.get(dim, ()), start=1):
                     v = coefficients.get((j, k1, k2, k3), 0)
                     if v:
-                        coeffs[f"nu{offsets[dim] + k3}"] = v
+                        coeffs[ident] = v
                 spheres.append(SphereSpec(dim, coeffs))
         if normal:
             kind = RecordKind.NORMAL_M if spheres else RecordKind.POINT
@@ -299,7 +297,7 @@ def realize_plan(
             kind = RecordKind.M
         records.append(BubblingRecord(kind, tuple(spheres)))
 
-    return ReebDescriptor(BaseSpec(n, tuple(handles)), tuple(records))
+    return ReebDescriptor(base, tuple(records))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .descriptor import (
     RecordKind,
     ReebDescriptor,
     SphereSpec,
-    base_classes,
 )
 from .graded import ConnSum, Product, Sphere
 
@@ -314,7 +313,7 @@ def random_descriptors(seed: int, count: int) -> list[ReebDescriptor]:
     for _ in range(count):
         n = rng.randint(2, 5)
         base = BaseSpec(n, tuple(Sphere(rng.randint(1, n - 1)) for _ in range(rng.randint(0, 3))))
-        classes = base_classes(base)  # of a wedge of spheres: all nu<j>
+        classes = base.classes  # of a wedge of spheres: all nu<j>
         records = []
         for _ in range(rng.randint(0, 3)):
             kind = rng.choice(list(RecordKind))

@@ -3,8 +3,8 @@
 Subcommands: validate, homology, ring, realize, verify, infer-manifold,
 catalog.  Text reports go to standard output; ``--json PATH`` writes the
 machine-readable document instead.  Exit codes: 0 success or all-match,
-1 validation failure / verification mismatch / unreadable input, 2 usage
-error.
+1 validation failure / verification mismatch / unreadable input or
+unwritable output, 2 usage error.
 """
 
 from __future__ import annotations
@@ -30,20 +30,14 @@ from .descriptor import (
 from .graded import pairing_invariants
 from .oracle import TierError, format_report, verify_descriptor
 
+
 class _UsageError(Exception):
     pass
 
 
-class _InputError(Exception):
-    pass
-
-
-def _ring_from_token(token: str) -> CoefficientRing:
-    if token == "Z":
-        return CoefficientRing.integers()
-    if token == "Q":
-        return CoefficientRing.rationals()
-    raise _UsageError(f"unknown ring {token!r}; choose from Z, Q, Zp")
+class _InputError(ValueError):
+    """Input that cannot be read or output that cannot be written: like
+    any other ``ValueError``, one line on standard error and exit 1."""
 
 
 def _resolve_rings(args) -> list[CoefficientRing]:
@@ -62,18 +56,30 @@ def _resolve_rings(args) -> list[CoefficientRing]:
             except ValueError as exc:
                 raise _UsageError(str(exc)) from None
         else:
-            out.append(_ring_from_token(label))
+            out.append(CoefficientRing(label))  # --ring admits only Z, Q, Zp
     if primes:
         raise _UsageError(f"{len(primes)} --p value(s) without a matching --ring Zp")
     return out
 
 
-def _load_descriptor(path: str):
+def _read_text(path: str, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InputError(f"cannot read {what} file {path}: {exc}") from None
+
+
+def _write_text(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
-        raise _InputError(f"cannot read descriptor file {path}: {exc}") from None
+        raise _InputError(f"cannot write {what} file {path}: {exc}") from None
+
+
+def _load_descriptor(path: str):
+    text = _read_text(path, "descriptor")
     try:
         return parse_descriptor(text)
     except DescriptorFormatError as exc:
@@ -82,9 +88,7 @@ def _load_descriptor(path: str):
 
 def _emit(args, doc: dict, text: str) -> None:
     if getattr(args, "json", None):
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_text(args.json, json.dumps(doc, indent=2) + "\n", "report")
     else:
         print(text)
 
@@ -211,11 +215,9 @@ def _cmd_ring(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    text = _read_text(args.plan, "plan")
     try:
-        with open(args.plan, encoding="utf-8") as fh:
-            plan = json.load(fh)
-    except OSError as exc:
-        raise _InputError(f"cannot read plan file {args.plan}: {exc}") from None
+        plan = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _InputError(f"plan file {args.plan} is not JSON: {exc}") from None
     try:
@@ -224,8 +226,7 @@ def _cmd_realize(args) -> int:
         raise _InputError(f"plan document missing or malformed field: {exc}") from None
     text = serialize_descriptor(d)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text, "descriptor")
         print(f"wrote {args.out}")
     else:
         print(text, end="")
@@ -442,9 +443,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except _InputError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     except TierError as exc:
         print(f"tier error: {exc}", file=sys.stderr)
         return 1

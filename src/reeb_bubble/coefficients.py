@@ -59,12 +59,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 
 def is_int(value) -> bool:
     """An exact integer: ``True`` and ``2.0`` are not."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Miller-Rabin with the first 13 primes as bases decides primality of every
+# p below MODULUS_BOUND, the least strong pseudoprime to all of them
+# (Sorenson and Webster, 2015); the first 12 leave 318665857834031151167461
+# = 399165290221 * 798330580441 undecided
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MODULUS_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < MODULUS_BOUND."""
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x != 1 and all(pow(x, 2**r, p) != p - 1 for r in range(s)):
+            return False
+    return True
 
 
 class RingMismatchError(ValueError):
@@ -73,7 +94,7 @@ class RingMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientRing:
-    """One of the rings Z, Q, Z/p (p prime)."""
+    """One of the rings Z, Q, Z/p (p prime and below :data:`MODULUS_BOUND`)."""
 
     kind: str
     p: int | None = None
@@ -84,7 +105,9 @@ class CoefficientRing:
         if (self.kind == "Zp") != (self.p is not None):
             raise ValueError("a modulus is required exactly for Zp")
         p = self.p
-        if p is not None and (p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1))):
+        if p is not None and not (is_int(p) and p < MODULUS_BOUND):
+            raise ValueError(f"modulus {p!r} is not an integer below the bound {MODULUS_BOUND}")
+        if p is not None and not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
 
     @staticmethod

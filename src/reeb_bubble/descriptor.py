@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .coefficients import is_int
 from .graded import (
@@ -36,8 +37,6 @@ __all__ = [
     "DescriptorFormatError",
     "InvalidDescriptorError",
     "validate",
-    "base_classes",
-    "base_sphere_classes",
     "base_cohomology",
     "parse_descriptor",
     "serialize_descriptor",
@@ -76,6 +75,28 @@ class BaseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "handles", tuple(self.handles))
+
+    @cached_property
+    def classes(self) -> tuple[tuple[str, int], ...]:
+        """Every positive-degree class of the base wedge, as (id, degree).
+
+        Read off the handle expressions in wedge order, each validated and
+        walked once per base, no ring built; an invalid handle raises as in
+        ``graded.validate_expr``, on every access.  Sphere classes, which
+        records may target, are named nu1, nu2, ...; the other class at
+        position i of the wedge, counted from 1, is named e<i>.
+        """
+        out = []
+        spheres = 0
+        for h in self.handles:
+            validate_expr(h)
+            for degree, sphere in _walk(h):
+                if sphere:
+                    spheres += 1
+                    out.append((f"nu{spheres}", degree))
+                else:
+                    out.append((f"e{len(out) + 1}", degree))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -172,7 +193,7 @@ def validate(d: ReebDescriptor) -> list[str]:
         if not 1 <= k <= n - 1:
             out.append(f"{where}: core dimension {k} outside 1..{n - 1}")
 
-    classes = None if out else dict(base_sphere_classes(d))
+    classes = None if out else dict(d.base.classes)
     for r, rec in enumerate(d.records):
         rwhere = f"records[{r}]"
         if rec.kind.is_point:
@@ -226,35 +247,8 @@ def _walk(e: ManifoldExpr) -> list[tuple[int, bool]]:
     return [c for c in left + right if c[0] < top] + [(top, False)]
 
 
-def base_classes(base: BaseSpec) -> list[tuple[str, int]]:
-    """Every positive-degree class of the base wedge, as (id, degree).
-
-    Read off the handle expressions in wedge order, no ring built; an
-    invalid handle raises as in ``graded.validate_expr``.  Sphere classes,
-    which records may target, are named nu1, nu2, ...; the other class at
-    position i of the wedge, counted from 1, is named e<i>.
-    """
-    out = []
-    spheres = 0
-    for h in base.handles:
-        validate_expr(h)
-        for degree, sphere in _walk(h):
-            if sphere:
-                spheres += 1
-                out.append((f"nu{spheres}", degree))
-            else:
-                out.append((f"e{len(out) + 1}", degree))
-    return out
-
-
-def base_sphere_classes(d: ReebDescriptor) -> list[tuple[str, int]]:
-    """The coefficient-targetable classes of the base, as (id, degree):
-    the nu<j> classes of :func:`base_classes`."""
-    return [(ident, k) for ident, k in base_classes(d.base) if ident.startswith("nu")]
-
-
 def base_cohomology(base: BaseSpec) -> PresentedGradedRing:
-    """Integral cohomology ring of the wedge of the cores, ids by :func:`base_classes`.
+    """Integral cohomology ring of the wedge of the cores, ids by :attr:`BaseSpec.classes`.
 
     The base space deformation-retracts to this wedge, so its positive
     cohomology is the direct sum of the cores' with vanishing cross
@@ -264,7 +258,7 @@ def base_cohomology(base: BaseSpec) -> PresentedGradedRing:
     walk's raises ``RuntimeError``.
     """
     ring = gcps_cohomology(base.handles)
-    if [(e.id, e.degree) for e in ring.basis] != base_classes(base):
+    if tuple((e.id, e.degree) for e in ring.basis) != base.classes:
         raise RuntimeError("base classes out of sync with the base ring")
     return ring
 

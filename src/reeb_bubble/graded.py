@@ -344,7 +344,7 @@ def _core_table(e: ManifoldExpr) -> tuple[list, dict]:
     """The integral cohomology of a validated expression, listed by position.
 
     Returns its positive-degree classes as (degree, given by a sphere
-    factor) in the order that ``descriptor.base_classes`` walks, and its
+    factor) in the order that ``descriptor.BaseSpec.classes`` walks, and its
     products as {(i, j): {k: c}} over those positions, zeros left out.  The
     factors' tables hold no zeros, so neither does the result.  A product
     lists the left factor's classes, then the right factor's, then the
@@ -443,8 +443,10 @@ def gcps_cohomology(summands) -> PresentedGradedRing:
     the one-point space: the unit-only ring.  Each summand, a sphere too,
     is listed by :func:`_core_table` and its table copied into one checked
     ring.  Each class is named as it is listed, with the ids of
-    ``descriptor.base_classes``: the j-th class a sphere factor gives is
-    nu<j>, the class at wedge position i is otherwise e<i>.
+    ``descriptor.BaseSpec.classes``: the j-th class a sphere factor gives
+    is nu<j>, the class at wedge position i is otherwise e<i>.  Each
+    summand is validated here, as ``summands`` may be raw expressions; it
+    is the one check below a built descriptor.
     """
     basis: list[BasisElement] = []
     products = {}

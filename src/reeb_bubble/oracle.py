@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .calculus import cohomology_ring_of_descriptor, homology_of_descriptor
 from .coefficients import CoefficientRing, is_int
-from .descriptor import ReebDescriptor, base_classes, serialize_descriptor
+from .descriptor import ReebDescriptor, serialize_descriptor
 from .graded import ConnSum, PresentedGradedRing, Product, Sphere, compare_invariants
 from .simplicial import (
     ChainComplexZ,
@@ -74,13 +74,13 @@ def assemble_chain_complex(d: ReebDescriptor) -> ChainComplexZ:
     coefficient combinations of base classes they attach to.  Homology of
     the result is the homology of the glued space by Mayer-Vietoris.  The
     base cells are the classes of
-    :func:`~reeb_bubble.descriptor.base_classes`; no ring is built.
+    :attr:`~reeb_bubble.descriptor.BaseSpec.classes`; no ring is built.
     """
     n = d.n
     labels: list[list] = [[] for _ in range(n + 1)]
     diff: dict = {}
     labels[0].append(("w", 0))
-    for ident, k in base_classes(d.base):
+    for ident, k in d.base.classes:
         labels[k].append(("w", ident))
     for r, rec in enumerate(d.records, start=1):
         spheres = [

@@ -19,8 +19,6 @@ from reeb_bubble.descriptor import (
     RecordKind,
     ReebDescriptor,
     SphereSpec,
-    base_classes,
-    base_sphere_classes,
 )
 from reeb_bubble.graded import (
     BasisElement,
@@ -108,7 +106,7 @@ def random_descriptor(rng, n=None):
     three sphere cores, with up to three records of random kinds."""
     n = n or rng.randint(2, 5)
     handles = [Sphere(rng.randint(1, n - 1)) for _ in range(rng.randint(0, 3))]
-    classes = base_sphere_classes(desc(n, handles, []))
+    classes = BaseSpec(n, tuple(handles)).classes  # of sphere cores: all nu<j>
     records = []
     for _ in range(rng.randint(0, 3)):
         kind = rng.choice(list(RecordKind))
@@ -157,7 +155,7 @@ def random_bases(seed):
 def reference_base_ring(base) -> PresentedGradedRing:
     """The base ring in two steps: a checked wedge of the cores' rings whose
     classes take fresh ids e1, e2, ... by position, then a copy renamed by
-    ``base_classes``.  Each core is built by ``cps_cohomology``, so a sphere
+    ``BaseSpec.classes``.  Each core is built by ``cps_cohomology``, so a sphere
     core is a ring of its own here."""
     Z = CoefficientRing.integers()
     rings = [cps_cohomology(h) for h in base.handles]
@@ -173,7 +171,7 @@ def reference_base_ring(base) -> PresentedGradedRing:
     top = max((r.top_degree for r in rings), default=0)
     wedge = PresentedGradedRing(Z, top, basis, products)
 
-    classes = base_classes(base)
+    classes = base.classes
     assert [e.degree for e in wedge.basis] == [k for _, k in classes]
     name = {e.id: ident for e, (ident, _) in zip(wedge.basis, classes)}
     return PresentedGradedRing(

@@ -26,7 +26,6 @@ from reeb_bubble.catalog import (
 from reeb_bubble.coefficients import CoefficientRing
 from reeb_bubble.descriptor import (
     ReebDescriptor,
-    base_sphere_classes,
     parse_descriptor,
     serialize_descriptor,
     validate,
@@ -145,7 +144,7 @@ def test_criterion_4_planner_round_trip():
             coeff = {
                 (j, k1, k2, k3): v for j, k1, k2, k3, v in plan["coefficients"]
             }
-            classes = base_sphere_classes(d)
+            classes = [(i, k) for i, k in d.base.classes if i.startswith("nu")]
             for j, record in enumerate(d.records, start=1):
                 top = f"t{j}"
                 seen = {}

@@ -198,6 +198,15 @@ def test_nonprime_p_is_usage_error(tmp_path, capsys):
     assert "prime" in capsys.readouterr().err
 
 
+def test_large_prime_modulus(tmp_path, capsys):
+    path = write(tmp_path, "d.json", COEFF2)
+    assert main(["homology", "-d", path, "--ring", "Zp", "--p", str(2**61 - 1)]) == 0
+    assert f"Z/{2**61 - 1}: (1, 1, 1, 1)" in capsys.readouterr().out
+    bound = "3317044064679887385961981"
+    assert main(["homology", "-d", path, "--ring", "Zp", "--p", bound]) == 2
+    assert f"below the bound {bound}" in capsys.readouterr().err
+
+
 def test_missing_file(capsys):
     assert main(["homology", "-d", "/nonexistent/d.json"]) == 1
     assert "cannot read" in capsys.readouterr().err
@@ -208,6 +217,41 @@ def test_garbage_json(tmp_path, capsys):
     path.write_text("not json{")
     assert main(["validate", "-d", str(path)]) == 1
     assert "schema violation" in capsys.readouterr().err
+
+
+def one_line_error(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert all(w in err for w in words), err
+
+
+@pytest.mark.parametrize("command", ["validate", "homology", "ring", "verify"])
+def test_unwritable_json_path_is_one_line_error(tmp_path, capsys, command):
+    path = write(tmp_path, "d.json", POINT_N3)
+    report = str(tmp_path / "missing" / "report.json")
+    assert main([command, "-d", path, "--json", report]) == 1
+    one_line_error(capsys, "cannot write report file", report)
+
+
+def test_unwritable_realize_output_is_one_line_error(tmp_path, capsys):
+    plan = write(tmp_path, "plan.json", PLAN)
+    out = str(tmp_path / "missing" / "out.json")
+    assert main(["realize", "--plan", plan, "-o", out]) == 1
+    one_line_error(capsys, "cannot write descriptor file", out)
+
+
+def test_non_utf8_descriptor_names_the_file(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_bytes(b"\xff" + json.dumps(POINT_N3).encode())
+    assert main(["validate", "-d", str(path)]) == 1
+    one_line_error(capsys, "cannot read descriptor file", str(path), "utf-8")
+
+
+def test_non_utf8_plan_names_the_file(tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_bytes(b"\xff" + json.dumps(PLAN).encode())
+    assert main(["realize", "--plan", str(path)]) == 1
+    one_line_error(capsys, "cannot read plan file", str(path), "utf-8")
 
 
 def test_infer_manifold(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reeb_bubble.coefficients import (
+    MODULUS_BOUND,
     CoefficientRing,
     RingMismatchError,
     field_reduce,
@@ -296,6 +298,46 @@ def test_direct_construction_checks_the_modulus_is_prime(p):
     with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
         CoefficientRing.prime_field(p)
     assert CoefficientRing("Zp", 97).label == "Z/97"
+
+
+def test_a_large_prime_modulus_is_accepted_at_once():
+    p = 2**61 - 1
+    t0 = time.perf_counter()
+    assert CoefficientRing.prime_field(p).label == f"Z/{p}"
+    assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        561,  # a Carmichael number
+        2047,  # a strong pseudoprime to base 2
+        3215031751,  # a strong pseudoprime to bases 2, 3, 5 and 7
+        318665857834031151167461,  # a strong pseudoprime to the first 12 primes
+        2**61 + 1,
+    ],
+)
+def test_pseudoprimes_are_not_prime_moduli(p):
+    with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+        CoefficientRing.prime_field(p)
+
+
+def test_prime_moduli_agree_with_trial_division():
+    for p in range(10**4):
+        prime = p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
+        try:
+            CoefficientRing.prime_field(p)
+        except ValueError:
+            assert not prime, p
+        else:
+            assert prime, p
+
+
+@pytest.mark.parametrize("p", [MODULUS_BOUND, 2**89 - 1, 7.0, True])
+def test_a_modulus_past_the_bound_or_not_an_integer_is_refused(p):
+    # the bound itself is a strong pseudoprime to every base the test uses
+    with pytest.raises(ValueError, match=f"not an integer below the bound {MODULUS_BOUND}"):
+        CoefficientRing.prime_field(p)
 
 
 @pytest.mark.parametrize("seed", range(12))

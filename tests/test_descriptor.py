@@ -15,9 +15,7 @@ from reeb_bubble.descriptor import (
     RecordKind,
     ReebDescriptor,
     SphereSpec,
-    base_classes,
     base_cohomology,
-    base_sphere_classes,
     parse_descriptor,
     serialize_descriptor,
     validate,
@@ -157,26 +155,32 @@ def test_prefix_of_valid_schedule_is_valid():
 # ---------------------------------------------------------------------------
 
 
+def sphere_classes(d):
+    """The classes a record may target: the base's nu<j>."""
+    return [(ident, k) for ident, k in d.base.classes if ident.startswith("nu")]
+
+
 def test_base_classes_spheres():
     d = simple(3, handles=[Sphere(1), Sphere(2)])
-    assert base_sphere_classes(d) == [("nu1", 1), ("nu2", 2)]
+    assert d.base.classes == (("nu1", 1), ("nu2", 2))
 
 
 def test_base_classes_product_core():
     d = simple(4, handles=[Product(Sphere(1), Sphere(1))])
-    assert base_sphere_classes(d) == [("nu1", 1), ("nu2", 1)]
+    assert d.base.classes == (("nu1", 1), ("nu2", 1), ("e3", 2))
+    assert sphere_classes(d) == [("nu1", 1), ("nu2", 1)]
 
 
 def test_base_classes_empty():
-    assert base_sphere_classes(simple(5)) == []
+    assert simple(5).base.classes == ()
 
 
 def test_base_classes_connsum_drops_top_classes():
     # S^2 # S^2 has no middle classes; (S^1 x S^2) # (S^1 x S^2) keeps four
-    assert base_sphere_classes(simple(3, handles=[ConnSum(Sphere(2), Sphere(2))])) == []
+    assert sphere_classes(simple(3, handles=[ConnSum(Sphere(2), Sphere(2))])) == []
     s1s2 = Product(Sphere(1), Sphere(2))
     d = simple(4, handles=[ConnSum(s1s2, s1s2), Sphere(3)])
-    assert base_sphere_classes(d) == [("nu1", 1), ("nu2", 2), ("nu3", 1), ("nu4", 2), ("nu5", 3)]
+    assert sphere_classes(d) == [("nu1", 1), ("nu2", 2), ("nu3", 1), ("nu4", 2), ("nu5", 3)]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -184,17 +188,20 @@ def test_base_classes_match_the_base_ring_order(seed):
     for base in random_bases(seed):
         # the ring constructors list their basis independently of the walk
         ring = gcps_cohomology(base.handles)
-        assert [k for _, k in base_classes(base)] == [e.degree for e in ring.basis]
+        assert [k for _, k in base.classes] == [e.degree for e in ring.basis]
 
 
 def test_base_classes_reject_invalid_handles():
-    # a raw BaseSpec is not validated, so the walk checks its handles
-    with pytest.raises(ValueError, match="share a dimension"):
-        base_classes(BaseSpec(4, (ConnSum(Sphere(1), Sphere(2)),)))
+    # a raw BaseSpec is not validated, so the listing checks its handles,
+    # on every access: a failed listing is not cached
+    base = BaseSpec(4, (Sphere(2), ConnSum(Sphere(1), Sphere(2))))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="share a dimension"):
+            base.classes
     with pytest.raises(ValueError, match=">= 1"):
-        base_classes(BaseSpec(4, (Product(Sphere(0), Sphere(2)),)))
+        BaseSpec(4, (Product(Sphere(0), Sphere(2)),)).classes
     with pytest.raises(TypeError, match="must be an integer"):
-        base_classes(BaseSpec(4, (Sphere(True),)))
+        BaseSpec(4, (Sphere(True),)).classes
 
 
 def test_validate_builds_no_ring(monkeypatch):

@@ -37,7 +37,7 @@ from reeb_bubble.descriptor import (
     BaseSpec,
     RecordKind,
     SphereSpec,
-    base_classes,
+    parse_descriptor,
     serialize_descriptor,
 )
 from reeb_bubble.graded import (
@@ -478,6 +478,51 @@ def test_tier1_verify_builds_no_ring(monkeypatch):
     rep = verify_descriptor(d, RINGS, tier=1)
     assert rep.tier == 1 and rep.ok
     assert calls == {"base_cohomology": 0, "validate": 0}
+
+
+def _count_walks_and_node_checks(monkeypatch):
+    """Counts of calls, recursive ones included, of the base walk and of
+    the expression check from now on: one per expression node each time
+    a handle is walked or checked."""
+    calls = {"walk": 0, "validate_expr": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(descriptor_module, "_walk", counted("walk", descriptor_module._walk))
+    check = counted("validate_expr", graded_module.validate_expr)
+    for mod in (graded_module, descriptor_module):
+        monkeypatch.setattr(mod, "validate_expr", check)
+    return calls
+
+
+def test_a_parsed_base_is_listed_once(monkeypatch):
+    # 8 expression nodes: the connected sum, its two products, their four
+    # spheres, and the 2-sphere core
+    s1s2 = Product(Sphere(1), Sphere(2))
+    text = serialize_descriptor(
+        desc(
+            4,
+            [ConnSum(s1s2, s1s2), Sphere(2)],
+            [record(RecordKind.M, SphereSpec(2, {"nu2": 3, "nu5": -1}))],
+        )
+    )
+    calls = _count_walks_and_node_checks(monkeypatch)
+    d = parse_descriptor(text)
+    # validation checks each handle to name a bad one, then lists the base
+    assert calls == {"walk": 8, "validate_expr": 16}
+
+    calls.update(walk=0, validate_expr=0)
+    assert verify_descriptor(d, RINGS, tier=1).ok
+    assert calls == {"walk": 0, "validate_expr": 0}
+
+    # the wedge builder checks its summands, which may be raw expressions
+    cohomology_ring_of_descriptor(d, Z)
+    assert calls == {"walk": 0, "validate_expr": 8}
 
 
 def test_four_rings_eliminate_each_boundary_once(monkeypatch):
@@ -1060,7 +1105,7 @@ def test_base_classes_match_the_ring_and_the_core_complexes():
     bases = _walked_bases()
     cores = {}
     for base in bases:
-        classes = base_classes(base)
+        classes = base.classes
         ring = gcps_cohomology(base.handles)
         assert [k for _, k in classes] == [e.degree for e in ring.basis], base
         for h in base.handles:
@@ -1069,7 +1114,7 @@ def test_base_classes_match_the_ring_and_the_core_complexes():
     assert any(isinstance(h, Product) and isinstance(h.left, Product) for h in cores)
     for h in cores:
         ranks = [1] + [0] * dimension(h)
-        for _, k in base_classes(BaseSpec(dimension(h) + 1, (h,))):
+        for _, k in BaseSpec(dimension(h) + 1, (h,)).classes:
             ranks[k] += 1
         measured = homology_of_complex(oracle_module._expr_complex(h)[0], Z)
         assert measured.free_ranks == tuple(ranks) and measured.is_free, h
